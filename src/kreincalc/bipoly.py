@@ -4,18 +4,21 @@ Provides the zero structure with multiplicities, exact jets of polynomials by
 Taylor shifting, division with remainder against a pair ``a(z), b(w)``, the
 jet-evaluation map on the zero grid of such a pair, and its interpolation
 inverse on the space of remainders.
+
+Every Taylor shift goes through one batched kernel, :func:`taylor_shift`: the
+shifted coefficients of a dense coefficient matrix at many points at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
+import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 
 from .cluster import cluster_points
-from .errors import ConditioningError, DegenerateInputError
+from .errors import ConditioningError, DegenerateInputError, ShapeMismatchError
 from .jets import B_KIND, Jet, JetShape
 from .tol import DEFAULT_TOL, Tolerances
 
@@ -243,20 +246,10 @@ class BiPoly:
 
     def shifted(self, z0, w0) -> "BiPoly":
         """Taylor shift: the polynomial (z, w) -> s(z + z0, w + w0), exactly."""
-        z0, w0 = complex(z0), complex(w0)
-        c = {}
-        for (K, L), v in self._c.items():
-            for k in range(K + 1):
-                zf = comb(K, k) * z0 ** (K - k)
-                for l in range(L + 1):
-                    kl = (k, l)
-                    c[kl] = c.get(kl, 0j) + v * zf * comb(L, l) * w0 ** (L - l)
-        return BiPoly(c)
-
-    def scaled(self, sz, sw) -> "BiPoly":
-        """The polynomial (z, w) -> s(sz * z, sw * w)."""
-        sz, sw = complex(sz), complex(sw)
-        return BiPoly({(K, L): v * sz**K * sw**L for (K, L), v in self._c.items()})
+        C = self.dense()
+        return BiPoly.from_dense(
+            taylor_shift(C, [z0], [w0], C.shape[0] - 1, C.shape[1] - 1)[0]
+        )
 
     def jet_at(self, point, shape: JetShape) -> Jet:
         """Scaled partial derivatives at ``point``, arranged in ``shape``.
@@ -264,10 +257,21 @@ class BiPoly:
         Entry (k, l) is d^{k+l} s / (dz^k dw^l) / (k! l!) at the point, read
         off the Taylor-shifted coefficients; no numerical differentiation.
         """
-        shifted = self.shifted(point[0], point[1])
-        return Jet(
-            shape, [shifted.coeff(k, l) for (k, l) in shape.indices]
-        )
+        return jets_at(self, [point], [shape])[0]
+
+    def dense(self) -> np.ndarray:
+        """Coefficient matrix: entry [K, L] multiplies z^K w^L."""
+        out = np.zeros((self.degree_z + 1, self.degree_w + 1), dtype=complex)
+        for (k, l), v in self._c.items():
+            out[k, l] = v
+        return out
+
+    @classmethod
+    def from_dense(cls, coeffs) -> "BiPoly":
+        """The polynomial with coefficient matrix ``coeffs`` (see :meth:`dense`)."""
+        C = np.asarray(coeffs, dtype=complex)
+        K, L = np.nonzero(C)
+        return cls(dict(zip(zip(K.tolist(), L.tolist()), C[K, L].tolist())))
 
     def max_abs_coeff(self) -> float:
         return max((abs(v) for v in self._c.values()), default=0.0)
@@ -294,6 +298,83 @@ class BiPoly:
             f"({v:.4g})z^{k}w^{l}" for (k, l), v in sorted(self._c.items())
         )
         return f"BiPoly({terms})"
+
+
+def _binomials(degree: int) -> np.ndarray:
+    """Pascal's triangle: entry [K, k] is C(K, k), zero for k > K."""
+    out = np.zeros((degree + 1, degree + 1))
+    out[:, 0] = 1.0
+    for K in range(1, degree + 1):
+        out[K, 1:] = out[K - 1, 1:] + out[K - 1, :-1]
+    return out
+
+
+def taylor_table(points, degree: int, order: int) -> np.ndarray:
+    """T[p, k, K] = C(K, k) * z_p**(K - k) for k <= order, K <= degree.
+
+    Entries with k > K are zero, so ``T[p] @ c`` maps the ascending
+    coefficients ``c`` of a univariate polynomial of degree ``degree`` to its
+    Taylor coefficients 0..order at ``points[p]``. Powers are cumulative
+    products.
+    """
+    z = np.asarray(points, dtype=complex).reshape(-1)
+    powers = np.ones((z.size, degree + 1), dtype=complex)
+    if degree > 0:
+        powers[:, 1:] = np.cumprod(np.broadcast_to(z[:, None], (z.size, degree)), axis=1)
+    binom = _binomials(max(degree, order))[: degree + 1, : order + 1].T
+    exponent = np.arange(degree + 1)[None, :] - np.arange(order + 1)[:, None]
+    return powers[:, np.maximum(exponent, 0)] * binom
+
+
+def taylor_shift(coeffs, zs, ws, order_z: int, order_w: int) -> np.ndarray:
+    """Shifted coefficients of one polynomial at many points, batched.
+
+    ``coeffs`` is a dense coefficient matrix (see :meth:`BiPoly.dense`);
+    entry [p, k, l] of the result is the (z^k w^l) coefficient of
+    s(z + zs[p], w + ws[p]) for k <= order_z, l <= order_w, that is
+    ``einsum("pkK,KL,plL->pkl", Tz, coeffs, Tw)`` over the Taylor tables.
+    """
+    C = np.asarray(coeffs, dtype=complex)
+    Tz = taylor_table(zs, C.shape[0] - 1, order_z)
+    Tw = taylor_table(ws, C.shape[1] - 1, order_w)
+    return (Tz @ C) @ Tw.transpose(0, 2, 1)
+
+
+def jet_gather(shapes):
+    """Where a :func:`taylor_shift` table holds the entries of each jet.
+
+    Returns ``(index, order_z, order_w)``: shift to these orders, and
+    ``table[index]`` lists the entries of point i's jet of ``shapes[i]`` in
+    the shape's order, point after point.
+    """
+    rows, ks, ls = [], [], []
+    for i, sh in enumerate(shapes):
+        for k, l in sh.indices:
+            rows.append(i)
+            ks.append(k)
+            ls.append(l)
+    index = tuple(np.array(a, dtype=int) for a in (rows, ks, ls))
+    return index, max(ks, default=0), max(ls, default=0)
+
+
+def jets_at(s: BiPoly, points, shapes) -> list:
+    """Jets of ``s`` at each ``(z, w)`` point with the matching shape.
+
+    One batched :func:`taylor_shift` to the largest order any shape needs,
+    then one gather of every shape's entries.
+    """
+    if not shapes:
+        return []
+    index, order_z, order_w = jet_gather(shapes)
+    table = taylor_shift(
+        s.dense(), [p[0] for p in points], [p[1] for p in points], order_z, order_w
+    )
+    flat = table[index]
+    out, start = [], 0
+    for sh in shapes:
+        out.append(Jet(sh, flat[start:start + sh.size]))
+        start += sh.size
+    return out
 
 
 def euclidean_reduce(s: BiPoly, a: RealPoly, b: RealPoly):
@@ -374,13 +455,14 @@ class ZeroGrid:
         return sum(m for _, m in self.b_zeros)
 
 
+def _grid_shapes(grid: ZeroGrid):
+    return [JetShape(ma, mb, B_KIND) for (_, ma), (_, mb) in grid.pairs()]
+
+
 def grid_jets(s: BiPoly, grid: ZeroGrid):
     """Holomorphic jets of ``s`` at every grid pair, keyed by the pair."""
-    out = {}
-    for (za, ma), (zb, mb) in grid.pairs():
-        shape = JetShape(ma, mb, B_KIND)
-        out[(za, zb)] = s.jet_at((za, zb), shape)
-    return out
+    keys = [(za, zb) for (za, _), (zb, _) in grid.pairs()]
+    return dict(zip(keys, jets_at(s, keys, _grid_shapes(grid))))
 
 
 def hermite_matrix(grid: ZeroGrid):
@@ -389,23 +471,22 @@ def hermite_matrix(grid: ZeroGrid):
     Row order follows ``grid.pairs()`` and each shape's index order; column
     (K, L) runs over the monomials z^K w^L with K < total_a, L < total_b.
     Returns ``(matrix, row_keys)`` where row_keys list ``(za, zb, k, l)``.
+    The row of jet entry (k, l) at (za, zb) is the outer product of the
+    Taylor-table rows ``Tz[k]`` and ``Tw[l]`` at that pair.
     """
     m, n = grid.total_a, grid.total_b
-    cols = [(K, L) for K in range(m) for L in range(n)]
-    rows = []
-    row_keys = []
-    for (za, ma), (zb, mb) in grid.pairs():
-        for k, l in JetShape(ma, mb, B_KIND).indices:
-            row = np.zeros(len(cols), dtype=complex)
-            for c, (K, L) in enumerate(cols):
-                if K >= k and L >= l:
-                    row[c] = (
-                        comb(K, k) * comb(L, l) * za ** (K - k) * zb ** (L - l)
-                    )
-            rows.append(row)
-            row_keys.append((za, zb, k, l))
-    mat = np.array(rows, dtype=complex).reshape(len(rows), len(cols))
-    return mat, row_keys
+    pairs = grid.pairs()
+    if not pairs:
+        return np.zeros((0, m * n), dtype=complex), []
+    (rows, ks, ls), order_z, order_w = jet_gather(_grid_shapes(grid))
+    Tz = taylor_table([za for (za, _), _ in pairs], m - 1, order_z)
+    Tw = taylor_table([zb for _, (zb, _) in pairs], n - 1, order_w)
+    mat = Tz[rows, ks][:, :, None] * Tw[rows, ls][:, None, :]
+    row_keys = [
+        (pairs[i][0][0], pairs[i][1][0], k, l)
+        for i, k, l in zip(rows.tolist(), ks.tolist(), ls.tolist())
+    ]
+    return mat.reshape(len(rows), m * n), row_keys
 
 
 def _centered(zeros):
@@ -415,41 +496,69 @@ def _centered(zeros):
     return mu, rho
 
 
+class HermiteSystem:
+    """The jet-evaluation map of one zero grid, factored once.
+
+    The matrix is built in a basis centered and scaled on the grid (much
+    better conditioned than raw monomials), gated on ``tol.cond`` and LU
+    factored; every :meth:`solve` is then one triangular solve and one exact
+    change of basis back to monomials. Raises :class:`ConditioningError` when
+    even the centered system is too ill-conditioned to trust (nearly
+    coincident zeros).
+    """
+
+    def __init__(self, grid: ZeroGrid, tol: Tolerances = DEFAULT_TOL):
+        self.shapes = tuple(_grid_shapes(grid))
+        m, n = grid.total_a, grid.total_b
+        self._lu = None
+        if m == 0 or n == 0:
+            return
+        mu_a, rho_a = _centered(grid.a_zeros)
+        mu_b, rho_b = _centered(grid.b_zeros)
+        cgrid = ZeroGrid(
+            tuple(((z - mu_a) / rho_a, mult) for z, mult in grid.a_zeros),
+            tuple(((z - mu_b) / rho_b, mult) for z, mult in grid.b_zeros),
+        )
+        mat, row_keys = hermite_matrix(cgrid)
+        cond = np.linalg.cond(mat)
+        if not np.isfinite(cond) or cond > tol.cond:
+            raise ConditioningError(
+                f"interpolation grid condition number {cond:.2e} exceeds {tol.cond:.1e}"
+            )
+        self._lu = scipy.linalg.lu_factor(mat)
+        self._row_scale = np.array([rho_a**k * rho_b**l for _, _, k, l in row_keys])
+        # centered coefficients c give s(z, w) = c((z - mu_a)/rho_a, (w - mu_b)/rho_b):
+        # scale column K by rho**-K, then Taylor-shift by -mu
+        self._back_a = taylor_table([-mu_a], m - 1, m - 1)[0] * rho_a ** -np.arange(m)
+        self._back_b = taylor_table([-mu_b], n - 1, n - 1)[0] * rho_b ** -np.arange(n)
+        for arr in (self._row_scale, self._back_a, self._back_b):
+            arr.setflags(write=False)
+
+    def solve(self, rhs) -> BiPoly:
+        """The polynomial whose grid jets have the coefficients ``rhs``.
+
+        ``rhs`` concatenates the kind-b jet coefficients of every grid pair
+        in ``grid.pairs()`` order (the row order of :func:`hermite_matrix`).
+        """
+        if self._lu is None:
+            return BiPoly()
+        sol = scipy.linalg.lu_solve(self._lu, np.asarray(rhs) * self._row_scale)
+        centered = sol.reshape(self._back_a.shape[0], self._back_b.shape[0])
+        return BiPoly.from_dense(self._back_a @ centered @ self._back_b.T)
+
+
 def interpolate_jets(targets, grid: ZeroGrid, tol: Tolerances = DEFAULT_TOL) -> BiPoly:
     """The unique low-degree polynomial whose grid jets match ``targets``.
 
     ``targets`` maps grid pairs ``(za, zb)`` to kind-b jets of the matching
-    shape. The linear system is solved in a basis centered and scaled on the
-    grid (much better conditioned than raw monomials); the result is shifted
-    back exactly. Raises :class:`ConditioningError` when even the centered
-    system is too ill-conditioned to trust (nearly coincident zeros).
+    shape. Solved through a :class:`HermiteSystem` of the grid, which raises
+    :class:`ConditioningError` when the system is too ill-conditioned.
     """
-    m, n = grid.total_a, grid.total_b
-    if m == 0 or n == 0:
-        return BiPoly()
-    mu_a, rho_a = _centered(grid.a_zeros)
-    mu_b, rho_b = _centered(grid.b_zeros)
-    cgrid = ZeroGrid(
-        tuple(((z - mu_a) / rho_a, mult) for z, mult in grid.a_zeros),
-        tuple(((z - mu_b) / rho_b, mult) for z, mult in grid.b_zeros),
-    )
-    mat, row_keys = hermite_matrix(cgrid)
-    pair_map = {
-        cza: za for (cza, _), (za, _) in zip(cgrid.a_zeros, grid.a_zeros)
-    }
-    pair_map_b = {
-        czb: zb for (czb, _), (zb, _) in zip(cgrid.b_zeros, grid.b_zeros)
-    }
-    rhs = np.zeros(len(row_keys), dtype=complex)
-    for i, (cza, czb, k, l) in enumerate(row_keys):
-        jet = targets[(pair_map[cza], pair_map_b[czb])]
-        rhs[i] = jet.entry(k, l) * rho_a**k * rho_b**l
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > tol.cond:
-        raise ConditioningError(
-            f"interpolation grid condition number {cond:.2e} exceeds {tol.cond:.1e}"
-        )
-    sol = np.linalg.solve(mat, rhs)
-    cols = [(K, L) for K in range(m) for L in range(n)]
-    centered = BiPoly({kl: v for kl, v in zip(cols, sol)})
-    return centered.scaled(1.0 / rho_a, 1.0 / rho_b).shifted(-mu_a, -mu_b)
+    system = HermiteSystem(grid, tol)
+    parts = []
+    for ((za, _), (zb, _)), shape in zip(grid.pairs(), system.shapes):
+        jet = targets[(za, zb)]
+        if jet.shape != shape:
+            raise ShapeMismatchError(f"jet at {(za, zb)} must have shape {shape}")
+        parts.append(jet.coeffs)
+    return system.solve(np.concatenate(parts) if parts else np.zeros(0, complex))

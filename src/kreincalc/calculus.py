@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from .bipoly import BiPoly, ZeroGrid, interpolate_jets
-from .cluster import cluster_points, match_point
+from .bipoly import BiPoly, HermiteSystem, ZeroGrid, jet_gather, taylor_shift
+from .cluster import cluster_points, match_point, match_points
 from .embed import EmbeddingBundle, build_bundle
 from .errors import (
     BoundaryError,
@@ -317,7 +318,9 @@ class CalculusContext:
 
     Built once per instance: the embedding bundle, the spectral data of the
     transferred operator (eigenvalues snapped onto matching critical points),
-    the zero grid of the definitizing pair, and the resulting domain.
+    the zero grid of the definitizing pair, and the resulting domain. The
+    factored interpolation system and the powers of ``A`` and ``B`` are built
+    on first use and kept.
     """
 
     def __init__(self, pair: DefinitizablePair, bundle: EmbeddingBundle,
@@ -326,6 +329,49 @@ class CalculusContext:
         self.bundle = bundle
         self.spectral = spectral
         self.cs = cs
+        self._interpolation = None
+        self._powers = {}
+        self._layout()
+
+    def _layout(self):
+        """Index tables of the coordinate vector of a function.
+
+        A function's coordinates are its noncritical values, then the
+        entries of every critical jet, then those of every zero-pair jet;
+        jet i occupies ``_offsets[i]:_offsets[i + 1]``.
+        """
+        cs = self.cs
+        self._jet_shapes = [c.shape for c in cs.crit] + [pt.shape for pt in cs.zi]
+        keys = [(c.value.real, c.value.imag) for c in cs.crit] + [pt.zw for pt in cs.zi]
+        sizes = [sh.size for sh in self._jet_shapes]
+        offsets = len(cs.noncritical) + np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+        # the entries the interpolant matches and the remainder must cancel:
+        # the box of a critical jet (a prefix of it), all of a zero-pair jet
+        box = {
+            key: np.arange(start, start + sh.box().size)
+            for key, sh, start in zip(keys, self._jet_shapes, offsets)
+        }
+        self._ideal = np.zeros(offsets[-1], dtype=bool)
+        for entries in box.values():
+            self._ideal[entries] = True
+        # grid pairs key real zeros as complex, equal to the float keys above
+        self._grid_index = np.concatenate(
+            [box[(za, zb)] for (za, _), (zb, _) in cs.grid.pairs()] or [np.zeros(0, int)]
+        )
+        # overflow entries (m, 0) and (0, n) of the critical points in the spectrum
+        self._overflow = [
+            (c, start + c.shape.position(c.shape.m, 0),
+             start + c.shape.position(0, c.shape.n))
+            for c, start in zip(cs.crit, offsets) if c.spectral
+        ]
+        self._offsets = offsets
+        self._noncritical = np.array(cs.noncritical, dtype=complex)
+        self._jet_z = np.array([k[0] for k in keys], dtype=complex)
+        self._jet_w = np.array([k[1] for k in keys], dtype=complex)
+        self._gather = jet_gather(self._jet_shapes)
+        for arr in (self._ideal, self._grid_index, self._offsets, self._noncritical,
+                    self._jet_z, self._jet_w, *self._gather[0]):
+            arr.setflags(write=False)
 
     @classmethod
     def build(cls, pair: DefinitizablePair) -> "CalculusContext":
@@ -439,13 +485,33 @@ class CalculusContext:
         Scalar values are s(Re z, Im z); critical points carry the full
         overflow jet of that restriction, nonreal pairs the holomorphic jet.
         """
-        cs = self.cs
-        values = [s(z.real, z.imag) for z in cs.noncritical]
-        crit = [
-            s.jet_at((c.value.real, c.value.imag), c.shape) for c in cs.crit
+        coords = self._lift_coords(s)
+        off = self._offsets
+        jets = [
+            Jet(sh, coords[off[i]:off[i + 1]]) for i, sh in enumerate(self._jet_shapes)
         ]
-        zi = [s.jet_at(pt.zw, pt.shape) for pt in cs.zi]
-        return CalculusFunction(cs, values, crit, zi)
+        ncrit = len(self.cs.crit)
+        return CalculusFunction(self.cs, coords[: off[0]], jets[:ncrit], jets[ncrit:])
+
+    def _lift_coords(self, s: BiPoly) -> np.ndarray:
+        """Coordinates of ``lift(s)``: a vectorized evaluation at the
+        noncritical points and one batched Taylor shift at all others."""
+        C = s.dense()
+        nc = self._noncritical
+        values = npoly.polyval2d(nc.real, nc.imag, C).astype(complex)
+        if not self._jet_shapes:
+            return values
+        index, order_z, order_w = self._gather
+        table = taylor_shift(C, self._jet_z, self._jet_w, order_z, order_w)
+        return np.concatenate([values, table[index]])
+
+    @staticmethod
+    def _coords(fn: CalculusFunction) -> np.ndarray:
+        return np.concatenate(
+            [fn.values]
+            + [j.coeffs for j in fn.crit_jets]
+            + [j.coeffs for j in fn.zi_jets]
+        )
 
     def delta(self, at, jet: Jet) -> CalculusFunction:
         """The function equal to ``jet`` at one critical/pair point, zero elsewhere."""
@@ -506,21 +572,17 @@ class CalculusContext:
             )
 
     def interpolant(self, fn: CalculusFunction) -> BiPoly:
-        """Low-degree polynomial matching the function's jets on the zero grid."""
+        """Low-degree polynomial matching the function's jets on the zero grid.
+
+        Critical points contribute the box part of their jets, zero pairs
+        their whole jet. The grid's interpolation system is built, gated and
+        factored on the first call and kept, so a :class:`ConditioningError`
+        comes from the first interpolant or apply, not from :meth:`build`.
+        """
         self._check_owns(fn)
-        cs = self.cs
-        targets = {}
-        ci = {
-            (c.value.real, c.value.imag): i for i, c in enumerate(cs.crit)
-        }
-        zi_i = {pt.zw: i for i, pt in enumerate(cs.zi)}
-        for (za, ma), (zb, mb) in cs.grid.pairs():
-            if za.imag == 0.0 and zb.imag == 0.0:
-                jet = fn.crit_jets[ci[(za.real, zb.real)]]
-                targets[(za, zb)] = jet.box_part()
-            else:
-                targets[(za, zb)] = fn.zi_jets[zi_i[(za, zb)]]
-        return interpolate_jets(targets, cs.grid, self.tol)
+        if self._interpolation is None:
+            self._interpolation = HermiteSystem(self.cs.grid, self.tol)
+        return self._interpolation.solve(self._coords(fn)[self._grid_index])
 
     def remainder(self, fn: CalculusFunction, s: BiPoly):
         """Divide fn - lift(s) off the definitizing pair.
@@ -529,38 +591,43 @@ class CalculusContext:
         overflow pairs keyed by critical spectral values. Raises when the
         difference is not in the vanishing-projection ideal.
         """
+        self._check_owns(fn)
         cs, p, q = self.cs, self.pair.p, self.pair.q
-        lifted = self.lift(s)
-        rho = fn - lifted
+        coords, lifted = self._coords(fn), self._lift_coords(s)
+        rho = coords - lifted
         # the lift norm enters the bound: cancellation noise scales with it
-        bound = self.tol.ideal * (1.0 + fn.norm() + lifted.norm())
-        for jet, c in zip(rho.crit_jets, cs.crit):
-            resid = jet.box_part().norm()
-            if resid > bound:
+        bound = self.tol.ideal * (
+            1.0 + np.abs(coords).max(initial=0.0) + np.abs(lifted).max(initial=0.0)
+        )
+        over = np.flatnonzero(self._ideal & (np.abs(rho) > bound))
+        if over.size:
+            i = int(np.searchsorted(self._offsets, over[0], side="right")) - 1
+            seg = slice(self._offsets[i], self._offsets[i + 1])
+            resid = float(np.abs(rho[seg][self._ideal[seg]]).max())
+            if i < len(cs.crit):
                 raise NotInIdealError(
-                    f"projection of remainder at {c.value} is {resid:.2e} > {bound:.2e}"
+                    f"projection of remainder at {cs.crit[i].value} is "
+                    f"{resid:.2e} > {bound:.2e}"
                 )
-        for jet, pt in zip(rho.zi_jets, cs.zi):
-            if jet.norm() > bound:
-                raise NotInIdealError(
-                    f"remainder at zero pair {pt.zw} is {jet.norm():.2e} > {bound:.2e}"
-                )
-        g_values = {}
-        for z, v in zip(cs.noncritical, rho.values):
-            denom = p(z.real) + q(z.imag)
-            if abs(denom) <= self.tol.abs:
-                raise DomainMismatchError(
-                    f"{z} behaves critically (p+q = {denom:.2e}) but was not "
-                    "matched to a critical point; loosen the cluster tolerance"
-                )
-            g_values[z] = v / denom
+            raise NotInIdealError(
+                f"remainder at zero pair {cs.zi[i - len(cs.crit)].zw} is "
+                f"{resid:.2e} > {bound:.2e}"
+            )
+        nc = self._noncritical
+        denom = p(nc.real) + q(nc.imag)
+        small = np.flatnonzero(np.abs(denom) <= self.tol.abs)
+        if small.size:
+            i = small[0]
+            raise DomainMismatchError(
+                f"{cs.noncritical[i]} behaves critically (p+q = {denom[i]:.2e}) but "
+                "was not matched to a critical point; loosen the cluster tolerance"
+            )
+        g_values = dict(zip(cs.noncritical, rho[: len(nc)] / denom))
         g_pairs = {}
-        for jet, c in zip(rho.crit_jets, cs.crit):
-            if not c.spectral:
-                continue
+        for c, i1, i2 in self._overflow:
             dp, dq = c.shape.m, c.shape.n
-            g1 = math.factorial(dp) * jet.entry(dp, 0) / p.deriv(dp)(c.value.real)
-            g2 = math.factorial(dq) * jet.entry(0, dq) / q.deriv(dq)(c.value.imag)
+            g1 = math.factorial(dp) * rho[i1] / p.deriv(dp)(c.value.real)
+            g2 = math.factorial(dq) * rho[i2] / q.deriv(dq)(c.value.imag)
             g_pairs[c.value] = (g1, g2)
         return g_values, g_pairs
 
@@ -569,26 +636,32 @@ class CalculusContext:
         g_values, g_pairs = self.remainder(fn, s)
         return s, g_values, g_pairs
 
+    def _matrix_powers(self, name: str, degree: int) -> np.ndarray:
+        """M^0 .. M^degree of ``pair.A`` or ``pair.B``, stacked, kept and
+        extended on demand."""
+        have = self._powers.get(name)
+        if have is None or have.shape[0] <= degree:
+            M = getattr(self.pair, name)
+            pows = [np.eye(M.shape[0], dtype=complex)] if have is None else list(have)
+            while len(pows) <= degree:
+                pows.append(pows[-1] @ M)
+            have = np.array(pows)
+            have.setflags(write=False)
+            self._powers[name] = have
+        return have[: degree + 1]
+
     def polynomial_at_pair(self, s: BiPoly) -> np.ndarray:
-        """s(A, B) with precomputed commuting powers, A-powers outermost."""
-        A, B = self.pair.A, self.pair.B
-        n = A.shape[0]
-        apow = [np.eye(n, dtype=complex)]
-        for _ in range(s.degree_z):
-            apow.append(apow[-1] @ A)
-        bpow = [np.eye(n, dtype=complex)]
-        for _ in range(s.degree_w):
-            bpow.append(bpow[-1] @ B)
-        out = np.zeros((n, n), dtype=complex)
-        by_k = {}
-        for (k, l), v in s.items():
-            by_k.setdefault(k, []).append((l, v))
-        for k in sorted(by_k):
-            inner = np.zeros((n, n), dtype=complex)
-            for l, v in sorted(by_k[k]):
-                inner += v * bpow[l]
-            out += apow[k] @ inner
-        return out
+        """s(A, B) = sum_k A^k (sum_l c_kl B^l) over the kept commuting powers.
+
+        The inner sums are one tensor contraction, the outer sum one matrix
+        product of the stacked A-powers with the stacked inner sums.
+        """
+        C = s.dense()
+        apow = self._matrix_powers("A", C.shape[0] - 1)
+        bpow = self._matrix_powers("B", C.shape[1] - 1)
+        n = apow.shape[1]
+        inner = np.tensordot(C, bpow, axes=(1, 0))
+        return apow.transpose(1, 0, 2).reshape(n, -1) @ inner.reshape(-1, n)
 
     def apply_decomposition(self, s: BiPoly, g_values, g_pairs) -> np.ndarray:
         D = augmented_integral(
@@ -633,15 +706,7 @@ class CalculusContext:
     def spectrum(self):
         """Spectrum of N assembled from the transferred spectrum, the
         surviving critical points, and the supported nonreal pairs."""
-        pts = list(self.cs.noncritical)
-        pts += [c.value for c in self.cs.crit if c.spectral]
-        pts += [c.value for c in self.cs.crit if c.in_sigma_n]
-        pts += [pt.location for pt in self.cs.zi if pt.in_support]
-        out = []
-        for z in pts:
-            if match_point(z, out, self.cs.radius) is None:
-                out.append(z)
-        return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
+        return self.cs.support_values()
 
     def check_invertible(self, fn: CalculusFunction) -> InvertibilityReport:
         """Decide invertibility of fn(N) over the support set and certify.
@@ -702,12 +767,12 @@ def function_from_dict(ctx: CalculusContext, data: dict) -> CalculusFunction:
         cs = ctx.cs
         fn = ctx.zero()
         values = np.array(fn.values)
-        for row in data.get("values", []):
-            z = complex(row["z"][0], row["z"][1])
-            idx = match_point(z, cs.noncritical, cs.radius)
+        rows = data.get("values", [])
+        zs = np.array([complex(row["z"][0], row["z"][1]) for row in rows], dtype=complex)
+        for i, idx in enumerate(match_points(zs, cs.noncritical, cs.radius)):
             if idx is None:
-                raise DomainMismatchError(f"{z} is not a noncritical spectral point")
-            values[idx] = complex(row["value"][0], row["value"][1])
+                raise DomainMismatchError(f"{zs[i]} is not a noncritical spectral point")
+            values[idx] = complex(rows[i]["value"][0], rows[i]["value"][1])
         crit = list(fn.crit_jets)
         for row in data.get("crit", []):
             z = complex(row["z"][0], row["z"][1])

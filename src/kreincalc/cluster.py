@@ -51,3 +51,16 @@ def match_point(value, targets, radius):
         if d <= best_d:
             best, best_d = i, d
     return best
+
+
+def match_points(values, targets, radius):
+    """:func:`match_point` for every value, from one distance matrix.
+
+    Same radius and tie rule: among equally close targets the last wins.
+    """
+    if not len(targets):
+        return [None] * len(values)
+    dist = np.abs(np.asarray(values)[:, None] - np.asarray(targets)[None, :])
+    last = dist.shape[1] - 1 - np.argmin(dist[:, ::-1], axis=1)
+    hit = dist[np.arange(len(values)), last] <= radius
+    return [int(j) if ok else None for j, ok in zip(last, hit)]

@@ -56,7 +56,8 @@ class EmbeddingBundle:
 
     Shapes: F is r x n, F1 is r1 x n, F2 is r2 x n; T = J^{-1} F^H maps the
     r-dimensional coordinate space V into the Krein space and its Krein
-    adjoint is T* = F. R_j maps V_j into V.
+    adjoint is T* = F. R_j maps V_j into V. RR1 = R1 R1^*, RR2 = R2 R2^* and
+    TT = T^* T on V are computed once at construction.
     """
 
     pair: DefinitizablePair
@@ -71,6 +72,9 @@ class EmbeddingBundle:
     gram: np.ndarray
     gram1: np.ndarray
     gram2: np.ndarray
+    RR1: np.ndarray
+    RR2: np.ndarray
+    TT: np.ndarray
     scale: float
     noise: float = 0.0
     report: tuple = field(default=(), compare=False)
@@ -97,8 +101,7 @@ class EmbeddingBundle:
 
     def rr(self, j: int) -> np.ndarray:
         """R_j R_j^* on V."""
-        R = self.r_part(j)
-        return R @ R.conj().T
+        return (self.RR1, self.RR2)[_part_index(j)]
 
     def rr_co(self, j: int) -> np.ndarray:
         """R_j^* R_j on V_j."""
@@ -107,7 +110,7 @@ class EmbeddingBundle:
 
     def tt_on_v(self) -> np.ndarray:
         """T^* T on V."""
-        return self.F @ self.space.Jinv @ self.F.conj().T
+        return self.TT
 
     def tt_on_part(self, j: int) -> np.ndarray:
         Fj = self.f_part(j)
@@ -170,7 +173,7 @@ class EmbeddingBundle:
     def expand(self, D) -> np.ndarray:
         """T D T^* back on the Krein space (T^* = F)."""
         D = np.asarray(D, dtype=complex)
-        self._check_commutant(D, self.tt_on_v(), "T* T", self._gram_floor())
+        self._check_commutant(D, self.TT, "T* T", self._gram_floor())
         return self.T @ D @ self.F
 
     def expand_part(self, Dj, j: int) -> np.ndarray:
@@ -190,10 +193,10 @@ class EmbeddingBundle:
 
     def _t_solve(self, F, C):
         # X = (F F^H)^{-1} F J C J^{-1} F^H; F F^H is the kept-eigenvalue
-        # diagonal by construction, but solve() keeps this shape-agnostic.
+        # diagonal because F has orthogonal rows (see gram_factor)
         J, Jinv = self.space.J, self.space.Jinv
         rhs = F @ (J @ C @ Jinv) @ F.conj().T
-        return np.linalg.solve(F @ F.conj().T, rhs) if F.shape[0] else rhs
+        return rhs / _row_norms2(F)[:, None]
 
     def _check_commutant(self, C, S, name, floor):
         if _fro(S) <= floor:
@@ -215,6 +218,11 @@ class EmbeddingBundle:
             )
 
 
+def _row_norms2(F) -> np.ndarray:
+    """Diagonal of F F^H: the squared row norms."""
+    return np.linalg.norm(F, axis=1) ** 2
+
+
 def _part_index(j: int) -> int:
     if j not in (1, 2):
         raise ValueError("part index must be 1 or 2")
@@ -226,7 +234,8 @@ def build_bundle(pair: DefinitizablePair) -> EmbeddingBundle:
 
     The contractions are obtained from R_j^* = F_j F^H (F F^H)^{-1}, the
     unique bounded continuation of T^* x -> T_j^* x, which is well defined
-    because ker F = ker F_j intersected over j.
+    because ker F = ker F_j intersected over j. F F^H is the diagonal of the
+    squared row norms of F.
     """
     space, tol = pair.space, pair.space.tol
     Gp, Gq, G = pair.gram_parts()
@@ -244,20 +253,17 @@ def build_bundle(pair: DefinitizablePair) -> EmbeddingBundle:
     T1 = Jinv @ F1.conj().T
     T2 = Jinv @ F2.conj().T
 
-    FFh = F @ F.conj().T
-    def continuation(Fj):
-        if F.shape[0] == 0:
-            return np.zeros((Fj.shape[0], 0), dtype=complex)
-        return np.linalg.solve(FFh, (Fj @ F.conj().T).conj().T).conj().T
-
-    R1s = continuation(F1)
-    R2s = continuation(F2)
-    R1 = R1s.conj().T
-    R2 = R2s.conj().T
+    d = _row_norms2(F)
+    R1 = (F1 @ F.conj().T / d).conj().T
+    R2 = (F2 @ F.conj().T / d).conj().T
+    RR1, RR2, TT = R1 @ R1.conj().T, R2 @ R2.conj().T, F @ Jinv @ F.conj().T
+    for arr in (RR1, RR2, TT):
+        arr.setflags(write=False)
 
     bundle = EmbeddingBundle(
         pair=pair, F=F, F1=F1, F2=F2, T=T, T1=T1, T2=T2, R1=R1, R2=R2,
-        gram=G, gram1=Gp, gram2=Gq, scale=scale, noise=noise,
+        gram=G, gram1=Gp, gram2=Gq, RR1=RR1, RR2=RR2, TT=TT,
+        scale=scale, noise=noise,
     )
     report = verify_bundle(bundle)
     worst = max((r for _, r, _ in report), default=0.0)
@@ -285,8 +291,9 @@ def verify_bundle(bundle: EmbeddingBundle):
     entry("T T* = p(A) + q(B)", _fro(bundle.ttstar() - (pA + qB)), tol.rel * scale + noisy)
     entry("T1 T1* = p(A)", _fro(bundle.ttstar_part(1) - pA), tol.rel * scale + noisy)
     entry("T2 T2* = q(B)", _fro(bundle.ttstar_part(2) - qB), tol.rel * scale + noisy)
-    rr_sum = bundle.rr(1) + bundle.rr(2)
+    rr_sum = bundle.RR1 + bundle.RR2
     entry("R1 R1* + R2 R2* = I", _fro(rr_sum - np.eye(r)), tol.rel)
+    ttv = bundle.TT
     for j in (1, 2):
         Rj = bundle.r_part(j)
         entry(
@@ -299,7 +306,6 @@ def verify_bundle(bundle: EmbeddingBundle):
         if Rj.size:
             smin = float(np.linalg.svd(Rj, compute_uv=False)[-1])
             entry(f"R{j} injective", 1.0 if smin <= tol.rank else 0.0, 0.5)
-        ttv = bundle.tt_on_v()
         entry(
             f"[R{j} R{j}*, T* T] = 0",
             _fro(bundle.rr(j) @ ttv - ttv @ bundle.rr(j)),

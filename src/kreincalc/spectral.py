@@ -2,8 +2,10 @@
 
 A unitary Schur form is clustered into eigenvalues with orthogonal
 eigenprojections (a finite resolution of the identity), over which bounded
-functions integrate as finite sums. The augmented integral additionally
-weights critical atoms by the two contraction Grams.
+functions integrate as finite sums. The measure is kept factored: the Schur
+basis ``Q`` and a cluster label per column, so an integral is one weighted
+product ``(Q diag(h)) Q^H`` and no projection is stored. The augmented
+integral additionally weights critical atoms by the two contraction Grams.
 """
 
 from __future__ import annotations
@@ -22,34 +24,58 @@ def _fro(M):
     return float(np.linalg.norm(M, "fro"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Eigenvalues of a normal matrix with their orthogonal projections."""
+    """Eigenvalues of a normal matrix with their orthogonal projections.
+
+    ``Q`` is a unitary basis of eigenvectors and column j lies in the
+    eigenspace of ``centers[labels[j]]``; the projection onto cluster i is
+    ``Q_i Q_i^H`` over the columns labelled i.
+    """
 
     dim: int
-    points: tuple  # of (eigenvalue, projection ndarray)
+    centers: tuple
+    Q: np.ndarray
+    labels: np.ndarray
     warnings: tuple = field(default=(), compare=False)
 
     @property
     def eigenvalues(self):
-        return tuple(ev for ev, _ in self.points)
+        return self.centers
+
+    @property
+    def points(self):
+        """``(eigenvalue, projection)`` pairs, built densely on each access."""
+        return tuple(
+            (ev, self._projection(i)) for i, ev in enumerate(self.centers)
+        )
+
+    def _projection(self, i):
+        V = self.Q[:, self.labels == i]
+        return V @ V.conj().T
 
     def projection(self, value, radius=0.0):
         """Projection at the eigenvalue matching ``value`` (zero if none)."""
-        idx = match_point(value, self.eigenvalues, radius)
+        idx = match_point(value, self.centers, radius)
         if idx is None:
             return np.zeros((self.dim, self.dim), dtype=complex)
-        return self.points[idx][1]
+        return self._projection(idx)
 
     def resolution_residual(self):
         """How far the projections are from a resolution of the identity."""
-        total = sum((P for _, P in self.points), np.zeros((self.dim, self.dim), complex))
+        points = self.points
+        total = sum((P for _, P in points), np.zeros((self.dim, self.dim), complex))
         resid = _fro(total - np.eye(self.dim))
-        for i, (_, P) in enumerate(self.points):
+        for i, (_, P) in enumerate(points):
             resid = max(resid, _fro(P @ P - P), _fro(P - P.conj().T))
-            for j in range(i + 1, len(self.points)):
-                resid = max(resid, _fro(P @ self.points[j][1]))
+            for j in range(i + 1, len(points)):
+                resid = max(resid, _fro(P @ points[j][1]))
         return resid
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 def diagonalize(M, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
@@ -62,7 +88,9 @@ def diagonalize(M, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
     M = np.asarray(M, dtype=complex)
     r = M.shape[0]
     if r == 0:
-        return SpectralData(0, ())
+        return SpectralData(
+            0, (), _read_only(np.zeros((0, 0), complex)), _read_only(np.zeros(0, int))
+        )
     scale = max(_fro(M), 1.0)
     comm = _fro(M @ M.conj().T - M.conj().T @ M)
     if comm > tol.norm * scale**2:
@@ -87,11 +115,11 @@ def diagonalize(M, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
                     f"clusters {clusters[i][0]:.6g} and {clusters[j][0]:.6g} "
                     f"are only {gap:.2e} apart"
                 )
-    points = []
-    for center, members in clusters:
-        V = Q[:, members]
-        points.append((complex(center), V @ V.conj().T))
-    return SpectralData(r, tuple(points), tuple(warnings))
+    labels = np.empty(r, dtype=int)
+    for i, (_, members) in enumerate(clusters):
+        labels[members] = i
+    centers = tuple(complex(center) for center, _ in clusters)
+    return SpectralData(r, centers, _read_only(Q), _read_only(labels), tuple(warnings))
 
 
 def snap_eigenvalues(data: SpectralData, targets, radius) -> SpectralData:
@@ -100,28 +128,28 @@ def snap_eigenvalues(data: SpectralData, targets, radius) -> SpectralData:
     Coincidence of spectrum with critical points is structural, so matched
     clusters are pinned to the exact critical value.
     """
-    points = []
-    for ev, P in data.points:
+    centers = []
+    for ev in data.centers:
         idx = match_point(ev, targets, radius)
-        points.append((complex(targets[idx]) if idx is not None else ev, P))
-    return SpectralData(data.dim, tuple(points), data.warnings)
+        centers.append(complex(targets[idx]) if idx is not None else ev)
+    return SpectralData(data.dim, tuple(centers), data.Q, data.labels, data.warnings)
 
 
 def spectral_integral(data: SpectralData, h) -> np.ndarray:
     """Sum of h(eigenvalue) times eigenprojection.
 
     ``h`` may be a callable or a mapping keyed by the exact eigenvalues; a
-    missing value raises.
+    missing value raises. Computed as ``(Q diag(h[labels])) Q^H``.
     """
-    out = np.zeros((data.dim, data.dim), dtype=complex)
-    for ev, P in data.points:
+    weights = np.empty(len(data.centers), dtype=complex)
+    for i, ev in enumerate(data.centers):
         if callable(h):
-            out += complex(h(ev)) * P
+            weights[i] = complex(h(ev))
         else:
             if ev not in h:
                 raise DomainMismatchError(f"integrand has no value at {ev}")
-            out += complex(h[ev]) * P
-    return out
+            weights[i] = complex(h[ev])
+    return (data.Q * weights[data.labels]) @ data.Q.conj().T
 
 
 def augmented_integral(
@@ -132,14 +160,26 @@ def augmented_integral(
     ``values`` maps noncritical eigenvalues to scalars; ``pair_values`` maps
     critical eigenvalues to pairs (g1, g2) weighting R1 R1* and R2 R2* on the
     corresponding atom. Every eigenvalue must appear in exactly one mapping.
+    The critical atoms enter as ``(rr1 Q_c diag(g1) + rr2 Q_c diag(g2)) Q_c^H``
+    over the critical columns ``Q_c`` only.
     """
-    out = np.zeros((data.dim, data.dim), dtype=complex)
-    for ev, P in data.points:
+    k = len(data.centers)
+    w = np.zeros(k, dtype=complex)
+    g1 = np.zeros(k, dtype=complex)
+    g2 = np.zeros(k, dtype=complex)
+    crit = np.zeros(k, dtype=bool)
+    for i, ev in enumerate(data.centers):
         if ev in pair_values:
-            g1, g2 = pair_values[ev]
-            out += complex(g1) * (rr1 @ P) + complex(g2) * (rr2 @ P)
+            g1[i], g2[i] = pair_values[ev]
+            crit[i] = True
         elif ev in values:
-            out += complex(values[ev]) * P
+            w[i] = values[ev]
         else:
             raise DomainMismatchError(f"integrand has no value at {ev}")
-    return out
+    Q, labels = data.Q, data.labels
+    left = Q * w[labels]
+    cols = crit[labels]
+    if cols.any():
+        Qc, lc = Q[:, cols], labels[cols]
+        left[:, cols] = rr1 @ (Qc * g1[lc]) + rr2 @ (Qc * g2[lc])
+    return left @ Q.conj().T

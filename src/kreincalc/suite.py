@@ -205,6 +205,7 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
         out.append(PropertyResult(name, anchor, float(resid), float(thr)))
 
     r = bundle.dim_v
+    points = data.points
     prop(
         "measure-resolution",
         "sum E = I, E orthogonal idempotents",
@@ -213,7 +214,7 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
     )
     thN = bundle.compress(pair.N)
     worst = max(
-        (_fro(thN @ P - lam * P) for lam, P in data.points), default=0.0
+        (_fro(thN @ P - lam * P) for lam, P in points), default=0.0
     )
     # snapping onto critical points may move an eigenvalue by one radius
     prop(
@@ -224,7 +225,7 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
     )
     ttv = bundle.tt_on_v()
     worst = 0.0
-    for _, P in data.points:
+    for _, P in points:
         for S in (bundle.rr(1), bundle.rr(2), ttv):
             worst = max(worst, _fro(P @ S - S @ P))
     prop(
@@ -257,7 +258,7 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
     ratio1 = np.zeros((r, r), dtype=complex)
     ratio2 = np.zeros((r, r), dtype=complex)
     crit_values = set(cs.crit_values)
-    for lam, P in data.points:
+    for lam, P in points:
         if lam in crit_values:
             continue
         noncrit_e += P
@@ -279,16 +280,16 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
     )
 
     h = {lam: complex(c[0], c[1]) for lam, c in zip(
-        data.eigenvalues, rng.standard_normal((max(len(data.points), 1), 2))
+        data.eigenvalues, rng.standard_normal((max(len(points), 1), 2))
     )}
-    int_h = spectral_integral(data, h) if data.points else np.zeros((0, 0), complex)
+    int_h = spectral_integral(data, h) if points else np.zeros((0, 0), complex)
     for j in (1, 2):
         thj = bundle.compress_part(pair.N, j)
         dataj = diagonalize(thj, tol)
-        if dataj.points:
+        if dataj.centers:
             dataj = snap_eigenvalues(dataj, list(data.eigenvalues), cs.radius)
         worst_proj = 0.0
-        for lam, P in data.points:
+        for lam, P in points:
             gamma = bundle.part_from_full(P, j)
             worst_proj = max(worst_proj, _fro(gamma - dataj.projection(lam)))
         prop(
@@ -297,7 +298,7 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
             worst_proj,
             tol.spec,
         )
-        if data.points:
+        if points:
             hj = {}
             mismatched = 0.0
             for mu in dataj.eigenvalues:
@@ -394,7 +395,7 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
 
     pz = BiPoly.from_univariate(pair.p, "z")
     qw = BiPoly.from_univariate(pair.q, "w")
-    phi2 = _zero_zi_off_support(ctx, phi)
+    phi2 = ctx._zero_off_support(phi)
     s, g_vals, g_pairs = ctx.decompose(phi2)
     base = ctx.apply_decomposition(s, g_vals, g_pairs)
     worst = 0.0
@@ -485,14 +486,6 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
             tol.spec * max(1.0, lam0 + _fro(pair.N)) ** 2,
         )
     return out
-
-
-def _zero_zi_off_support(ctx, fn):
-    zi = [
-        jet if pt.in_support else Jet.zeros(pt.shape)
-        for jet, pt in zip(fn.zi_jets, ctx.cs.zi)
-    ]
-    return fn.replace(zi_jets=zi)
 
 
 def _projection_properties(ctx: CalculusContext, prop):

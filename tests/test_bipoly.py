@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from kreincalc import (
     grid_jets,
     interpolate_jets,
 )
+from kreincalc.bipoly import jets_at, taylor_shift
 from kreincalc.jets import A_KIND, B_KIND
 
 
@@ -192,6 +194,62 @@ class TestJetOfPoly:
         assert jet.entry(1, 0) == pytest.approx(d10, abs=1e-6)
         assert jet.entry(0, 1) == pytest.approx(d01, abs=1e-6)
         assert jet.entry(1, 1) == pytest.approx(d11, abs=1e-6)
+
+
+def termwise_shift(s, z0, w0):
+    """Reference Taylor shift: sum C(K,k) C(L,l) z0^(K-k) w0^(L-l) c_KL, term by term."""
+    out = {}
+    for (K, L), v in s.items():
+        for k in range(K + 1):
+            for l in range(L + 1):
+                term = v * comb(K, k) * comb(L, l) * z0 ** (K - k) * w0 ** (L - l)
+                out[(k, l)] = out.get((k, l), 0j) + term
+    return out
+
+
+class TestTaylorKernel:
+    # kind a with the overflow slots (m, 0), (0, n) reaching past the
+    # polynomial's degree, the scalar kind a, and kind b boxes
+    SHAPES = [
+        JetShape(0, 0, A_KIND),
+        JetShape(1, 1, A_KIND),
+        JetShape(2, 3, A_KIND),
+        JetShape(6, 1, A_KIND),
+        JetShape(1, 1, B_KIND),
+        JetShape(3, 2, B_KIND),
+    ]
+
+    def test_batched_jets_match_termwise_reference(self):
+        rng = np.random.default_rng(20)
+        for _ in range(25):
+            s = random_bipoly(rng, *rng.integers(0, 5, size=2))
+            points = [tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+                      for _ in self.SHAPES]
+            scale = 1.0 + max(abs(v) for v in termwise_shift(s, 2.0, 2.0).values())
+            batched = jets_at(s, points, self.SHAPES)
+            for (z0, w0), shape, jet in zip(points, self.SHAPES, batched):
+                ref = termwise_shift(s, z0, w0)
+                expected = [ref.get(kl, 0j) for kl in shape.indices]
+                assert np.allclose(jet.coeffs, expected, rtol=0, atol=1e-12 * scale)
+                single = s.jet_at((z0, w0), shape)
+                assert np.allclose(single.coeffs, expected, rtol=0, atol=1e-12 * scale)
+
+    def test_table_beyond_degree_is_zero(self):
+        s = BiPoly({(1, 2): 2.0 - 1j})
+        table = taylor_shift(s.dense(), [0.5j], [-1.5], 4, 3)
+        assert table.shape == (1, 5, 4)
+        assert np.all(table[0, 2:, :] == 0) and np.all(table[0, :, 3:] == 0)
+
+    def test_shifted_matches_reference_and_round_trips(self):
+        rng = np.random.default_rng(21)
+        for _ in range(25):
+            s = random_bipoly(rng, *rng.integers(0, 6, size=2))
+            z0, w0 = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
+            shifted = s.shifted(z0, w0)
+            ref = BiPoly(termwise_shift(s, z0, w0))
+            assert coeff_distance(shifted, ref) <= 1e-12 * (1.0 + ref.max_abs_coeff())
+            back = shifted.shifted(-z0, -w0)
+            assert coeff_distance(back, s) <= 1e-10 * (1.0 + ref.max_abs_coeff())
 
 
 class TestEuclideanReduce:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from kreincalc import (
+    DEFAULT_TOL,
     BiPoly,
     BoundaryError,
     CalculusContext,
+    ConditioningError,
     DefinitizablePair,
     Disk,
     DomainMismatchError,
@@ -15,9 +17,11 @@ from kreincalc import (
     RealPoly,
     Rect,
     RegionUnion,
+    KreinSpace,
     ShapeMismatchError,
     function_from_dict,
 )
+from kreincalc.cluster import match_point, match_points
 from kreincalc.jets import A_KIND
 
 Z = BiPoly.variable("z")
@@ -219,6 +223,45 @@ class TestApply:
             w1_ctx.apply(w2_ctx.one())
 
 
+class TestCachedState:
+    """What a context keeps between applies stays fixed."""
+
+    def test_cached_arrays_are_read_only(self, zi_ctx, w1_ctx):
+        for ctx in (zi_ctx, w1_ctx):
+            ctx.apply(ctx.lift(shift_poly(0.5) * shift_poly(-1.0)))
+            cached = [ctx.bundle.rr(1), ctx.bundle.rr(2), ctx.bundle.tt_on_v(),
+                      ctx.spectral.Q, ctx.spectral.labels]
+            assert not any(arr.flags.writeable for arr in cached)
+
+    def test_mutating_a_result_leaves_the_next_apply_unchanged(
+        self, w1_ctx, w2_ctx, zi_ctx, half_pair_ctx
+    ):
+        for ctx in (w1_ctx, w2_ctx, zi_ctx, half_pair_ctx):
+            for fn in (ctx.one(), ctx.lift(shift_poly(1.0) * shift_poly(2j))):
+                out = ctx.apply(fn)
+                expected = out.copy()
+                out[...] = 99.0
+                assert np.array_equal(ctx.apply(fn), expected)
+            s = shift_poly(0.5)
+            poly = ctx.polynomial_at_pair(s)
+            expected = poly.copy()
+            poly[...] = -7.0
+            assert np.array_equal(ctx.polynomial_at_pair(s), expected)
+
+    def test_conditioning_gate_runs_on_first_apply_not_build(self):
+        # p = z(z - 1) gives the centered grid {-1/2, 1/2} x {0}: condition 2
+        J = np.diag([1.0, -1.0]).astype(complex)
+        N = np.diag([0.0, 1.0]).astype(complex)
+        p, q = RealPoly([0, -1, 1]), RealPoly([0, 1])
+        strict = KreinSpace(J, DEFAULT_TOL.with_overrides(cond=1.5))
+        ctx = CalculusContext.build(DefinitizablePair.from_normal(strict, N, p=p, q=q))
+        for _ in range(2):
+            with pytest.raises(ConditioningError):
+                ctx.apply(ctx.one())
+        ctx = CalculusContext.build(DefinitizablePair.from_normal(KreinSpace(J), N, p=p, q=q))
+        assert np.allclose(ctx.apply(ctx.one()), np.eye(2), atol=1e-12)
+
+
 class TestProjections:
     def test_riesz_off_spectrum_vanishes(self, w1_ctx):
         assert np.allclose(w1_ctx.riesz_projection(3j), 0.0, atol=1e-12)
@@ -376,6 +419,37 @@ class TestFunctionFiles:
             },
         )
         assert np.allclose(w1_ctx.apply(fn), np.diag([1.0, 0.0]), atol=1e-12)
+
+    def test_table_rows_match_like_match_point(self, w1_ctx):
+        # rows within the cluster radius match; a later row for the same
+        # point overrides an earlier one
+        eps = 0.5 * w1_ctx.cs.radius
+        fn = function_from_dict(
+            w1_ctx,
+            {
+                "kind": "table",
+                "values": [
+                    {"z": [1.0 + eps, 2.0], "value": [5.0, 0.0]},
+                    {"z": [-1.0, 3.0 - eps], "value": [0.0, 0.0]},
+                    {"z": [1.0, 2.0 + eps], "value": [1.0, 0.0]},
+                ],
+            },
+        )
+        assert np.allclose(w1_ctx.apply(fn), np.diag([1.0, 0.0]), atol=1e-12)
+        with pytest.raises(DomainMismatchError):
+            function_from_dict(
+                w1_ctx, {"kind": "table", "values": [{"z": [1.0, 2.1], "value": [1.0, 0.0]}]}
+            )
+
+    def test_match_points_agrees_with_match_point(self):
+        rng = np.random.default_rng(60)
+        targets = [0.0, 2.0, 2.0, 1j, 3.0 + 0j]  # 1.0 is equally close to 0 and 2
+        values = np.concatenate([[1.0, 2.0, 1.5, 10.0], rng.standard_normal(30)])
+        for radius in (0.0, 0.5, 1.0, 2.5):
+            expected = [match_point(v, targets, radius) for v in values]
+            assert match_points(values, targets, radius) == expected
+        assert match_points(values, [], 1.0) == [None] * len(values)
+        assert match_points(np.zeros(0, complex), targets, 1.0) == []
 
     def test_unknown_kind(self, w1_ctx):
         with pytest.raises(DomainMismatchError):

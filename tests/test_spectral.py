@@ -137,3 +137,47 @@ class TestAugmentedIntegral:
         data = diagonalize(np.diag([0.0, 3.0]).astype(complex))
         with pytest.raises(DomainMismatchError):
             augmented_integral(data, {}, {}, np.eye(2), np.zeros((2, 2)))
+
+
+class TestFactoredMeasure:
+    """The factored integrals against the dense sum over eigenprojections."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(44)
+        values = np.array([2.0, 2.0, 2.0, -1 + 1j, -1 + 1j, 0.5j])
+        self.M, _ = random_normal_matrix(rng, 6, values=values)
+        self.data = diagonalize(self.M)
+        H = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        self.rr1 = (H + H.conj().T) / 10.0
+        self.rr2 = np.eye(6) - self.rr1
+        self.h = {lam: complex(*rng.standard_normal(2)) for lam in self.data.eigenvalues}
+
+    def test_repeated_eigenvalue_clusters_to_one_atom(self):
+        assert len(self.data.eigenvalues) == 3
+        assert sorted(np.bincount(self.data.labels)) == [1, 2, 3]
+
+    def test_spectral_integral_matches_dense_sum(self):
+        dense = sum(self.h[lam] * P for lam, P in self.data.points)
+        assert np.allclose(spectral_integral(self.data, self.h), dense, atol=1e-12)
+
+    def test_augmented_integral_matches_weighted_dense_sum(self):
+        crit = self.data.eigenvalues[0]
+        g1, g2 = 0.3 - 2j, 1.5 + 0.25j
+        dense = np.zeros((6, 6), dtype=complex)
+        for lam, P in self.data.points:
+            if lam == crit:
+                dense += g1 * (self.rr1 @ P) + g2 * (self.rr2 @ P)
+            else:
+                dense += self.h[lam] * P
+        values = {lam: v for lam, v in self.h.items() if lam != crit}
+        out = augmented_integral(self.data, values, {crit: (g1, g2)}, self.rr1, self.rr2)
+        assert np.allclose(out, dense, atol=1e-12)
+
+    def test_missing_value_still_raises(self):
+        values = dict(list(self.h.items())[1:])
+        with pytest.raises(DomainMismatchError):
+            augmented_integral(self.data, values, {}, self.rr1, self.rr2)
+
+    def test_factors_are_read_only(self):
+        assert not self.data.Q.flags.writeable
+        assert not self.data.labels.flags.writeable
