@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .bipoly import BiPoly, HermiteSystem, ZeroGrid, jet_gather, taylor_shift
+from .bipoly import BiPoly, HermiteSystem, RealPoly, ZeroGrid, jet_gather, taylor_shift
 from .cluster import cluster_points, match_point, match_points
 from .embed import EmbeddingBundle, build_bundle
 from .errors import (
@@ -27,9 +28,10 @@ from .errors import (
     NotInvertibleError,
     ShapeMismatchError,
 )
-from .jets import A_KIND, B_KIND, Jet, JetShape
+from .jets import A_KIND, B_KIND, Jet, JetShape, convolve, invert
 from .krein import DefinitizablePair
 from .spectral import SpectralData, augmented_integral, diagonalize, snap_eigenvalues
+from .tol import fro
 
 
 # -- regions ----------------------------------------------------------------
@@ -88,13 +90,49 @@ class RegionUnion:
         return min(p.boundary_distance(z) for p in self.parts)
 
 
+# what malformed file content raises while it is read
+_MALFORMED = (AttributeError, KeyError, IndexError, TypeError, ValueError)
+
+
+def _read(what: str, parse, value):
+    """``parse(value)``, reporting malformed file content as DomainMismatchError."""
+    try:
+        return parse(value)
+    except _MALFORMED as exc:
+        raise DomainMismatchError(f"malformed {what}: {value!r:.120}") from exc
+
+
+def _complex(pair) -> complex:
+    re, im = pair
+    return complex(re, im)
+
+
+def _interval(bounds) -> tuple:
+    lo, hi = bounds
+    return float(lo), float(hi)
+
+
+def _zero_pair(zw) -> tuple:
+    z, w = zw
+    return _complex(z), _complex(w)
+
+
+def _point(at):
+    """A critical point ``[re, im]`` or a zero pair ``[[re, im], [re, im]]``."""
+    return _zero_pair(at) if isinstance(at[0], (list, tuple)) else _complex(at)
+
+
 def region_from_dict(d: dict):
-    kind = d.get("type")
-    if kind == "disk":
-        re, im = d["center"]
-        return Disk(complex(re, im), float(d["radius"]))
-    if kind == "rect":
-        return Rect(tuple(map(float, d["x"])), tuple(map(float, d["y"])))
+    """A disk or rectangle from its file form; malformed content raises
+    :class:`DomainMismatchError`."""
+    try:
+        kind = d.get("type")
+        if kind == "disk":
+            return Disk(_complex(d["center"]), float(d["radius"]))
+        if kind == "rect":
+            return Rect(_interval(d["x"]), _interval(d["y"]))
+    except _MALFORMED as exc:
+        raise DomainMismatchError(f"malformed region: {d!r:.120}") from exc
     raise DomainMismatchError(f"unknown region type {kind!r}")
 
 
@@ -128,7 +166,8 @@ class ZiPoint:
 
 @dataclass(frozen=True)
 class CriticalSet:
-    """Domain data of the function class for one instance."""
+    """Domain data of the function class for one instance: the zero grid of
+    the definitizing pair ``(p, q)`` and the points a function lives on."""
 
     grid: ZeroGrid
     noncritical: tuple
@@ -136,25 +175,41 @@ class CriticalSet:
     zi: tuple
     sigma_n: tuple
     radius: float
+    p: RealPoly
+    q: RealPoly
 
     @property
     def crit_values(self):
         return tuple(c.value for c in self.crit)
 
-    def crit_index(self, value) -> int:
-        idx = match_point(value, self.crit_values, self.radius)
-        if idx is None:
-            raise DomainMismatchError(f"{value} is not a critical point")
-        return idx
+    @cached_property
+    def layout(self) -> "Layout":
+        return Layout(self)
 
-    def zi_index(self, zw) -> int:
-        for i, pt in enumerate(self.zi):
-            if (
-                abs(pt.zw[0] - complex(zw[0])) <= self.radius
-                and abs(pt.zw[1] - complex(zw[1])) <= self.radius
-            ):
-                return i
-        raise DomainMismatchError(f"{zw} is not a nonreal zero pair")
+    def locate(self, at, shape: JetShape = None) -> int:
+        """Layout index of the jet at the critical point closest to ``at``, or
+        with ``at`` a ``(z, w)`` tuple at the first matching nonreal zero pair,
+        within the cluster radius; with ``shape``, the jet must have it."""
+        if isinstance(at, tuple):
+            i = _match_pair(at, [pt.zw for pt in self.zi], self.radius)
+            if i is None:
+                raise DomainMismatchError(f"{at} is not a nonreal zero pair")
+            j = len(self.crit) + i
+        else:
+            j = match_point(complex(at), self.crit_values, self.radius)
+            if j is None:
+                raise DomainMismatchError(f"{complex(at)} is not a critical point")
+        expected = self.layout.shapes[j]
+        if shape is not None and shape != expected:
+            raise ShapeMismatchError(f"jet at {at} must have shape {expected}")
+        return j
+
+    def jet_point(self, j: int):
+        """``("critical point", value)`` or ``("zero pair", (z, w))`` for the
+        layout's jet ``j``."""
+        if j < len(self.crit):
+            return "critical point", self.crit[j].value
+        return "zero pair", self.zi[j - len(self.crit)].zw
 
     def support_values(self):
         """The sigma_N point set: spectrum plus surviving critical/zi points."""
@@ -168,6 +223,16 @@ class CriticalSet:
         return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
 
 
+def _match_pair(zw, pairs, radius):
+    """Index of the first ``(z, w)`` in ``pairs`` within ``radius`` of ``zw``
+    in both components, or None."""
+    z, w = complex(zw[0]), complex(zw[1])
+    for i, (a, b) in enumerate(pairs):
+        if abs(a - z) <= radius and abs(b - w) <= radius:
+            return i
+    return None
+
+
 def _zi_canonical(pt: ZiPoint) -> complex:
     """Representative location shared by both members of a conjugate pair."""
     xi, eta = pt.zw
@@ -176,41 +241,124 @@ def _zi_canonical(pt: ZiPoint) -> complex:
     return np.conj(xi) + 1j * np.conj(eta)
 
 
+class Layout:
+    """The coordinate vector of a function over one critical set, and the
+    per-point constants the calculus reads off it.
+
+    The vector holds the ``nvalues`` noncritical values, then the entries of
+    every critical jet, then those of every zero-pair jet. Jet ``j`` (critical
+    points first) has shape ``shapes[j]``, occupies ``segment(j)`` and has its
+    ``(0, 0)`` entry at ``unit[j]``. Every array is read-only.
+    """
+
+    def __init__(self, cs: CriticalSet):
+        ncrit = len(cs.crit)
+        shapes = [c.shape for c in cs.crit] + [pt.shape for pt in cs.zi]
+        keys = [(c.value.real, c.value.imag) for c in cs.crit] + [pt.zw for pt in cs.zi]
+        self.nvalues = len(cs.noncritical)
+        self.shapes = tuple(shapes)
+        sizes = [sh.size for sh in shapes]
+        self.offsets = self.nvalues + np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+        self.size = int(self.offsets[-1])
+        self.unit = self.offsets[:-1] + np.array([sh.position(0, 0) for sh in shapes], int)
+        # jets over sigma_N: critical points in the spectrum, supported pairs
+        self.supported = np.array(
+            [c.spectral or c.in_sigma_n for c in cs.crit] + [pt.in_support for pt in cs.zi],
+            dtype=bool,
+        )
+        # sharp reads each pair's jet off its conjugate partner
+        identity = np.arange(self.size)
+        self.partner = identity.copy()
+        for i, pt in enumerate(cs.zi):
+            self.partner[self.segment(ncrit + i)] = identity[self.segment(ncrit + pt.partner)]
+        # the entries of the jets off sigma_N; those of zero pairs cannot
+        # influence an applied function
+        self.off_support = self.nvalues + np.flatnonzero(np.repeat(~self.supported, sizes))
+        self.pairs_off = self.off_support[self.off_support >= self.offsets[ncrit]]
+        # the entries the interpolant matches and the remainder must cancel:
+        # the box of a critical jet (a prefix of it), all of a zero-pair jet
+        box = {
+            key: np.arange(start, start + sh.box().size)
+            for key, sh, start in zip(keys, shapes, self.offsets)
+        }
+        self.ideal = np.zeros(self.size, dtype=bool)
+        for entries in box.values():
+            self.ideal[entries] = True
+        # grid pairs key real zeros as complex, equal to the float keys above
+        self.grid_index = np.concatenate(
+            [box[(za, zb)] for (za, _), (zb, _) in cs.grid.pairs()] or [np.zeros(0, int)]
+        )
+        self.noncritical = np.array(cs.noncritical, dtype=complex)
+        self.jet_z = np.array([k[0] for k in keys], dtype=complex)
+        self.jet_w = np.array([k[1] for k in keys], dtype=complex)
+        self.gather = jet_gather(shapes)
+        # remainder constants: p(Re z) + q(Im z) at the noncritical points; at
+        # each critical spectral point x + iy with jet shape (m, n), the
+        # overflow entries (m, 0), (0, n) and the factors m!/p^(m)(x),
+        # n!/q^(n)(y) that turn them into the contraction-weighted pair
+        p, q = cs.p, cs.q
+        self.denom = p(self.noncritical.real) + q(self.noncritical.imag)
+        over = [(j, c) for j, c in enumerate(cs.crit) if c.spectral]
+        self.overflow_values = tuple(c.value for _, c in over)
+        self.overflow = np.array([
+            [self.offsets[j] + c.shape.position(c.shape.m, 0),
+             self.offsets[j] + c.shape.position(0, c.shape.n)] for j, c in over
+        ], dtype=int).reshape(-1, 2)
+        self.overflow_scale = np.array([
+            [math.factorial(c.shape.m) / p.deriv(c.shape.m)(c.value.real),
+             math.factorial(c.shape.n) / q.deriv(c.shape.n)(c.value.imag)] for _, c in over
+        ]).reshape(-1, 2)
+        for arr in (self.offsets, self.unit, self.supported, self.partner, self.off_support,
+                    self.pairs_off, self.ideal, self.grid_index, self.noncritical,
+                    self.jet_z, self.jet_w, *self.gather[0], self.denom, self.overflow,
+                    self.overflow_scale):
+            arr.setflags(write=False)
+
+    def segment(self, j: int) -> slice:
+        return slice(self.offsets[j], self.offsets[j + 1])
+
+
 # -- functions --------------------------------------------------------------
 
 
 class CalculusFunction:
-    """A member of the function class: values plus jets over a CriticalSet.
+    """A member of the function class: one coordinate vector over a
+    CriticalSet, laid out by its :class:`Layout`.
 
     Membership needs no growth constraint here: the domain is finite, every
     point is isolated, and boundedness is automatic, so any assignment of
     values and correctly-shaped jets is admissible.
     """
 
-    __slots__ = ("cs", "values", "crit_jets", "zi_jets")
+    __slots__ = ("cs", "coords")
 
-    def __init__(self, cs: CriticalSet, values, crit_jets, zi_jets):
-        values = np.asarray(values, dtype=complex).reshape(-1).copy()
-        values.setflags(write=False)
-        if values.size != len(cs.noncritical):
-            raise DomainMismatchError("one value per noncritical spectral point")
-        crit_jets = tuple(crit_jets)
-        zi_jets = tuple(zi_jets)
-        if len(crit_jets) != len(cs.crit) or len(zi_jets) != len(cs.zi):
-            raise DomainMismatchError("one jet per critical/nonreal-pair point")
-        for jet, cp in zip(crit_jets, cs.crit):
-            if jet.shape != cp.shape:
-                raise ShapeMismatchError(f"jet at {cp.value} must have shape {cp.shape}")
-        for jet, pt in zip(zi_jets, cs.zi):
-            if jet.shape != pt.shape:
-                raise ShapeMismatchError(f"jet at {pt.zw} must have shape {pt.shape}")
+    def __init__(self, cs: CriticalSet, coords):
+        coords = np.array(coords, dtype=complex).reshape(-1)
+        if coords.size != cs.layout.size:
+            raise DomainMismatchError(f"expected {cs.layout.size} coordinates, got {coords.size}")
+        coords.setflags(write=False)
         object.__setattr__(self, "cs", cs)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "crit_jets", crit_jets)
-        object.__setattr__(self, "zi_jets", zi_jets)
+        object.__setattr__(self, "coords", coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("CalculusFunction is immutable")
+
+    @property
+    def values(self) -> np.ndarray:
+        """The values at the noncritical spectral points."""
+        return self.coords[: self.cs.layout.nvalues]
+
+    @property
+    def crit_jets(self) -> tuple:
+        return self._jets(range(len(self.cs.crit)))
+
+    @property
+    def zi_jets(self) -> tuple:
+        return self._jets(range(len(self.cs.crit), len(self.cs.layout.shapes)))
+
+    def _jets(self, indices) -> tuple:
+        L = self.cs.layout
+        return tuple(Jet(L.shapes[j], self.coords[L.segment(j)]) for j in indices)
 
     def _check_domain(self, other):
         if self.cs is not other.cs:
@@ -218,88 +366,53 @@ class CalculusFunction:
 
     def __add__(self, other):
         self._check_domain(other)
-        return CalculusFunction(
-            self.cs,
-            self.values + other.values,
-            [a + b for a, b in zip(self.crit_jets, other.crit_jets)],
-            [a + b for a, b in zip(self.zi_jets, other.zi_jets)],
-        )
+        return CalculusFunction(self.cs, self.coords + other.coords)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __mul__(self, other):
-        if isinstance(other, CalculusFunction):
-            self._check_domain(other)
-            return CalculusFunction(
-                self.cs,
-                self.values * other.values,
-                [a * b for a, b in zip(self.crit_jets, other.crit_jets)],
-                [a * b for a, b in zip(self.zi_jets, other.zi_jets)],
-            )
-        c = complex(other)
-        return CalculusFunction(
-            self.cs,
-            self.values * c,
-            [c * j for j in self.crit_jets],
-            [c * j for j in self.zi_jets],
-        )
+        if not isinstance(other, CalculusFunction):
+            return CalculusFunction(self.cs, self.coords * complex(other))
+        self._check_domain(other)
+        L = self.cs.layout
+        a, b = self.coords, other.coords
+        out = a * b
+        for j, shape in enumerate(L.shapes):
+            seg = L.segment(j)
+            out[seg] = convolve(shape, a[seg], b[seg])
+        return CalculusFunction(self.cs, out)
 
     __rmul__ = __mul__
 
     def sharp(self) -> "CalculusFunction":
-        """The involution: conjugate in place, swapping conjugate zero pairs."""
-        zi = [
-            self.zi_jets[pt.partner].conj() for pt in self.cs.zi
-        ]
-        return CalculusFunction(
-            self.cs,
-            self.values.conj(),
-            [j.conj() for j in self.crit_jets],
-            zi,
-        )
+        """The involution: conjugate every coordinate, swapping the jets of
+        conjugate zero pairs."""
+        return CalculusFunction(self.cs, self.coords.conj()[self.cs.layout.partner])
 
     def inverse(self, abs_tol: float = 1e-12) -> "CalculusFunction":
         """Pointwise reciprocal; every value and jet must be invertible."""
-        values = np.empty_like(self.values)
-        for i, v in enumerate(self.values):
-            if abs(v) <= abs_tol:
-                raise NotInvertibleError(
-                    f"function vanishes at spectral point {self.cs.noncritical[i]}",
-                    point=self.cs.noncritical[i],
-                )
-            values[i] = 1.0 / v
-        crit = []
-        for jet, cp in zip(self.crit_jets, self.cs.crit):
+        cs, L = self.cs, self.cs.layout
+        values = self.values
+        small = np.flatnonzero(np.abs(values) <= abs_tol)
+        if small.size:
+            z = cs.noncritical[small[0]]
+            raise NotInvertibleError(f"function vanishes at spectral point {z}", point=z)
+        out = np.empty(L.size, dtype=complex)
+        out[: L.nvalues] = 1.0 / values
+        for j, shape in enumerate(L.shapes):
+            seg = L.segment(j)
             try:
-                crit.append(jet.inverse(abs_tol))
+                out[seg] = invert(shape, self.coords[seg], abs_tol)
             except NotInvertibleError as exc:
+                label, point = cs.jet_point(j)
                 raise NotInvertibleError(
-                    f"jet at critical point {cp.value} is not invertible", point=cp.value
+                    f"jet at {label} {point} is not invertible", point=point
                 ) from exc
-        zi = []
-        for jet, pt in zip(self.zi_jets, self.cs.zi):
-            try:
-                zi.append(jet.inverse(abs_tol))
-            except NotInvertibleError as exc:
-                raise NotInvertibleError(
-                    f"jet at zero pair {pt.zw} is not invertible", point=pt.zw
-                ) from exc
-        return CalculusFunction(self.cs, values, crit, zi)
+        return CalculusFunction(cs, out)
 
     def norm(self) -> float:
-        vals = [float(np.max(np.abs(self.values)))] if self.values.size else [0.0]
-        vals += [j.norm() for j in self.crit_jets]
-        vals += [j.norm() for j in self.zi_jets]
-        return max(vals)
-
-    def replace(self, values=None, crit_jets=None, zi_jets=None) -> "CalculusFunction":
-        return CalculusFunction(
-            self.cs,
-            self.values if values is None else values,
-            self.crit_jets if crit_jets is None else crit_jets,
-            self.zi_jets if zi_jets is None else zi_jets,
-        )
+        return float(np.abs(self.coords).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -318,9 +431,9 @@ class CalculusContext:
 
     Built once per instance: the embedding bundle, the spectral data of the
     transferred operator (eigenvalues snapped onto matching critical points),
-    the zero grid of the definitizing pair, and the resulting domain. The
-    factored interpolation system and the powers of ``A`` and ``B`` are built
-    on first use and kept.
+    the zero grid of the definitizing pair, and the resulting domain with its
+    coordinate layout. The factored interpolation system and the powers of
+    ``A`` and ``B`` are built on first use and kept.
     """
 
     def __init__(self, pair: DefinitizablePair, bundle: EmbeddingBundle,
@@ -329,49 +442,9 @@ class CalculusContext:
         self.bundle = bundle
         self.spectral = spectral
         self.cs = cs
+        self.layout = cs.layout
         self._interpolation = None
         self._powers = {}
-        self._layout()
-
-    def _layout(self):
-        """Index tables of the coordinate vector of a function.
-
-        A function's coordinates are its noncritical values, then the
-        entries of every critical jet, then those of every zero-pair jet;
-        jet i occupies ``_offsets[i]:_offsets[i + 1]``.
-        """
-        cs = self.cs
-        self._jet_shapes = [c.shape for c in cs.crit] + [pt.shape for pt in cs.zi]
-        keys = [(c.value.real, c.value.imag) for c in cs.crit] + [pt.zw for pt in cs.zi]
-        sizes = [sh.size for sh in self._jet_shapes]
-        offsets = len(cs.noncritical) + np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        # the entries the interpolant matches and the remainder must cancel:
-        # the box of a critical jet (a prefix of it), all of a zero-pair jet
-        box = {
-            key: np.arange(start, start + sh.box().size)
-            for key, sh, start in zip(keys, self._jet_shapes, offsets)
-        }
-        self._ideal = np.zeros(offsets[-1], dtype=bool)
-        for entries in box.values():
-            self._ideal[entries] = True
-        # grid pairs key real zeros as complex, equal to the float keys above
-        self._grid_index = np.concatenate(
-            [box[(za, zb)] for (za, _), (zb, _) in cs.grid.pairs()] or [np.zeros(0, int)]
-        )
-        # overflow entries (m, 0) and (0, n) of the critical points in the spectrum
-        self._overflow = [
-            (c, start + c.shape.position(c.shape.m, 0),
-             start + c.shape.position(0, c.shape.n))
-            for c, start in zip(cs.crit, offsets) if c.spectral
-        ]
-        self._offsets = offsets
-        self._noncritical = np.array(cs.noncritical, dtype=complex)
-        self._jet_z = np.array([k[0] for k in keys], dtype=complex)
-        self._jet_w = np.array([k[1] for k in keys], dtype=complex)
-        self._gather = jet_gather(self._jet_shapes)
-        for arr in (self._ideal, self._grid_index, self._offsets, self._noncritical,
-                    self._jet_z, self._jet_w, *self._gather[0]):
-            arr.setflags(write=False)
 
     @classmethod
     def build(cls, pair: DefinitizablePair) -> "CalculusContext":
@@ -418,11 +491,7 @@ class CalculusContext:
         zi_zw = [(za, zb) for (za, _), (zb, _) in cross]
         zi = []
         for ((za, ma), (zb, mb)) in cross:
-            partner = None
-            for k, (oa, ob) in enumerate(zi_zw):
-                if abs(oa - np.conj(za)) <= radius and abs(ob - np.conj(zb)) <= radius:
-                    partner = k
-                    break
+            partner = _match_pair((np.conj(za), np.conj(zb)), zi_zw, radius)
             if partner is None:
                 raise DomainMismatchError(
                     f"nonreal zero pair {(za, zb)} lacks its conjugate partner"
@@ -448,6 +517,8 @@ class CalculusContext:
             zi=tuple(zi),
             sigma_n=sigma_n,
             radius=radius,
+            p=pair.p,
+            q=pair.q,
         )
         return cls(pair, bundle, data, cs)
 
@@ -462,22 +533,14 @@ class CalculusContext:
     # -- function constructors ------------------------------------------
 
     def zero(self) -> CalculusFunction:
-        cs = self.cs
-        return CalculusFunction(
-            cs,
-            np.zeros(len(cs.noncritical), dtype=complex),
-            [Jet.zeros(c.shape) for c in cs.crit],
-            [Jet.zeros(p.shape) for p in cs.zi],
-        )
+        return CalculusFunction(self.cs, np.zeros(self.layout.size, dtype=complex))
 
     def one(self) -> CalculusFunction:
-        cs = self.cs
-        return CalculusFunction(
-            cs,
-            np.ones(len(cs.noncritical), dtype=complex),
-            [Jet.unit(c.shape) for c in cs.crit],
-            [Jet.unit(p.shape) for p in cs.zi],
-        )
+        L = self.layout
+        coords = np.zeros(L.size, dtype=complex)
+        coords[: L.nvalues] = 1.0
+        coords[L.unit] = 1.0
+        return CalculusFunction(self.cs, coords)
 
     def lift(self, s: BiPoly) -> CalculusFunction:
         """A two-variable polynomial as a member of the function class.
@@ -485,55 +548,27 @@ class CalculusContext:
         Scalar values are s(Re z, Im z); critical points carry the full
         overflow jet of that restriction, nonreal pairs the holomorphic jet.
         """
-        coords = self._lift_coords(s)
-        off = self._offsets
-        jets = [
-            Jet(sh, coords[off[i]:off[i + 1]]) for i, sh in enumerate(self._jet_shapes)
-        ]
-        ncrit = len(self.cs.crit)
-        return CalculusFunction(self.cs, coords[: off[0]], jets[:ncrit], jets[ncrit:])
+        return CalculusFunction(self.cs, self._lift_coords(s))
 
     def _lift_coords(self, s: BiPoly) -> np.ndarray:
         """Coordinates of ``lift(s)``: a vectorized evaluation at the
         noncritical points and one batched Taylor shift at all others."""
+        L = self.layout
         C = s.dense()
-        nc = self._noncritical
+        nc = L.noncritical
         values = npoly.polyval2d(nc.real, nc.imag, C).astype(complex)
-        if not self._jet_shapes:
+        if not L.shapes:
             return values
-        index, order_z, order_w = self._gather
-        table = taylor_shift(C, self._jet_z, self._jet_w, order_z, order_w)
+        index, order_z, order_w = L.gather
+        table = taylor_shift(C, L.jet_z, L.jet_w, order_z, order_w)
         return np.concatenate([values, table[index]])
-
-    @staticmethod
-    def _coords(fn: CalculusFunction) -> np.ndarray:
-        return np.concatenate(
-            [fn.values]
-            + [j.coeffs for j in fn.crit_jets]
-            + [j.coeffs for j in fn.zi_jets]
-        )
 
     def delta(self, at, jet: Jet) -> CalculusFunction:
         """The function equal to ``jet`` at one critical/pair point, zero elsewhere."""
-        cs = self.cs
-        fn = self.zero()
-        if isinstance(at, tuple):
-            i = cs.zi_index(at)
-            if jet.shape != cs.zi[i].shape:
-                raise ShapeMismatchError(
-                    f"jet at {at} must have shape {cs.zi[i].shape}"
-                )
-            zi = list(fn.zi_jets)
-            zi[i] = jet
-            return fn.replace(zi_jets=zi)
-        i = cs.crit_index(complex(at))
-        if jet.shape != cs.crit[i].shape:
-            raise ShapeMismatchError(
-                f"jet at {at} must have shape {cs.crit[i].shape}"
-            )
-        crit = list(fn.crit_jets)
-        crit[i] = jet
-        return fn.replace(crit_jets=crit)
+        L = self.layout
+        coords = np.zeros(L.size, dtype=complex)
+        coords[L.segment(self.cs.locate(at, jet.shape))] = jet.coeffs
+        return CalculusFunction(self.cs, coords)
 
     def indicator(self, region, check_boundary: bool = True) -> CalculusFunction:
         """The lifted characteristic function of a disk/rectangle region.
@@ -542,7 +577,7 @@ class CalculusContext:
         nonreal pair takes the unit jet when the pair's canonical
         representative lies in the region, so conjugate partners always agree.
         """
-        cs = self.cs
+        cs, L = self.cs, self.layout
         if check_boundary:
             margin_scale = max((abs(c.value) for c in cs.crit), default=0.0)
             margin = self.tol.boundary_margin(margin_scale)
@@ -552,16 +587,12 @@ class CalculusContext:
                         f"region boundary passes within {margin:.1e} of the "
                         f"critical spectral point {c.value}"
                     )
-        values = [1.0 if region.contains(z) else 0.0 for z in cs.noncritical]
-        crit = [
-            Jet.unit(c.shape) if region.contains(c.value) else Jet.zeros(c.shape)
-            for c in cs.crit
-        ]
-        zi = [
-            Jet.unit(pt.shape) if region.contains(_zi_canonical(pt)) else Jet.zeros(pt.shape)
-            for pt in cs.zi
-        ]
-        return CalculusFunction(cs, values, crit, zi)
+        coords = np.zeros(L.size, dtype=complex)
+        coords[: L.nvalues] = [region.contains(z) for z in cs.noncritical]
+        inside = [region.contains(c.value) for c in cs.crit]
+        inside += [region.contains(_zi_canonical(pt)) for pt in cs.zi]
+        coords[L.unit[np.array(inside, dtype=bool)]] = 1.0
+        return CalculusFunction(cs, coords)
 
     # -- decomposition and application -----------------------------------
 
@@ -582,7 +613,7 @@ class CalculusContext:
         self._check_owns(fn)
         if self._interpolation is None:
             self._interpolation = HermiteSystem(self.cs.grid, self.tol)
-        return self._interpolation.solve(self._coords(fn)[self._grid_index])
+        return self._interpolation.solve(fn.coords[self.layout.grid_index])
 
     def remainder(self, fn: CalculusFunction, s: BiPoly):
         """Divide fn - lift(s) off the definitizing pair.
@@ -592,45 +623,30 @@ class CalculusContext:
         difference is not in the vanishing-projection ideal.
         """
         self._check_owns(fn)
-        cs, p, q = self.cs, self.pair.p, self.pair.q
-        coords, lifted = self._coords(fn), self._lift_coords(s)
+        cs, L = self.cs, self.layout
+        coords, lifted = fn.coords, self._lift_coords(s)
         rho = coords - lifted
         # the lift norm enters the bound: cancellation noise scales with it
-        bound = self.tol.ideal * (
+        bound = self.tol.rel * (
             1.0 + np.abs(coords).max(initial=0.0) + np.abs(lifted).max(initial=0.0)
         )
-        over = np.flatnonzero(self._ideal & (np.abs(rho) > bound))
+        over = np.flatnonzero(L.ideal & (np.abs(rho) > bound))
         if over.size:
-            i = int(np.searchsorted(self._offsets, over[0], side="right")) - 1
-            seg = slice(self._offsets[i], self._offsets[i + 1])
-            resid = float(np.abs(rho[seg][self._ideal[seg]]).max())
-            if i < len(cs.crit):
-                raise NotInIdealError(
-                    f"projection of remainder at {cs.crit[i].value} is "
-                    f"{resid:.2e} > {bound:.2e}"
-                )
-            raise NotInIdealError(
-                f"remainder at zero pair {cs.zi[i - len(cs.crit)].zw} is "
-                f"{resid:.2e} > {bound:.2e}"
-            )
-        nc = self._noncritical
-        denom = p(nc.real) + q(nc.imag)
-        small = np.flatnonzero(np.abs(denom) <= self.tol.abs)
+            j = int(np.searchsorted(L.offsets, over[0], side="right")) - 1
+            seg = L.segment(j)
+            resid = float(np.abs(rho[seg][L.ideal[seg]]).max())
+            label, point = cs.jet_point(j)
+            raise NotInIdealError(f"remainder at {label} {point} is {resid:.2e} > {bound:.2e}")
+        small = np.flatnonzero(np.abs(L.denom) <= self.tol.abs)
         if small.size:
             i = small[0]
             raise DomainMismatchError(
-                f"{cs.noncritical[i]} behaves critically (p+q = {denom[i]:.2e}) but "
+                f"{cs.noncritical[i]} behaves critically (p+q = {L.denom[i]:.2e}) but "
                 "was not matched to a critical point; loosen the cluster tolerance"
             )
-        g_values = dict(zip(cs.noncritical, rho[: len(nc)] / denom))
-        g_pairs = {}
-        for c, i1, i2 in self._overflow:
-            dp, dq = c.shape.m, c.shape.n
-            g1 = math.factorial(dp) * rho[i1] / p.deriv(dp)(c.value.real)
-            g2 = math.factorial(dq) * rho[i2] / q.deriv(dq)(c.value.imag)
-            g_pairs[c.value] = (g1, g2)
+        g_values = dict(zip(cs.noncritical, rho[: L.nvalues] / L.denom))
+        g_pairs = dict(zip(L.overflow_values, map(tuple, rho[L.overflow] * L.overflow_scale)))
         return g_values, g_pairs
-
     def decompose(self, fn: CalculusFunction):
         s = self.interpolant(fn)
         g_values, g_pairs = self.remainder(fn, s)
@@ -681,23 +697,19 @@ class CalculusContext:
         return self.apply_decomposition(s, g_values, g_pairs)
 
     def _zero_off_support(self, fn: CalculusFunction) -> CalculusFunction:
-        if all(pt.in_support for pt in self.cs.zi):
+        if not self.layout.pairs_off.size:
             return fn
-        zi = [
-            jet if pt.in_support else Jet.zeros(pt.shape)
-            for jet, pt in zip(fn.zi_jets, self.cs.zi)
-        ]
-        return fn.replace(zi_jets=zi)
+        coords = fn.coords.copy()
+        coords[self.layout.pairs_off] = 0.0
+        return CalculusFunction(self.cs, coords)
 
     # -- projections and spectra -----------------------------------------
 
     def riesz_projection(self, at) -> np.ndarray:
         """(unit jet at one point)(N): the idempotent isolating that point."""
-        if isinstance(at, tuple):
-            shape = self.cs.zi[self.cs.zi_index(at)].shape
-        else:
-            shape = self.cs.crit[self.cs.crit_index(complex(at))].shape
-        return self.apply(self.delta(at, Jet.unit(shape)))
+        coords = np.zeros(self.layout.size, dtype=complex)
+        coords[self.layout.unit[self.cs.locate(at)]] = 1.0
+        return self.apply(CalculusFunction(self.cs, coords))
 
     def spectral_projection(self, region) -> np.ndarray:
         """The lifted-indicator projection for an admissible region."""
@@ -714,34 +726,32 @@ class CalculusContext:
         When invertible, the inverse function (extended by the unit off the
         support) is applied and the product residual recorded.
         """
-        cs, tol = self.cs, self.tol
-        moduli = [abs(v) for v in fn.values]
-        witness = None
-        for i, m in enumerate(moduli):
-            if m <= tol.abs:
-                witness = f"value vanishes at spectral point {cs.noncritical[i]}"
-        for jet, c in zip(fn.crit_jets, cs.crit):
-            if (c.spectral or c.in_sigma_n) and abs(jet.value) <= tol.abs:
-                witness = f"jet not invertible at critical point {c.value}"
-        for jet, pt in zip(fn.zi_jets, cs.zi):
-            if pt.in_support and abs(jet.value) <= tol.abs:
-                witness = f"jet not invertible at zero pair {pt.zw}"
-        min_mod = min(moduli) if moduli else float("inf")
-        if witness is not None:
-            return InvertibilityReport(False, witness, min_mod)
-        crit = [
-            jet if (c.spectral or c.in_sigma_n) else Jet.unit(c.shape)
-            for jet, c in zip(fn.crit_jets, cs.crit)
-        ]
-        zi = [
-            jet if pt.in_support else Jet.unit(pt.shape)
-            for jet, pt in zip(fn.zi_jets, cs.zi)
-        ]
-        extended = fn.replace(crit_jets=crit, zi_jets=zi)
-        inv_op = self.apply(extended.inverse(tol.abs))
+        cs, L, tol = self.cs, self.layout, self.tol
+        moduli = np.abs(fn.values)
+        min_mod = float(moduli.min()) if moduli.size else float("inf")
+        # the last offending point is the witness, jets after values
+        jets = np.flatnonzero((np.abs(fn.coords[L.unit]) <= tol.abs) & L.supported)
+        values = np.flatnonzero(moduli <= tol.abs)
+        if jets.size:
+            label, point = cs.jet_point(int(jets[-1]))
+            return InvertibilityReport(False, f"jet not invertible at {label} {point}", min_mod)
+        if values.size:
+            z = cs.noncritical[values[-1]]
+            return InvertibilityReport(False, f"value vanishes at spectral point {z}", min_mod)
+        coords = fn.coords.copy()
+        coords[L.off_support] = 0.0
+        coords[L.unit[~L.supported]] = 1.0
+        inv_op = self.apply(CalculusFunction(cs, coords).inverse(tol.abs))
         op = self.apply(fn)
-        resid = float(np.linalg.norm(inv_op @ op - np.eye(self.space.n), "fro"))
+        resid = fro(inv_op @ op - np.eye(self.space.n))
         return InvertibilityReport(True, "invertible over the support set", min_mod, resid)
+
+
+def _table_rows(data: dict):
+    values = [(_complex(row["z"]), _complex(row["value"])) for row in data.get("values", [])]
+    jets = [(_complex(row["z"]), Jet.from_dict(row["jet"])) for row in data.get("crit", [])]
+    jets += [(_zero_pair(row["zw"]), Jet.from_dict(row["jet"])) for row in data.get("zi", [])]
+    return values, jets
 
 
 def function_from_dict(ctx: CalculusContext, data: dict) -> CalculusFunction:
@@ -749,48 +759,29 @@ def function_from_dict(ctx: CalculusContext, data: dict) -> CalculusFunction:
 
     Kinds: ``bipoly`` (two-variable coefficients, lifted), ``indicator``
     (disk or rectangle region), ``delta`` (one jet at one point), ``table``
-    (values and jets listed explicitly; anything omitted is zero).
+    (values and jets listed explicitly; anything omitted is zero). Malformed
+    content raises :class:`DomainMismatchError`.
     """
+    if not isinstance(data, dict):
+        raise DomainMismatchError("a function file holds a JSON object")
     kind = data.get("kind")
     if kind == "bipoly":
-        return ctx.lift(BiPoly.from_list(data["coeffs"]))
+        return ctx.lift(_read("bipoly coefficients", BiPoly.from_list, data.get("coeffs")))
     if kind == "indicator":
-        return ctx.indicator(region_from_dict(data["region"]))
+        return ctx.indicator(region_from_dict(data.get("region")))
     if kind == "delta":
-        at = data["at"]
-        if at and isinstance(at[0], (list, tuple)):
-            point = (complex(at[0][0], at[0][1]), complex(at[1][0], at[1][1]))
-        else:
-            point = complex(at[0], at[1])
-        return ctx.delta(point, Jet.from_dict(data["jet"]))
+        at = _read("delta point", _point, data.get("at"))
+        return ctx.delta(at, _read("jet", Jet.from_dict, data.get("jet")))
     if kind == "table":
-        cs = ctx.cs
-        fn = ctx.zero()
-        values = np.array(fn.values)
-        rows = data.get("values", [])
-        zs = np.array([complex(row["z"][0], row["z"][1]) for row in rows], dtype=complex)
-        for i, idx in enumerate(match_points(zs, cs.noncritical, cs.radius)):
+        cs, L = ctx.cs, ctx.layout
+        values, jets = _read("table", _table_rows, data)
+        coords = np.zeros(L.size, dtype=complex)
+        zs = np.array([z for z, _ in values], dtype=complex)
+        for (z, value), idx in zip(values, match_points(zs, cs.noncritical, cs.radius)):
             if idx is None:
-                raise DomainMismatchError(f"{zs[i]} is not a noncritical spectral point")
-            values[idx] = complex(rows[i]["value"][0], rows[i]["value"][1])
-        crit = list(fn.crit_jets)
-        for row in data.get("crit", []):
-            z = complex(row["z"][0], row["z"][1])
-            i = cs.crit_index(z)
-            jet = Jet.from_dict(row["jet"])
-            if jet.shape != cs.crit[i].shape:
-                raise ShapeMismatchError(f"jet at {z} must have shape {cs.crit[i].shape}")
-            crit[i] = jet
-        zi = list(fn.zi_jets)
-        for row in data.get("zi", []):
-            zw = (
-                complex(row["zw"][0][0], row["zw"][0][1]),
-                complex(row["zw"][1][0], row["zw"][1][1]),
-            )
-            i = cs.zi_index(zw)
-            jet = Jet.from_dict(row["jet"])
-            if jet.shape != cs.zi[i].shape:
-                raise ShapeMismatchError(f"jet at {zw} must have shape {cs.zi[i].shape}")
-            zi[i] = jet
-        return CalculusFunction(cs, values, crit, zi)
+                raise DomainMismatchError(f"{z} is not a noncritical spectral point")
+            coords[idx] = value
+        for at, jet in jets:
+            coords[L.segment(cs.locate(at, jet.shape))] = jet.coeffs
+        return CalculusFunction(cs, coords)
     raise DomainMismatchError(f"unknown function kind {kind!r}")

@@ -15,15 +15,19 @@ from pathlib import Path
 import numpy as np
 
 from .calculus import CalculusContext, function_from_dict, region_from_dict
-from .errors import KreinCalcError
+from .errors import DomainMismatchError, KreinCalcError
 from .instances import PROFILES, generate, matrix_to_json, parse_instance
 from .suite import run_suite
 
 
-def _load_json_arg(value: str) -> dict:
-    if value.lstrip().startswith("{"):
-        return json.loads(value)
-    return json.loads(Path(value).read_text())
+def _load_json_arg(value: str, what: str) -> dict:
+    """Inline JSON or a JSON file; unreadable input raises DomainMismatchError."""
+    try:
+        if value.lstrip().startswith("{"):
+            return json.loads(value)
+        return json.loads(Path(value).read_text())
+    except (OSError, ValueError) as exc:
+        raise DomainMismatchError(f"cannot read a {what} from {value[:80]!r}: {exc}") from exc
 
 
 def _emit(payload, args, text_renderer=None):
@@ -144,7 +148,7 @@ def _apply(args):
     if not args.function:
         raise KreinCalcError("apply needs --function")
     ctx = CalculusContext.build(inst.pair)
-    fn = function_from_dict(ctx, _load_json_arg(args.function))
+    fn = function_from_dict(ctx, _load_json_arg(args.function, "function"))
     result = ctx.apply(fn)
     _emit({"result": matrix_to_json(result)}, args)
 
@@ -154,7 +158,7 @@ def _project(args):
     if not args.region:
         raise KreinCalcError("project needs --region")
     ctx = CalculusContext.build(inst.pair)
-    region = region_from_dict(_load_json_arg(args.region))
+    region = region_from_dict(_load_json_arg(args.region, "region"))
     result = ctx.spectral_projection(region)
     _emit({"result": matrix_to_json(result)}, args)
 

@@ -18,11 +18,7 @@ import numpy as np
 
 from .errors import ConstructionError, NotInCommutantError, NotPsdError
 from .krein import DefinitizablePair, KreinSpace, poly_eval_scale
-from .tol import Tolerances
-
-
-def _fro(M):
-    return float(np.linalg.norm(M, "fro"))
+from .tol import Tolerances, fro
 
 
 def gram_factor(G, tol: Tolerances, scale_floor: float = 0.0, noise: float = 0.0) -> np.ndarray:
@@ -38,7 +34,7 @@ def gram_factor(G, tol: Tolerances, scale_floor: float = 0.0, noise: float = 0.0
     G = (G + G.conj().T) / 2.0
     evals, vecs = np.linalg.eigh(G)
     top = float(evals[-1]) if evals.size else 0.0
-    neg_bound = max(tol.psd * max(top, scale_floor, tol.abs), noise)
+    neg_bound = max(tol.spec * max(top, scale_floor, tol.abs), noise)
     if evals.size and evals[0] < -neg_bound:
         raise NotPsdError(
             f"Gram has eigenvalue {evals[0]:.3e} below -{neg_bound:.3e}"
@@ -128,12 +124,12 @@ class EmbeddingBundle:
     def _gram_floor(self) -> float:
         # Grams below this are rounding noise of the construction scale;
         # a numerically-zero Gram commutes with everything.
-        return max(self.space.tol.psd * self.scale, self.noise)
+        return max(self.space.tol.spec * self.scale, self.noise)
 
     def _negligible(self, C) -> bool:
         # arguments at the noise floor are the zero operator: transferring
         # them through the rank-cut inverse would only amplify noise
-        return _fro(C) <= self._gram_floor()
+        return fro(C) <= self._gram_floor()
 
     def compress(self, C) -> np.ndarray:
         """Solve T X = C T for the action of C on V.
@@ -164,7 +160,7 @@ class EmbeddingBundle:
     def part_from_full(self, D, j: int) -> np.ndarray:
         """Solve R_j Y = D R_j for the V_j representative of D on V."""
         D = np.asarray(D, dtype=complex)
-        self._check_commutant(D, self.rr(j), f"R{j} R{j}*", self.space.tol.psd)
+        self._check_commutant(D, self.rr(j), f"R{j} R{j}*", self.space.tol.spec)
         R = self.r_part(j)
         Y = np.linalg.lstsq(R, D @ R, rcond=None)[0]
         self._certify(R @ Y, D @ R, D, f"restriction to V{j}")
@@ -185,7 +181,7 @@ class EmbeddingBundle:
     def embed_part(self, Dj, j: int) -> np.ndarray:
         """R_j D_j R_j^* on V."""
         Dj = np.asarray(Dj, dtype=complex)
-        self._check_commutant(Dj, self.rr_co(j), f"R{j}* R{j}", self.space.tol.psd)
+        self._check_commutant(Dj, self.rr_co(j), f"R{j}* R{j}", self.space.tol.spec)
         R = self.r_part(j)
         return R @ Dj @ R.conj().T
 
@@ -199,10 +195,10 @@ class EmbeddingBundle:
         return rhs / _row_norms2(F)[:, None]
 
     def _check_commutant(self, C, S, name, floor):
-        if _fro(S) <= floor:
+        if fro(S) <= floor:
             return
-        resid = _fro(C @ S - S @ C)
-        bound = self.space.tol.comm * max(_fro(C) * _fro(S), self.space.tol.abs)
+        resid = fro(C @ S - S @ C)
+        bound = self.space.tol.spec * max(fro(C) * fro(S), self.space.tol.abs)
         if resid > bound:
             raise NotInCommutantError(
                 f"argument does not commute with {name}: "
@@ -210,8 +206,8 @@ class EmbeddingBundle:
             )
 
     def _certify(self, left, right, C, what):
-        resid = _fro(left - right)
-        bound = self.space.tol.comm * max(_fro(C) * max(_fro(self.T), 1.0), self.space.tol.abs)
+        resid = fro(left - right)
+        bound = self.space.tol.spec * max(fro(C) * max(fro(self.T), 1.0), self.space.tol.abs)
         if resid > bound:
             raise NotInCommutantError(
                 f"{what} failed certification: residual {resid:.2e} > {bound:.2e}"
@@ -288,17 +284,17 @@ def verify_bundle(bundle: EmbeddingBundle):
     def entry(name, resid, bound):
         out.append((name, float(resid), float(bound)))
 
-    entry("T T* = p(A) + q(B)", _fro(bundle.ttstar() - (pA + qB)), tol.rel * scale + noisy)
-    entry("T1 T1* = p(A)", _fro(bundle.ttstar_part(1) - pA), tol.rel * scale + noisy)
-    entry("T2 T2* = q(B)", _fro(bundle.ttstar_part(2) - qB), tol.rel * scale + noisy)
+    entry("T T* = p(A) + q(B)", fro(bundle.ttstar() - (pA + qB)), tol.rel * scale + noisy)
+    entry("T1 T1* = p(A)", fro(bundle.ttstar_part(1) - pA), tol.rel * scale + noisy)
+    entry("T2 T2* = q(B)", fro(bundle.ttstar_part(2) - qB), tol.rel * scale + noisy)
     rr_sum = bundle.RR1 + bundle.RR2
-    entry("R1 R1* + R2 R2* = I", _fro(rr_sum - np.eye(r)), tol.rel)
+    entry("R1 R1* + R2 R2* = I", fro(rr_sum - np.eye(r)), tol.rel)
     ttv = bundle.TT
     for j in (1, 2):
         Rj = bundle.r_part(j)
         entry(
             f"T{j} = T R{j}",
-            _fro(bundle.t_part(j) - bundle.T @ Rj),
+            fro(bundle.t_part(j) - bundle.T @ Rj),
             tol.rel * max(1.0, scale) + noisy,
         )
         norm = float(np.linalg.norm(Rj, 2)) if Rj.size else 0.0
@@ -308,13 +304,13 @@ def verify_bundle(bundle: EmbeddingBundle):
             entry(f"R{j} injective", 1.0 if smin <= tol.rank else 0.0, 0.5)
         entry(
             f"[R{j} R{j}*, T* T] = 0",
-            _fro(bundle.rr(j) @ ttv - ttv @ bundle.rr(j)),
-            tol.rel * max(1.0, _fro(ttv)),
+            fro(bundle.rr(j) @ ttv - ttv @ bundle.rr(j)),
+            tol.rel * max(1.0, fro(ttv)),
         )
         ttp = bundle.tt_on_part(j)
         entry(
             f"[R{j}* R{j}, T{j}* T{j}] = 0",
-            _fro(bundle.rr_co(j) @ ttp - ttp @ bundle.rr_co(j)),
-            tol.rel * max(1.0, _fro(ttp)),
+            fro(bundle.rr_co(j) @ ttp - ttp @ bundle.rr_co(j)),
+            tol.rel * max(1.0, fro(ttp)),
         )
     return out

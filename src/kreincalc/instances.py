@@ -80,25 +80,41 @@ def parse_instance(source, tol_scale: float = 1.0) -> Instance:
     the definitizing property of the supplied polynomials. Missing
     polynomials trigger the bounded search.
     """
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        data = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
-        data = json.loads(source)
-    else:
-        data = dict(source)
+    try:
+        if not isinstance(source, (str, Path)):
+            data = dict(source)
+        elif str(source).lstrip().startswith("{"):
+            data = json.loads(str(source))
+        else:
+            data = json.loads(Path(source).read_text())
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot read an instance from {str(source)[:80]!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError("an instance holds a JSON object")
 
     if "J" not in data:
         raise ValidationError("instance file lacks the Gram matrix 'J'")
     tol = DEFAULT_TOL
     if "tol" in data:
-        tol = tol.with_overrides(**{k: float(v) for k, v in data["tol"].items()})
+        try:
+            overrides = {k: float(v) for k, v in data["tol"].items()}
+            if not all(v >= 0 and np.isfinite(v) for v in overrides.values()):
+                raise ValueError(f"negative or non-finite value in {overrides}")
+            tol = tol.with_overrides(**overrides)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationError(f"'tol' must map tolerance names to numbers >= 0: {exc}") from exc
     if tol_scale != 1.0:
         tol = tol.scaled(tol_scale)
     space = KreinSpace(matrix_from_json(data["J"], "J"), tol)
 
     label = str(data.get("label", ""))
-    p = RealPoly(data["p"]) if "p" in data else None
-    q = RealPoly(data["q"]) if "q" in data else None
+    try:
+        p, q = (RealPoly(data[k]) if k in data else None for k in ("p", "q"))
+        if any(r is not None and not (r.coeffs.ndim == 1 and np.isfinite(r.coeffs).all())
+               for r in (p, q)):
+            raise ValueError("nested or non-finite coefficients")
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("'p' and 'q' must be lists of finite real coefficients") from exc
 
     if "N" in data:
         N = matrix_from_json(data["N"], "N")

@@ -104,6 +104,36 @@ def _product_table(shape: JetShape):
     return tuple(table)
 
 
+def convolve(shape: JetShape, a, b) -> np.ndarray:
+    """Entries of the truncated product of two coefficient arrays of ``shape``."""
+    out = np.empty(shape.size, dtype=complex)
+    for t, (pa, pb) in enumerate(_product_table(shape)):
+        out[t] = np.dot(a[pa], b[pb])
+    return out
+
+
+def invert(shape: JetShape, a, abs_tol: float = 1e-12) -> np.ndarray:
+    """Entries of the multiplicative inverse of a coefficient array of
+    ``shape``, solving the convolution system in graded order."""
+    pos0 = shape.position(0, 0)
+    a00 = complex(a[pos0])
+    if abs(a00) <= abs_tol:
+        raise NotInvertibleError(
+            f"jet has (0,0) entry {a00:.3e} below tolerance {abs_tol:.1e}"
+        )
+    table = _product_table(shape)
+    x = np.zeros(shape.size, dtype=complex)
+    x[pos0] = 1.0 / a00
+    for t in range(shape.size):
+        if t == pos0:
+            continue
+        pa, pb = table[t]
+        keep = pa != pos0
+        acc = np.dot(a[pa[keep]], x[pb[keep]])
+        x[t] = -acc / a00
+    return x
+
+
 class Jet:
     """Immutable coefficient array over a :class:`JetShape`."""
 
@@ -170,12 +200,7 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check_same_shape(other)
-            table = _product_table(self.shape)
-            out = np.empty(self.shape.size, dtype=complex)
-            a, b = self.coeffs, other.coeffs
-            for t, (pa, pb) in enumerate(table):
-                out[t] = np.dot(a[pa], b[pb])
-            return Jet(self.shape, out)
+            return Jet(self.shape, convolve(self.shape, self.coeffs, other.coeffs))
         return Jet(self.shape, self.coeffs * complex(other))
 
     def __rmul__(self, other):
@@ -197,24 +222,7 @@ class Jet:
 
     def inverse(self, abs_tol: float = 1e-12) -> "Jet":
         """Multiplicative inverse, solving the convolution system in graded order."""
-        a00 = self.value
-        if abs(a00) <= abs_tol:
-            raise NotInvertibleError(
-                f"jet has (0,0) entry {a00:.3e} below tolerance {abs_tol:.1e}"
-            )
-        table = _product_table(self.shape)
-        pos0 = self.shape.position(0, 0)
-        a = self.coeffs
-        x = np.zeros(self.shape.size, dtype=complex)
-        x[pos0] = 1.0 / a00
-        for t in range(self.shape.size):
-            if t == pos0:
-                continue
-            pa, pb = table[t]
-            keep = pa != pos0
-            acc = np.dot(a[pa[keep]], x[pb[keep]])
-            x[t] = -acc / a00
-        return Jet(self.shape, x)
+        return Jet(self.shape, invert(self.shape, self.coeffs, abs_tol))
 
     def norm(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0

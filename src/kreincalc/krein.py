@@ -11,11 +11,7 @@ import numpy as np
 from .cluster import cluster_points
 from .errors import NotNormalError, NotPsdError, SearchFailedError, ValidationError
 from .bipoly import RealPoly
-from .tol import DEFAULT_TOL, Tolerances
-
-
-def _fro(M):
-    return float(np.linalg.norm(M, "fro"))
+from .tol import DEFAULT_TOL, Tolerances, fro
 
 
 class KreinSpace:
@@ -31,8 +27,8 @@ class KreinSpace:
         J = np.asarray(J, dtype=complex)
         if J.ndim != 2 or J.shape[0] != J.shape[1]:
             raise ValidationError("Gram matrix must be square")
-        herm_resid = _fro(J - J.conj().T)
-        if herm_resid > tol.abs * (1.0 + _fro(J)):
+        herm_resid = fro(J - J.conj().T)
+        if herm_resid > tol.abs * (1.0 + fro(J)):
             raise ValidationError(
                 f"Gram matrix is not Hermitian (residual {herm_resid:.2e})"
             )
@@ -58,19 +54,19 @@ class KreinSpace:
 
     def is_selfadjoint(self, C, scale: float = None) -> bool:
         C = np.asarray(C, dtype=complex)
-        s = scale if scale is not None else 1.0 + _fro(C)
-        return _fro(C - self.adjoint(C)) <= self.tol.rel * s
+        s = scale if scale is not None else 1.0 + fro(C)
+        return fro(C - self.adjoint(C)) <= self.tol.rel * s
 
     def normality_defect(self, N) -> float:
         N = np.asarray(N, dtype=complex)
         Ns = self.adjoint(N)
-        return _fro(N @ Ns - Ns @ N)
+        return fro(N @ Ns - Ns @ N)
 
     def check_normal(self, N):
         """Raise unless N commutes with its Krein adjoint at tolerance."""
         N = np.asarray(N, dtype=complex)
         defect = self.normality_defect(N)
-        bound = self.tol.rel * max(_fro(N) ** 2, self.tol.abs)
+        bound = self.tol.rel * max(fro(N) ** 2, self.tol.abs)
         if defect > bound:
             raise NotNormalError(
                 f"operator is not normal: ||NN* - N*N|| = {defect:.2e} > {bound:.2e}"
@@ -125,7 +121,7 @@ def verify_definitizing(
     H = space.J @ p.of_matrix(np.asarray(A, dtype=complex))
     H = (H + H.conj().T) / 2.0
     norm = float(np.linalg.norm(H, 2)) if H.size else 0.0
-    threshold = space.tol.psd * max(norm, scale_floor, space.tol.abs)
+    threshold = space.tol.spec * max(norm, scale_floor, space.tol.abs)
     min_eig = float(np.linalg.eigvalsh(H)[0]) if H.size else 0.0
     return PositivityReport(min_eig >= -threshold, min_eig, threshold, norm)
 
@@ -197,12 +193,12 @@ class DefinitizablePair:
     def validate(self):
         """Raise unless all structural invariants hold at tolerance."""
         sp, A, B = self.space, self.A, self.B
-        scale = max(_fro(A), _fro(B), 1.0)
+        scale = max(fro(A), fro(B), 1.0)
         if not sp.is_selfadjoint(A):
             raise ValidationError("real part is not Krein-selfadjoint")
         if not sp.is_selfadjoint(B):
             raise ValidationError("imaginary part is not Krein-selfadjoint")
-        comm = _fro(A @ B - B @ A)
+        comm = fro(A @ B - B @ A)
         if comm > sp.tol.rel * scale**2:
             raise NotNormalError(
                 f"parts do not commute: ||AB - BA|| = {comm:.2e}"

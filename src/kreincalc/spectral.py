@@ -17,11 +17,7 @@ import scipy.linalg
 
 from .cluster import cluster_points, match_point
 from .errors import DomainMismatchError, NotNormalError
-from .tol import DEFAULT_TOL, Tolerances
-
-
-def _fro(M):
-    return float(np.linalg.norm(M, "fro"))
+from .tol import DEFAULT_TOL, Tolerances, fro
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +61,11 @@ class SpectralData:
         """How far the projections are from a resolution of the identity."""
         points = self.points
         total = sum((P for _, P in points), np.zeros((self.dim, self.dim), complex))
-        resid = _fro(total - np.eye(self.dim))
+        resid = fro(total - np.eye(self.dim))
         for i, (_, P) in enumerate(points):
-            resid = max(resid, _fro(P @ P - P), _fro(P - P.conj().T))
+            resid = max(resid, fro(P @ P - P), fro(P - P.conj().T))
             for j in range(i + 1, len(points)):
-                resid = max(resid, _fro(P @ points[j][1]))
+                resid = max(resid, fro(P @ points[j][1]))
         return resid
 
 
@@ -91,15 +87,15 @@ def diagonalize(M, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
         return SpectralData(
             0, (), _read_only(np.zeros((0, 0), complex)), _read_only(np.zeros(0, int))
         )
-    scale = max(_fro(M), 1.0)
-    comm = _fro(M @ M.conj().T - M.conj().T @ M)
-    if comm > tol.norm * scale**2:
+    scale = max(fro(M), 1.0)
+    comm = fro(M @ M.conj().T - M.conj().T @ M)
+    if comm > tol.rel * scale**2:
         raise NotNormalError(
-            f"matrix is not normal: self-commutator {comm:.2e} > {tol.norm * scale**2:.2e}"
+            f"matrix is not normal: self-commutator {comm:.2e} > {tol.rel * scale**2:.2e}"
         )
     Tm, Q = scipy.linalg.schur(M, output="complex")
-    upper = _fro(np.triu(Tm, 1))
-    if upper > tol.norm * scale:
+    upper = fro(np.triu(Tm, 1))
+    if upper > tol.rel * scale:
         raise NotNormalError(
             f"Schur form is not numerically diagonal: off-norm {upper:.2e}"
         )

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipoly import BiPoly
-from .calculus import CalculusContext, Disk, RegionUnion
+from .calculus import CalculusContext, CalculusFunction, Disk, RegionUnion
 from .cluster import match_point
 from .instances import Instance
-from .jets import Jet
 from .spectral import diagonalize, snap_eigenvalues, spectral_integral
+from .tol import fro
 
 __all__ = ["PropertyResult", "Report", "run_suite"]
 
@@ -73,10 +73,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _fro(M):
-    return float(np.linalg.norm(M, "fro"))
-
-
 def _norm2(M):
     return float(np.linalg.norm(M, 2)) if M.size else 0.0
 
@@ -112,10 +108,10 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
             Rj = bundle.r_part(j)
             mid = Rj @ thj @ Rj.conj().T
             worst_inter = max(
-                worst_inter, _fro(th @ rr - mid), _fro(mid - rr @ th)
+                worst_inter, fro(th @ rr - mid), fro(mid - rr @ th)
             )
-            worst_comp = max(worst_comp, _fro(thj - bundle.part_from_full(th, j)))
-            scale = max(scale, _fro(th), _fro(thj))
+            worst_comp = max(worst_comp, fro(thj - bundle.part_from_full(th, j)))
+            scale = max(scale, fro(th), fro(thj))
         prop(
             f"transfer-intertwine-{j}",
             f"Th(C) R{j}R{j}* = R{j} Th{j}(C) R{j}* = R{j}R{j}* Th(C)",
@@ -134,17 +130,17 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
     pth = pair.p.of_matrix(thA)
     qth = pair.q.of_matrix(thB)
     total = pth + qth
-    s = max(1.0, _fro(total))
+    s = max(1.0, fro(total))
     prop(
         "definitizer-split-1",
         "p(Th(A)) = R1R1* (p(Th(A)) + q(Th(B)))",
-        _fro(pth - bundle.rr(1) @ total),
+        fro(pth - bundle.rr(1) @ total),
         tol.rel * s,
     )
     prop(
         "definitizer-split-2",
         "q(Th(B)) = R2R2* (p(Th(A)) + q(Th(B)))",
-        _fro(qth - bundle.rr(2) @ total),
+        fro(qth - bundle.rr(2) @ total),
         tol.rel * s,
     )
     for j in (1, 2):
@@ -152,29 +148,29 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
         prop(
             f"gram-transfer-{j}",
             f"Th(T{j}T{j}*) = R{j}R{j}* T*T",
-            _fro(lhs - bundle.rr(j) @ ttv),
-            tol.rel * max(1.0, _fro(ttv)),
+            fro(lhs - bundle.rr(j) @ ttv),
+            tol.rel * max(1.0, fro(ttv)),
         )
 
     C1, C2 = tests[2], tests[3]
     th1, th2 = bundle.compress(C1), bundle.compress(C2)
-    s12 = max(1.0, _fro(th1) * _fro(th2))
+    s12 = max(1.0, fro(th1) * fro(th2))
     prop(
         "transfer-multiplicative",
         "Th(C1 C2) = Th(C1) Th(C2)",
-        _fro(bundle.compress(C1 @ C2) - th1 @ th2),
+        fro(bundle.compress(C1 @ C2) - th1 @ th2),
         tol.rel * s12,
     )
     prop(
         "transfer-involutive",
         "Th(C*) = Th(C)^H",
-        _fro(bundle.compress(ctx.space.adjoint(C1)) - th1.conj().T),
-        tol.rel * max(1.0, _fro(th1)),
+        fro(bundle.compress(ctx.space.adjoint(C1)) - th1.conj().T),
+        tol.rel * max(1.0, fro(th1)),
     )
     prop(
         "transfer-unital",
         "Th(I) = I",
-        _fro(bundle.compress(np.eye(ctx.space.n)) - np.eye(bundle.dim_v)),
+        fro(bundle.compress(np.eye(ctx.space.n)) - np.eye(bundle.dim_v)),
         tol.rel,
     )
 
@@ -214,25 +210,25 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
     )
     thN = bundle.compress(pair.N)
     worst = max(
-        (_fro(thN @ P - lam * P) for lam, P in points), default=0.0
+        (fro(thN @ P - lam * P) for lam, P in points), default=0.0
     )
     # snapping onto critical points may move an eigenvalue by one radius
     prop(
         "measure-eigen",
         "Th(N) E{z} = z E{z}",
         worst,
-        max(tol.spec * max(1.0, _fro(thN)), 3 * cs.radius * max(1.0, np.sqrt(r))),
+        max(tol.spec * max(1.0, fro(thN)), 3 * cs.radius * max(1.0, np.sqrt(r))),
     )
     ttv = bundle.tt_on_v()
     worst = 0.0
     for _, P in points:
         for S in (bundle.rr(1), bundle.rr(2), ttv):
-            worst = max(worst, _fro(P @ S - S @ P))
+            worst = max(worst, fro(P @ S - S @ P))
     prop(
         "measure-commutant",
         "E{z} commutes with R1R1*, R2R2*, T*T",
         worst,
-        tol.spec * max(1.0, _fro(ttv)),
+        tol.spec * max(1.0, fro(ttv)),
     )
 
     n1 = _norm2(bundle.rr(1))
@@ -269,13 +265,13 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
     prop(
         "measure-weighted-1",
         "R1R1* E(noncrit) = int p/(p+q) dE",
-        _fro(bundle.rr(1) @ noncrit_e - ratio1),
+        fro(bundle.rr(1) @ noncrit_e - ratio1),
         tol.spec * s,
     )
     prop(
         "measure-weighted-2",
         "R2R2* E(noncrit) = int q/(p+q) dE",
-        _fro(bundle.rr(2) @ noncrit_e - ratio2),
+        fro(bundle.rr(2) @ noncrit_e - ratio2),
         tol.spec * s,
     )
 
@@ -291,7 +287,7 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
         worst_proj = 0.0
         for lam, P in points:
             gamma = bundle.part_from_full(P, j)
-            worst_proj = max(worst_proj, _fro(gamma - dataj.projection(lam)))
+            worst_proj = max(worst_proj, fro(gamma - dataj.projection(lam)))
         prop(
             f"measure-transfer-{j}",
             f"restriction of E{{z}} to V{j} is E{j}{{z}}",
@@ -315,13 +311,13 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
                 prop(
                     f"integral-transfer-{j}",
                     f"restriction of (int h dE) to V{j} = int h dE{j}",
-                    _fro(bundle.part_from_full(int_h, j) - int_hj),
+                    fro(bundle.part_from_full(int_h, j) - int_hj),
                     tol.spec * hs,
                 )
                 prop(
                     f"integral-expand-{j}",
                     f"T{j} (int h dE{j}) T{j}* = T (R{j}R{j}* int h dE) T*",
-                    _fro(
+                    fro(
                         bundle.expand_part(int_hj, j)
                         - bundle.expand(bundle.rr(j) @ int_h)
                     ),
@@ -335,15 +331,20 @@ def _random_bipoly(rng, dz=2, dw=2):
     return BiPoly({(k, l): c[k, l] for k in range(dz + 1) for l in range(dw + 1)})
 
 
+def _with_random_jets(ctx, fn, rng, jets):
+    """``fn`` plus random entries in the given jets, drawn jet after jet,
+    real parts before imaginary parts."""
+    coords = fn.coords.copy()
+    for j in jets:
+        seg = ctx.layout.segment(j)
+        size = seg.stop - seg.start
+        coords[seg] += rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return CalculusFunction(ctx.cs, coords)
+
+
 def _random_function(ctx, rng):
     fn = ctx.lift(_random_bipoly(rng))
-    for i, c in enumerate(ctx.cs.crit):
-        coeffs = rng.standard_normal(c.shape.size) + 1j * rng.standard_normal(c.shape.size)
-        fn = fn + ctx.delta(c.value, Jet(c.shape, coeffs))
-    for pt in ctx.cs.zi:
-        coeffs = rng.standard_normal(pt.shape.size) + 1j * rng.standard_normal(pt.shape.size)
-        fn = fn + ctx.delta(pt.zw, Jet(pt.shape, coeffs))
-    return fn
+    return _with_random_jets(ctx, fn, rng, range(len(ctx.layout.shapes)))
 
 
 def calculus_properties(ctx: CalculusContext, rng) -> list:
@@ -357,31 +358,31 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
     psi = _random_function(ctx, rng)
     phi_n = ctx.apply(phi)
     psi_n = ctx.apply(psi)
-    s_ops = (1.0 + _fro(phi_n)) * (1.0 + _fro(psi_n))
+    s_ops = (1.0 + fro(phi_n)) * (1.0 + fro(psi_n))
 
     al, be = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
     prop(
         "calculus-linear",
         "(a phi + b psi)(N) = a phi(N) + b psi(N)",
-        _fro(ctx.apply(al * phi + be * psi) - (al * phi_n + be * psi_n)),
+        fro(ctx.apply(al * phi + be * psi) - (al * phi_n + be * psi_n)),
         tol.spec * s_ops,
     )
     prop(
         "calculus-multiplicative",
         "(phi psi)(N) = phi(N) psi(N)",
-        _fro(ctx.apply(phi * psi) - phi_n @ psi_n),
+        fro(ctx.apply(phi * psi) - phi_n @ psi_n),
         tol.spec * s_ops,
     )
     prop(
         "calculus-involutive",
         "(phi#)(N) = phi(N)*",
-        _fro(ctx.apply(phi.sharp()) - ctx.space.adjoint(phi_n)),
+        fro(ctx.apply(phi.sharp()) - ctx.space.adjoint(phi_n)),
         tol.spec * s_ops,
     )
     prop(
         "calculus-unital",
         "1(N) = I",
-        _fro(ctx.apply(ctx.one()) - np.eye(ctx.space.n)),
+        fro(ctx.apply(ctx.one()) - np.eye(ctx.space.n)),
         tol.spec,
     )
 
@@ -389,8 +390,8 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
     prop(
         "polynomial-compatible",
         "s(N) = s(A, B) for polynomial functions",
-        _fro(ctx.apply(ctx.lift(s0)) - ctx.polynomial_at_pair(s0)),
-        tol.spec * max(1.0, _fro(ctx.polynomial_at_pair(s0))),
+        fro(ctx.apply(ctx.lift(s0)) - ctx.polynomial_at_pair(s0)),
+        tol.spec * max(1.0, fro(ctx.polynomial_at_pair(s0))),
     )
 
     pz = BiPoly.from_univariate(pair.p, "z")
@@ -399,15 +400,15 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
     s, g_vals, g_pairs = ctx.decompose(phi2)
     base = ctx.apply_decomposition(s, g_vals, g_pairs)
     worst = 0.0
-    scale = 1.0 + _fro(base)
+    scale = 1.0 + fro(base)
     for _ in range(5):
         u = _random_bipoly(rng, 1, 1)
         v = _random_bipoly(rng, 1, 1)
         s2 = s + pz * u + qw * v
         g2_vals, g2_pairs = ctx.remainder(phi2, s2)
         alt = ctx.apply_decomposition(s2, g2_vals, g2_pairs)
-        worst = max(worst, _fro(alt - base))
-        scale = max(scale, 1.0 + _fro(ctx.polynomial_at_pair(s2)))
+        worst = max(worst, fro(alt - base))
+        scale = max(scale, 1.0 + fro(ctx.polynomial_at_pair(s2)))
     prop(
         "calculus-welldef",
         "phi(N) independent of the interpolant choice",
@@ -415,24 +416,14 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
         tol.spec * scale,
     )
 
-    vanishing = ctx.zero()
-    nontrivial = False
-    for c in cs.crit:
-        if not (c.spectral or c.in_sigma_n):
-            coeffs = rng.standard_normal(c.shape.size) + 1j * rng.standard_normal(c.shape.size)
-            vanishing = vanishing + ctx.delta(c.value, Jet(c.shape, coeffs))
-            nontrivial = True
-    for pt in cs.zi:
-        if not pt.in_support:
-            coeffs = rng.standard_normal(pt.shape.size) + 1j * rng.standard_normal(pt.shape.size)
-            vanishing = vanishing + ctx.delta(pt.zw, Jet(pt.shape, coeffs))
-            nontrivial = True
+    off_support = np.flatnonzero(~ctx.layout.supported)
+    vanishing = _with_random_jets(ctx, ctx.zero(), rng, off_support)
     anchor = "phi = 0 on sigma_N implies phi(N) = 0"
-    if nontrivial:
+    if off_support.size:
         prop(
             "support-vanishing",
             anchor,
-            _fro(ctx.apply(vanishing)),
+            fro(ctx.apply(vanishing)),
             tol.spec * (1.0 + vanishing.norm()),
         )
     else:
@@ -452,9 +443,8 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
         tol.spec * (1.0 + max((abs(z) for z in formula), default=0.0)),
     )
 
-    values = list(phi.values)
-    values += [j.value for j, c in zip(phi.crit_jets, cs.crit) if c.spectral or c.in_sigma_n]
-    values += [j.value for j, pt in zip(phi.zi_jets, cs.zi) if pt.in_support]
+    layout = ctx.layout
+    values = list(phi.values) + list(phi.coords[layout.unit[layout.supported]])
     worst = 0.0
     for lam in np.linalg.eigvals(phi_n):
         worst = max(worst, min((abs(lam - v) for v in values), default=abs(lam)))
@@ -462,7 +452,7 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
         "spectrum-inclusion",
         "sigma(phi(N)) inside closure of phi's leading values",
         worst,
-        tol.spec * (1.0 + _fro(phi_n)),
+        tol.spec * (1.0 + fro(phi_n)),
     )
 
     _projection_properties(ctx, prop)
@@ -483,7 +473,7 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
             "resolvent-certificate",
             "phi^{-1}(N) phi(N) = I",
             rep.certificate_residual,
-            tol.spec * max(1.0, lam0 + _fro(pair.N)) ** 2,
+            tol.spec * max(1.0, lam0 + fro(pair.N)) ** 2,
         )
     return out
 
@@ -506,19 +496,19 @@ def _projection_properties(ctx: CalculusContext, prop):
     if usable:
         disks = [Disk(z, radius) for z in points]
         projs = [ctx.spectral_projection(d) for d in disks]
-        scale = max(1.0, max(_fro(P) for P in projs))
-        worst_idem = max(_fro(P @ P - P) for P in projs)
-        worst_sa = max(_fro(ctx.space.adjoint(P) - P) for P in projs)
-        worst_comm = max(_fro(P @ pair.N - pair.N @ P) for P in projs)
+        scale = max(1.0, max(fro(P) for P in projs))
+        worst_idem = max(fro(P @ P - P) for P in projs)
+        worst_sa = max(fro(ctx.space.adjoint(P) - P) for P in projs)
+        worst_comm = max(fro(P @ pair.N - pair.N @ P) for P in projs)
         worst_disjoint = 0.0
         for i in range(len(projs)):
             for j in range(i + 1, len(projs)):
-                worst_disjoint = max(worst_disjoint, _fro(projs[i] @ projs[j]))
+                worst_disjoint = max(worst_disjoint, fro(projs[i] @ projs[j]))
         total = ctx.spectral_projection(Disk(0.0, max(abs(z) for z in points) + 1.0))
-        resid_total = _fro(total - eye)
+        resid_total = fro(total - eye)
         if len(disks) >= 2:
             union = ctx.spectral_projection(RegionUnion((disks[0], disks[1])))
-            resid_add = _fro(union - projs[0] - projs[1])
+            resid_add = fro(union - projs[0] - projs[1])
         else:
             resid_add = 0.0
         s2 = scale**2
@@ -528,7 +518,7 @@ def _projection_properties(ctx: CalculusContext, prop):
             "projection-commutes",
             "P(D) N = N P(D)",
             worst_comm,
-            tol.spec * scale * max(1.0, _fro(pair.N)),
+            tol.spec * scale * max(1.0, fro(pair.N)),
         )
         prop("projection-disjoint", "P(D1) P(D2) = 0 for disjoint regions", worst_disjoint, tol.spec * s2)
         prop("projection-additive", "P(D1 u D2) = P(D1) + P(D2)", resid_add, tol.spec * s2)
@@ -539,7 +529,7 @@ def _projection_properties(ctx: CalculusContext, prop):
             if not (c.spectral or c.in_sigma_n):
                 continue
             P = ctx.riesz_projection(c.value)
-            if _fro(P) < 0.5:
+            if fro(P) < 0.5:
                 continue
             U, sv, _ = np.linalg.svd(P)
             basis = U[:, sv > 0.5]

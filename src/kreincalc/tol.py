@@ -4,22 +4,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace, fields
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Tolerances:
     """Collection of tolerance knobs with documented defaults.
 
     ``abs``      absolute floor (Gram invertibility, jet inversion, Hermitianity)
-    ``rel``      relative normality test: ||NN*-N*N||_F <= rel * ||N||_F**2
+    ``rel``      relative slack of identities that hold to rounding: normality
+                 ||NN*-N*N||_F <= rel * ||N||_F**2, the Schur block of normal
+                 operators, and the remainder's vanishing-projection test
     ``cluster``  base factor for zero/eigenvalue clustering; the effective
                  radius is cluster * (1 + largest magnitude in play)
-    ``psd``      relative slack for positive-semidefiniteness checks
     ``rank``     relative eigenvalue cut for rank-revealing factorizations
-    ``comm``     relative commutant-membership slack
-    ``norm``     relative bound on the strictly-upper Schur block and the
-                 self-commutator of operators required to be normal
-    ``spec``     relative certification slack for eigenprojection identities
-    ``ideal``    relative slack for the vanishing-projection (ideal) test
+    ``spec``     relative slack of checks on computed factors: PSD,
+                 commutant membership, eigenprojection identities
     ``cond``     largest acceptable condition number for interpolation solves
     ``boundary_factor``  region boundaries must clear critical spectral points
                  by boundary_factor * cluster radius
@@ -28,12 +28,8 @@ class Tolerances:
     abs: float = 1e-12
     rel: float = 1e-9
     cluster: float = 1e-7
-    psd: float = 1e-8
     rank: float = 1e-10
-    comm: float = 1e-8
-    norm: float = 1e-9
     spec: float = 1e-8
-    ideal: float = 1e-9
     cond: float = 1e12
     boundary_factor: float = 10.0
 
@@ -62,3 +58,8 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+
+def fro(M) -> float:
+    """Frobenius norm, the measure residual checks compare to a threshold."""
+    return float(np.linalg.norm(M, "fro"))

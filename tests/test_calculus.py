@@ -6,6 +6,7 @@ from kreincalc import (
     BiPoly,
     BoundaryError,
     CalculusContext,
+    CalculusFunction,
     ConditioningError,
     DefinitizablePair,
     Disk,
@@ -454,3 +455,116 @@ class TestFunctionFiles:
     def test_unknown_kind(self, w1_ctx):
         with pytest.raises(DomainMismatchError):
             function_from_dict(w1_ctx, {"kind": "mystery"})
+
+
+@pytest.fixture(scope="module")
+def deep_pair_ctx():
+    """The rotation of ``zi_pair`` under p = z (z^2 + 1)^2, q = z^2: two
+    conjugate zero pairs with 2 x 2 box jets and a critical point at 0."""
+    J = np.array([[0, 1], [1, 0]], dtype=complex)
+    A = np.array([[0, -1], [1, 0]], dtype=complex)
+    square = RealPoly([1, 0, 1]) * RealPoly([1, 0, 1])
+    pair = DefinitizablePair.from_normal(
+        KreinSpace(J), A, p=RealPoly([0, 1]) * square, q=RealPoly([0, 0, 1])
+    )
+    return CalculusContext.build(pair)
+
+
+def _random_coords(ctx, rng):
+    size = ctx.layout.size
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+class TestFlatForm:
+    """The coordinate vector against per-point Jet arithmetic."""
+
+    def test_algebra_matches_jet_arithmetic(
+        self, contexts100, zi_ctx, half_pair_ctx, deep_pair_ctx
+    ):
+        rng = np.random.default_rng(70)
+        for ctx in contexts100 + [zi_ctx, half_pair_ctx, deep_pair_ctx]:
+            cs = ctx.cs
+            f = CalculusFunction(cs, _random_coords(ctx, rng))
+            g = CalculusFunction(cs, _random_coords(ctx, rng))
+            prod, sharp = f * g, g.sharp()
+            inv = (f + 10.0 * ctx.one()).inverse()
+            shifted = [j + 10.0 * Jet.unit(j.shape) for j in f.crit_jets + f.zi_jets]
+            assert np.array_equal(prod.values, f.values * g.values)
+            assert np.array_equal(sharp.values, g.values.conj())
+            assert np.array_equal(inv.values, 1.0 / (f.values + 10.0))
+            jets = zip(
+                f.crit_jets + f.zi_jets, g.crit_jets + g.zi_jets, shifted,
+                prod.crit_jets + prod.zi_jets, inv.crit_jets + inv.zi_jets,
+            )
+            for a, b, a_shift, ab, a_inv in jets:
+                assert np.array_equal(ab.coeffs, (a * b).coeffs)
+                assert np.array_equal(a_inv.coeffs, a_shift.inverse().coeffs)
+            for jet, sharp_jet in zip(g.crit_jets, sharp.crit_jets):
+                assert np.array_equal(sharp_jet.coeffs, jet.conj().coeffs)
+            for pt, sharp_jet in zip(cs.zi, sharp.zi_jets):
+                assert np.array_equal(sharp_jet.coeffs, g.zi_jets[pt.partner].conj().coeffs)
+        assert any(len(ctx.cs.zi) for ctx in contexts100 + [deep_pair_ctx])
+
+    def test_full_table_reads_back_row_by_row(
+        self, contexts100, zi_ctx, deep_pair_ctx
+    ):
+        rng = np.random.default_rng(71)
+
+        def value():
+            return [float(v) for v in rng.standard_normal(2)]
+
+        def jet(shape):
+            entries = [[k, l, *value()] for k, l in shape.indices]
+            return {"m": shape.m, "n": shape.n, "kind": shape.kind, "entries": entries}
+
+        for ctx in contexts100 + [zi_ctx, deep_pair_ctx]:
+            cs = ctx.cs
+            table = {
+                "kind": "table",
+                "values": [{"z": [z.real, z.imag], "value": value()} for z in cs.noncritical],
+                "crit": [
+                    {"z": [c.value.real, c.value.imag], "jet": jet(c.shape)} for c in cs.crit
+                ],
+                "zi": [
+                    {"zw": [[z.real, z.imag] for z in pt.zw], "jet": jet(pt.shape)}
+                    for pt in cs.zi
+                ],
+            }
+            fn = function_from_dict(ctx, table)
+            for row, v in zip(table["values"], fn.values):
+                assert v == complex(*row["value"])
+            for row, got in zip(table["crit"] + table["zi"], fn.crit_jets + fn.zi_jets):
+                assert np.array_equal(got.coeffs, Jet.from_dict(row["jet"]).coeffs)
+
+    def test_coordinates_are_checked_and_read_only(self, deep_pair_ctx):
+        cs = deep_pair_ctx.cs
+        with pytest.raises(DomainMismatchError):
+            CalculusFunction(cs, np.zeros(deep_pair_ctx.layout.size + 1))
+        coords = np.arange(deep_pair_ctx.layout.size, dtype=complex)
+        fn = CalculusFunction(cs, coords)
+        coords[0] = 99.0
+        assert fn.coords[0] == 0.0 and not fn.coords.flags.writeable
+        assert not fn.values.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "bipoly"},
+        {"kind": "bipoly", "coeffs": [[1, 0, 1.0]]},
+        {"kind": "delta", "at": [1]},
+        {"kind": "delta", "at": [0.0, 3.0]},
+        {"kind": "delta", "at": [0.0, 3.0], "jet": {"m": 1, "n": 1, "kind": "c", "entries": []}},
+        {"kind": "table", "values": [{"z": [1]}]},
+        {"kind": "table", "values": [{"z": [1.0, 2.0]}]},
+        {"kind": "table", "crit": [{"z": [0.0, 3.0]}]},
+        {"kind": "table", "values": 3},
+        {"kind": "indicator", "region": {"type": "disk"}},
+        {"kind": "indicator", "region": {"type": "rect", "x": [0.0], "y": [1.0, 2.0]}},
+        {"kind": "indicator"},
+        [1, 2],
+    ],
+)
+def test_malformed_function_files_raise_domain_mismatch(w1_ctx, data):
+    with pytest.raises(DomainMismatchError):
+        function_from_dict(w1_ctx, data)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from kreincalc.cli import main
 from kreincalc.instances import matrix_from_json
@@ -93,6 +94,25 @@ def test_error_exit_code(tmp_path, capsys):
         "N": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]],
     }))
     assert run("verify", "--input", str(bad)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--input", "{missing}"],
+        ["verify", "--input", "{malformed}"],
+        ["apply", "--input", W1, "--function", "{malformed}"],
+        ["apply", "--input", W1, "--function", "{missing}"],
+        ["apply", "--input", W1, "--function", '{"kind": "delta", "at": [1]}'],
+        ["project", "--input", W1, "--region", '{"type": "disk"}'],
+    ],
+)
+def test_unreadable_files_exit_2(tmp_path, capsys, argv):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"J": [[[1, 0]]')
+    files = {"{missing}": str(tmp_path / "missing.json"), "{malformed}": str(malformed)}
+    assert run(*[files.get(a, a) for a in argv]) == 2
     assert "error:" in capsys.readouterr().err
 
 

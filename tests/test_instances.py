@@ -80,6 +80,27 @@ class TestParse:
         assert inst.space.tol.cluster == 1e-5
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"tol": {"bogus": 1}},
+        {"tol": {"cluster": "abc"}},
+        {"tol": [1, 2]},
+        {"tol": {"psd": 1e-8}},
+        {"tol": {"ideal": 1e-9}},
+        {"tol": {"rel": -1.0}},
+        {"tol": {"spec": float("nan")}},
+        {"p": "abc"},
+        {"q": [1.0, None]},
+    ],
+)
+def test_malformed_instance_fields_raise_validation_error(w1, override):
+    data = w1.to_json()
+    data.update(override)
+    with pytest.raises(ValidationError):
+        parse_instance(data)
+
+
 class TestGenerate:
     def test_deterministic_files(self, tmp_path):
         a = generate(7, 5, "diagonal")
