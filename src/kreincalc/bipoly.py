@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 
-from .cluster import cluster_points
+from .cluster import cluster_points, match_points
 from .errors import ConditioningError, DegenerateInputError, ShapeMismatchError
 from .jets import B_KIND, Jet, JetShape
 from .tol import DEFAULT_TOL, Tolerances
@@ -90,7 +90,8 @@ class RealPoly:
         # double root scatters further (about sqrt(noise) * scale), and its
         # conjugate fragments are joined by the k = 2 multiplicity merge
         roots = np.where(np.abs(roots.imag) <= radius, roots.real + 0j, roots)
-        clusters = [(c, len(m)) for c, m in cluster_points(roots, radius)]
+        centers, labels = cluster_points(roots, radius)
+        clusters = list(zip(centers.tolist(), np.bincount(labels).tolist()))
         clusters = _merge_by_multiplicity(clusters, scale)
         clusters = [
             (c.real + 0j, m) if abs(c.imag) <= radius else (c, m) for c, m in clusters
@@ -121,40 +122,38 @@ def _merge_by_multiplicity(clusters, scale):
     out = list(clusters)
     for k in range(total, 1, -1):
         radius = 2.0 * noise ** (1.0 / k) * scale
-        grouped = cluster_points([c for c, _ in out], radius)
-        if len(grouped) == len(out):
+        centers, labels = cluster_points([c for c, _ in out], radius)
+        if len(centers) == len(out):
             continue
         merged = []
-        for _, members in grouped:
-            mult = sum(out[i][1] for i in members)
-            if len(members) > 1 and mult >= k:
-                centroid = sum(out[i][0] * out[i][1] for i in members) / mult
-                merged.append((centroid, mult))
+        for g, size in enumerate(np.bincount(labels)):
+            members = [out[i] for i in np.flatnonzero(labels == g)]
+            mult = sum(m for _, m in members)
+            if size > 1 and mult >= k:
+                merged.append((sum(c * m for c, m in members) / mult, mult))
             else:
-                merged.extend(out[i] for i in members)
+                merged.extend(members)
         out = merged
     return out
 
 
 def _symmetrize_conjugates(clusters, radius):
+    """Pin the partner of each upper half-plane zero onto its conjugate: the
+    closest lower zero within ``2 * radius``, of the same multiplicity and
+    claimed by no other upper zero."""
     out = list(clusters)
-    used = set()
-    for i, (c, m) in enumerate(out):
-        if c.imag <= 0 or i in used:
-            continue
-        partner = None
-        for j, (c2, m2) in enumerate(out):
-            if j == i or j in used or c2.imag >= 0:
-                continue
-            if abs(np.conj(c) - c2) <= 2 * radius:
-                partner = j
-                break
-        if partner is None or out[partner][1] != m:
+    upper = [i for i, (c, _) in enumerate(out) if c.imag > 0]
+    lower = [j for j, (c, _) in enumerate(out) if c.imag < 0]
+    hits = match_points(
+        [np.conj(out[i][0]) for i in upper], [out[j][0] for j in lower], 2 * radius
+    )
+    for i, hit in zip(upper, hits):
+        c, m = out[i]
+        if hit is None or out[lower[hit]][1] != m or hits.count(hit) > 1:
             raise ConditioningError(
                 f"no conjugate partner for zero {c:.6g} (multiplicity {m})"
             )
-        out[partner] = (np.conj(c), m)
-        used.update((i, partner))
+        out[lower[hit]] = (np.conj(c), m)
     return out
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .bipoly import BiPoly, HermiteSystem, RealPoly, ZeroGrid, jet_gather, taylor_shift
-from .cluster import cluster_points, match_point, match_points
+from .cluster import cluster_points, distinct_points, match_points
 from .embed import EmbeddingBundle, build_bundle
 from .errors import (
     BoundaryError,
@@ -186,23 +186,28 @@ class CriticalSet:
     def layout(self) -> "Layout":
         return Layout(self)
 
-    def locate(self, at, shape: JetShape = None) -> int:
-        """Layout index of the jet at the critical point closest to ``at``, or
-        with ``at`` a ``(z, w)`` tuple at the first matching nonreal zero pair,
-        within the cluster radius; with ``shape``, the jet must have it."""
-        if isinstance(at, tuple):
-            i = _match_pair(at, [pt.zw for pt in self.zi], self.radius)
+    def locate(self, points, shapes=None) -> list:
+        """Layout indices of the jets at ``points``: each is matched to the
+        closest critical point, or as a ``(z, w)`` tuple to the closest nonreal
+        zero pair, within the cluster radius; with ``shapes``, each jet must
+        have its shape."""
+        is_pair = [isinstance(at, tuple) for at in points]
+        crit_at = [at for at, pair in zip(points, is_pair) if not pair]
+        zi_at = [at for at, pair in zip(points, is_pair) if pair]
+        crit = iter(match_points(crit_at, self.crit_values, self.radius))
+        zi = iter(match_points(zi_at, [pt.zw for pt in self.zi], self.radius))
+        out = []
+        for at, pair, shape in zip(points, is_pair, shapes or [None] * len(points)):
+            i = next(zi if pair else crit)
             if i is None:
-                raise DomainMismatchError(f"{at} is not a nonreal zero pair")
-            j = len(self.crit) + i
-        else:
-            j = match_point(complex(at), self.crit_values, self.radius)
-            if j is None:
-                raise DomainMismatchError(f"{complex(at)} is not a critical point")
-        expected = self.layout.shapes[j]
-        if shape is not None and shape != expected:
-            raise ShapeMismatchError(f"jet at {at} must have shape {expected}")
-        return j
+                kind = "a nonreal zero pair" if pair else "a critical point"
+                raise DomainMismatchError(f"{at if pair else complex(at)} is not {kind}")
+            j = len(self.crit) + i if pair else i
+            expected = self.layout.shapes[j]
+            if shape is not None and shape != expected:
+                raise ShapeMismatchError(f"jet at {at} must have shape {expected}")
+            out.append(j)
+        return out
 
     def jet_point(self, j: int):
         """``("critical point", value)`` or ``("zero pair", (z, w))`` for the
@@ -212,25 +217,13 @@ class CriticalSet:
         return "zero pair", self.zi[j - len(self.crit)].zw
 
     def support_values(self):
-        """The sigma_N point set: spectrum plus surviving critical/zi points."""
+        """The sigma_N point set: spectrum plus surviving critical/zi points,
+        the first of any points within the cluster radius standing for them."""
         pts = list(self.noncritical)
         pts += [c.value for c in self.crit if c.spectral or c.in_sigma_n]
         pts += [pt.location for pt in self.zi if pt.in_support]
-        out = []
-        for z in pts:
-            if match_point(z, out, self.radius) is None:
-                out.append(z)
+        out = [pts[i] for i in distinct_points(pts, self.radius)]
         return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
-
-
-def _match_pair(zw, pairs, radius):
-    """Index of the first ``(z, w)`` in ``pairs`` within ``radius`` of ``zw``
-    in both components, or None."""
-    z, w = complex(zw[0]), complex(zw[1])
-    for i, (a, b) in enumerate(pairs):
-        if abs(a - z) <= radius and abs(b - w) <= radius:
-            return i
-    return None
 
 
 def _zi_canonical(pt: ZiPoint) -> complex:
@@ -464,17 +457,14 @@ class CalculusContext:
         radius = tol.cluster_radius(max(mags, default=0.0))
 
         data = snap_eigenvalues(data, crit_values, radius) if crit_values else data
-        noncrit = tuple(
-            ev for ev in data.eigenvalues
-            if match_point(ev, crit_values, 0.0) is None
-        )
+        exact = match_points(data.eigenvalues, crit_values, 0.0)
+        noncrit = tuple(ev for ev, hit in zip(data.eigenvalues, exact) if hit is None)
 
-        n_evals = np.linalg.eigvals(pair.N)
-        sigma_n = []
-        for c, _ in cluster_points(n_evals, radius):
-            hit = match_point(c, crit_values, radius)
-            sigma_n.append(crit_values[hit] if hit is not None else c)
-        sigma_n = tuple(sigma_n)
+        centers, _ = cluster_points(np.linalg.eigvals(pair.N), radius)
+        sigma_n = tuple(
+            c if hit is None else crit_values[hit]
+            for c, hit in zip(centers.tolist(), match_points(centers, crit_values, radius))
+        )
 
         spectral_set = set(data.eigenvalues)
         crit = tuple(
@@ -482,31 +472,32 @@ class CalculusContext:
                 value=v,
                 shape=JetShape(mx, my, A_KIND),
                 spectral=v in spectral_set,
-                in_sigma_n=match_point(v, sigma_n, radius) is not None,
+                in_sigma_n=hit is not None,
             )
-            for v, (x, mx, y, my) in zip(crit_values, crit_pairs)
+            for v, (x, mx, y, my), hit in zip(
+                crit_values, crit_pairs, match_points(crit_values, sigma_n, radius)
+            )
         )
 
         cross = grid.cross()
-        zi_zw = [(za, zb) for (za, _), (zb, _) in cross]
+        zw = np.array([(za, zb) for (za, _), (zb, _) in cross], dtype=complex).reshape(-1, 2)
+        partners = match_points(zw.conj(), zw, radius)
+        # a pair is in the support when its location xi + i*eta and that of
+        # its conjugate pair both lie in sigma(N)
+        both = np.concatenate([zw, zw.conj()])
+        hits = match_points(both[:, 0] + 1j * both[:, 1], sigma_n, radius)
         zi = []
-        for ((za, ma), (zb, mb)) in cross:
-            partner = _match_pair((np.conj(za), np.conj(zb)), zi_zw, radius)
-            if partner is None:
+        for i, ((za, ma), (zb, mb)) in enumerate(cross):
+            if partners[i] is None:
                 raise DomainMismatchError(
                     f"nonreal zero pair {(za, zb)} lacks its conjugate partner"
                 )
-            loc, cloc = za + 1j * zb, np.conj(za) + 1j * np.conj(zb)
-            in_support = (
-                match_point(loc, sigma_n, radius) is not None
-                and match_point(cloc, sigma_n, radius) is not None
-            )
             zi.append(
                 ZiPoint(
                     zw=(za, zb),
                     shape=JetShape(ma, mb, B_KIND),
-                    partner=partner,
-                    in_support=in_support,
+                    partner=partners[i],
+                    in_support=hits[i] is not None and hits[len(cross) + i] is not None,
                 )
             )
 
@@ -567,7 +558,7 @@ class CalculusContext:
         """The function equal to ``jet`` at one critical/pair point, zero elsewhere."""
         L = self.layout
         coords = np.zeros(L.size, dtype=complex)
-        coords[L.segment(self.cs.locate(at, jet.shape))] = jet.coeffs
+        coords[L.segment(self.cs.locate([at], [jet.shape])[0])] = jet.coeffs
         return CalculusFunction(self.cs, coords)
 
     def indicator(self, region, check_boundary: bool = True) -> CalculusFunction:
@@ -708,7 +699,7 @@ class CalculusContext:
     def riesz_projection(self, at) -> np.ndarray:
         """(unit jet at one point)(N): the idempotent isolating that point."""
         coords = np.zeros(self.layout.size, dtype=complex)
-        coords[self.layout.unit[self.cs.locate(at)]] = 1.0
+        coords[self.layout.unit[self.cs.locate([at])[0]]] = 1.0
         return self.apply(CalculusFunction(self.cs, coords))
 
     def spectral_projection(self, region) -> np.ndarray:
@@ -781,7 +772,8 @@ def function_from_dict(ctx: CalculusContext, data: dict) -> CalculusFunction:
             if idx is None:
                 raise DomainMismatchError(f"{z} is not a noncritical spectral point")
             coords[idx] = value
-        for at, jet in jets:
-            coords[L.segment(cs.locate(at, jet.shape))] = jet.coeffs
+        where = cs.locate([at for at, _ in jets], [jet.shape for _, jet in jets])
+        for (_, jet), j in zip(jets, where):
+            coords[L.segment(j)] = jet.coeffs
         return CalculusFunction(cs, coords)
     raise DomainMismatchError(f"unknown function kind {kind!r}")

@@ -120,6 +120,7 @@ def _spectrum(args):
     cs = ctx.cs
     payload = {
         "transferred_spectrum": _complex_list(ctx.spectral.eigenvalues),
+        "cluster_warnings": list(ctx.spectral.warnings),
         "spectrum": _complex_list(ctx.spectrum()),
         "noncritical": _complex_list(cs.noncritical),
         "critical": [

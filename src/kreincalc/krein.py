@@ -136,7 +136,7 @@ def search_definitizing(space: KreinSpace, A, max_degree: int = 6) -> RealPoly:
     A = np.asarray(A, dtype=complex)
     ev = np.linalg.eigvals(A)
     radius = space.tol.cluster_radius(np.max(np.abs(ev)) if ev.size else 0.0)
-    centers = [c.real for c, _ in cluster_points(ev, radius)]
+    centers = cluster_points(ev, radius)[0].real.tolist()
     if not any(abs(c) <= radius for c in centers):
         centers.append(0.0)
     centers.sort(key=lambda c: (abs(c), c))

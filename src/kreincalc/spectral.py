@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .cluster import cluster_points, match_point
+from .cluster import cluster_points, match_points
 from .errors import DomainMismatchError, NotNormalError
 from .tol import DEFAULT_TOL, Tolerances, fro
 
@@ -52,7 +52,7 @@ class SpectralData:
 
     def projection(self, value, radius=0.0):
         """Projection at the eigenvalue matching ``value`` (zero if none)."""
-        idx = match_point(value, self.centers, radius)
+        idx = match_points([value], self.centers, radius)[0]
         if idx is None:
             return np.zeros((self.dim, self.dim), dtype=complex)
         return self._projection(idx)
@@ -101,21 +101,14 @@ def diagonalize(M, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
         )
     evals = np.diag(Tm)
     radius = tol.cluster_radius(np.max(np.abs(evals)))
-    clusters = cluster_points(evals, radius)
-    warnings = []
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            gap = abs(clusters[i][0] - clusters[j][0])
-            if gap < 3 * radius:
-                warnings.append(
-                    f"clusters {clusters[i][0]:.6g} and {clusters[j][0]:.6g} "
-                    f"are only {gap:.2e} apart"
-                )
-    labels = np.empty(r, dtype=int)
-    for i, (_, members) in enumerate(clusters):
-        labels[members] = i
-    centers = tuple(complex(center) for center, _ in clusters)
-    return SpectralData(r, centers, _read_only(Q), _read_only(labels), tuple(warnings))
+    centers, labels = cluster_points(evals, radius)
+    gaps = np.abs(centers[:, None] - centers[None, :])
+    centers = tuple(centers.tolist())
+    warnings = tuple(
+        f"clusters {centers[i]:.6g} and {centers[j]:.6g} are only {gaps[i, j]:.2e} apart"
+        for i, j in zip(*np.nonzero(np.triu(gaps < 3 * radius, 1)))
+    )
+    return SpectralData(r, centers, _read_only(Q), _read_only(labels), warnings)
 
 
 def snap_eigenvalues(data: SpectralData, targets, radius) -> SpectralData:
@@ -124,11 +117,11 @@ def snap_eigenvalues(data: SpectralData, targets, radius) -> SpectralData:
     Coincidence of spectrum with critical points is structural, so matched
     clusters are pinned to the exact critical value.
     """
-    centers = []
-    for ev in data.centers:
-        idx = match_point(ev, targets, radius)
-        centers.append(complex(targets[idx]) if idx is not None else ev)
-    return SpectralData(data.dim, tuple(centers), data.Q, data.labels, data.warnings)
+    centers = tuple(
+        ev if idx is None else complex(targets[idx])
+        for ev, idx in zip(data.centers, match_points(data.centers, targets, radius))
+    )
+    return SpectralData(data.dim, centers, data.Q, data.labels, data.warnings)
 
 
 def spectral_integral(data: SpectralData, h) -> np.ndarray:

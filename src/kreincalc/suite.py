@@ -15,7 +15,7 @@ import numpy as np
 
 from .bipoly import BiPoly
 from .calculus import CalculusContext, CalculusFunction, Disk, RegionUnion
-from .cluster import match_point
+from .cluster import match_points
 from .instances import Instance
 from .spectral import diagonalize, snap_eigenvalues, spectral_integral
 from .tol import fro
@@ -295,15 +295,11 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
             tol.spec,
         )
         if points:
-            hj = {}
-            mismatched = 0.0
-            for mu in dataj.eigenvalues:
-                idx = match_point(mu, list(data.eigenvalues), cs.radius)
-                if idx is None:
-                    mismatched = 1.0
-                    continue
-                hj[mu] = h[data.eigenvalues[idx]]
-            int_hj = spectral_integral(dataj, hj) if not mismatched else None
+            hits = match_points(dataj.eigenvalues, data.eigenvalues, cs.radius)
+            int_hj = None
+            if None not in hits:
+                hj = {mu: h[data.eigenvalues[i]] for mu, i in zip(dataj.eigenvalues, hits)}
+                int_hj = spectral_integral(dataj, hj)
             hs = max(1.0, max(abs(v) for v in h.values()))
             if int_hj is None:
                 prop(f"integral-transfer-{j}", "restriction of int h dE", 1.0, tol.spec)

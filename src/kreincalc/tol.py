@@ -6,6 +6,8 @@ from dataclasses import dataclass, replace, fields
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -34,9 +36,10 @@ class Tolerances:
     boundary_factor: float = 10.0
 
     def scaled(self, factor: float) -> "Tolerances":
-        """All thresholds multiplied by ``factor`` (cond divided)."""
-        if factor <= 0:
-            raise ValueError("tolerance scale must be positive")
+        """All thresholds multiplied by ``factor`` (cond divided); a factor
+        that is not finite and positive raises :class:`ValidationError`."""
+        if not (np.isfinite(factor) and factor > 0):
+            raise ValidationError(f"tolerance scale must be finite and positive, got {factor}")
         kw = {}
         for f in fields(self):
             if f.name == "cond":

@@ -22,8 +22,10 @@ from kreincalc import (
     ShapeMismatchError,
     function_from_dict,
 )
-from kreincalc.cluster import match_point, match_points
+from kreincalc.cluster import match_points
 from kreincalc.jets import A_KIND
+
+from cluster_reference import match_point
 
 Z = BiPoly.variable("z")
 W = BiPoly.variable("w")

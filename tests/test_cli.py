@@ -122,3 +122,28 @@ def test_missing_input_errors(capsys):
 
 def test_tol_scale_flag(capsys):
     assert run("inspect", "--input", W1, "--tol-scale", "10", "--format", "json") == 0
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_bad_tol_scale_exits_2(capsys, scale):
+    assert run("inspect", "--input", W1, "--tol-scale", scale) == 2
+    assert "tolerance scale" in capsys.readouterr().err
+
+
+def test_spectrum_reports_cluster_warnings(tmp_path, capsys):
+    # eigenvalues 2.5 cluster radii apart: two clusters, flagged as close
+    d = 2.5e-7 * (1 + 2.5e-7)
+    inst = tmp_path / "close.json"
+    inst.write_text(json.dumps({
+        "J": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+        "N": [[[0, 0], [0, 0]], [[0, 0], [d, 0]]],
+        "p": [1.0],
+        "q": [1.0],
+    }))
+    assert run("spectrum", "--input", str(inst), "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["transferred_spectrum"]) == 2
+    assert len(payload["cluster_warnings"]) == 1
+    assert "are only 2.50e-07 apart" in payload["cluster_warnings"][0]
+    assert run("spectrum", "--input", W1, "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["cluster_warnings"] == []
