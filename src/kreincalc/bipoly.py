@@ -336,7 +336,10 @@ def taylor_shift(coeffs, zs, ws, order_z: int, order_w: int) -> np.ndarray:
     C = np.asarray(coeffs, dtype=complex)
     Tz = taylor_table(zs, C.shape[0] - 1, order_z)
     Tw = taylor_table(ws, C.shape[1] - 1, order_w)
-    return (Tz @ C) @ Tw.transpose(0, 2, 1)
+    # one product for all points, then the small contraction over L by
+    # broadcasting: batched products of tiny matrices cost more
+    left = (Tz.reshape(-1, C.shape[0]) @ C).reshape(len(Tz), order_z + 1, C.shape[1])
+    return (left[:, :, None, :] * Tw[:, None, :, :]).sum(axis=-1)
 
 
 def jet_gather(shapes):
@@ -504,12 +507,18 @@ class HermiteSystem:
     change of basis back to monomials. Raises :class:`ConditioningError` when
     even the centered system is too ill-conditioned to trust (nearly
     coincident zeros).
+
+    Basis polynomial ``K * total_b + L`` is ``((z - mu_a)/rho_a)**K
+    ((w - mu_b)/rho_b)**L``; :meth:`coefficients` solves in that basis and
+    :meth:`jet_matrix`, :meth:`basis_at` evaluate it elsewhere, so a caller
+    can turn the solve into fixed linear maps.
     """
 
     def __init__(self, grid: ZeroGrid, tol: Tolerances = DEFAULT_TOL):
         self.shapes = tuple(_grid_shapes(grid))
         m, n = grid.total_a, grid.total_b
         self._lu = None
+        self.size = 0
         if m == 0 or n == 0:
             return
         mu_a, rho_a = _centered(grid.a_zeros)
@@ -525,6 +534,8 @@ class HermiteSystem:
                 f"interpolation grid condition number {cond:.2e} exceeds {tol.cond:.1e}"
             )
         self._lu = scipy.linalg.lu_factor(mat)
+        self.size = m * n
+        self._centre = ((mu_a, rho_a, m), (mu_b, rho_b, n))
         self._row_scale = np.array([rho_a**k * rho_b**l for _, _, k, l in row_keys])
         # centered coefficients c give s(z, w) = c((z - mu_a)/rho_a, (w - mu_b)/rho_b):
         # scale column K by rho**-K, then Taylor-shift by -mu
@@ -532,6 +543,13 @@ class HermiteSystem:
         self._back_b = taylor_table([-mu_b], n - 1, n - 1)[0] * rho_b ** -np.arange(n)
         for arr in (self._row_scale, self._back_a, self._back_b):
             arr.setflags(write=False)
+
+    def coefficients(self, rhs) -> np.ndarray:
+        """The interpolant of :meth:`solve` in the centered basis: a vector
+        of :attr:`size` coefficients."""
+        if self._lu is None:
+            return np.zeros(0, dtype=complex)
+        return scipy.linalg.lu_solve(self._lu, np.asarray(rhs) * self._row_scale)
 
     def solve(self, rhs) -> BiPoly:
         """The polynomial whose grid jets have the coefficients ``rhs``.
@@ -541,9 +559,49 @@ class HermiteSystem:
         """
         if self._lu is None:
             return BiPoly()
-        sol = scipy.linalg.lu_solve(self._lu, np.asarray(rhs) * self._row_scale)
-        centered = sol.reshape(self._back_a.shape[0], self._back_b.shape[0])
+        centered = self.coefficients(rhs).reshape(self._back_a.shape[0], self._back_b.shape[0])
         return BiPoly.from_dense(self._back_a @ centered @ self._back_b.T)
+
+    def jet_matrix(self, zs, ws, gather) -> np.ndarray:
+        """The map from :meth:`coefficients` to jet entries at the points
+        ``(zs[p], ws[p])``: row e is the ``(ks[e], ls[e])`` Taylor coefficient
+        at point ``rows[e]``, for a :func:`jet_gather` triple
+        ``((rows, ks, ls), order_z, order_w)``.
+
+        The Taylor coefficient k of ``((z - mu)/rho)**K`` at z is
+        ``C(K, k) ((z - mu)/rho)**(K - k) / rho**k``.
+        """
+        (rows, ks, ls), order_z, order_w = gather
+        if self._lu is None:
+            return np.zeros((len(rows), 0), dtype=complex)
+        Tz, Tw = (
+            taylor_table((np.asarray(pts, dtype=complex) - mu) / rho, deg - 1, order)
+            * rho ** -np.arange(order + 1)[:, None]
+            for pts, (mu, rho, deg), order in zip((zs, ws), self._centre, (order_z, order_w))
+        )
+        rows_out = Tz[rows, ks][:, :, None] * Tw[rows, ls][:, None, :]
+        return rows_out.reshape(len(rows), self.size)
+
+    def basis_at(self, A, B) -> np.ndarray:
+        """Every basis polynomial at a commuting matrix pair: a ``(size, d, d)``
+        stack of the products of the centered powers ``((A - mu_a)/rho_a)**K``
+        and ``((B - mu_b)/rho_b)**L``."""
+        d = A.shape[0]
+        if self._lu is None:
+            return np.zeros((0, d, d), dtype=complex)
+        Pa, Pb = (
+            matrix_powers((M - mu * np.eye(d)) / rho, deg)
+            for M, (mu, rho, deg) in zip((A, B), self._centre)
+        )
+        return (Pa[:, None] @ Pb[None, :]).reshape(self.size, d, d)
+
+
+def matrix_powers(M, count: int) -> np.ndarray:
+    """M^0 .. M^(count - 1) of a square matrix, stacked."""
+    pows = [np.eye(M.shape[0], dtype=complex)]
+    while len(pows) < count:
+        pows.append(pows[-1] @ M)
+    return np.array(pows)
 
 
 def interpolate_jets(targets, grid: ZeroGrid, tol: Tolerances = DEFAULT_TOL) -> BiPoly:

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .bipoly import BiPoly, HermiteSystem, RealPoly, ZeroGrid, jet_gather, taylor_shift
+from .bipoly import (
+    BiPoly, HermiteSystem, RealPoly, ZeroGrid, jet_gather, matrix_powers, taylor_shift
+)
 from .cluster import cluster_points, distinct_points, match_points
-from .embed import EmbeddingBundle, build_bundle
+from .embed import EmbeddingBundle, Expansion, build_bundle
 from .errors import (
     BoundaryError,
     DomainMismatchError,
@@ -167,9 +168,12 @@ class ZiPoint:
 @dataclass(frozen=True)
 class CriticalSet:
     """Domain data of the function class for one instance: the zero grid of
-    the definitizing pair ``(p, q)`` and the points a function lives on."""
+    the definitizing pair ``(p, q)`` and the points a function lives on.
+    ``centers`` are the spectral data's eigenvalues; the noncritical values
+    are those not pinned to a critical point, in order."""
 
     grid: ZeroGrid
+    centers: tuple
     noncritical: tuple
     crit: tuple
     zi: tuple
@@ -241,7 +245,11 @@ class Layout:
     The vector holds the ``nvalues`` noncritical values, then the entries of
     every critical jet, then those of every zero-pair jet. Jet ``j`` (critical
     points first) has shape ``shapes[j]``, occupies ``segment(j)`` and has its
-    ``(0, 0)`` entry at ``unit[j]``. Every array is read-only.
+    ``(0, 0)`` entry at ``unit[j]``. Spectral cluster ``value_clusters[i]``
+    carries noncritical value i; a cluster pinned to a critical point is
+    marked in ``critical`` and, in cluster order, reads its contraction
+    weights off the entries ``overflow`` scaled by ``overflow_scale``. Every
+    array is read-only.
     """
 
     def __init__(self, cs: CriticalSet):
@@ -281,10 +289,12 @@ class Layout:
         self.grid_index = np.concatenate(
             [box[(za, zb)] for (za, _), (zb, _) in cs.grid.pairs()] or [np.zeros(0, int)]
         )
-        self.noncritical = np.array(cs.noncritical, dtype=complex)
-        self.jet_z = np.array([k[0] for k in keys], dtype=complex)
-        self.jet_w = np.array([k[1] for k in keys], dtype=complex)
-        self.gather = jet_gather(shapes)
+        # every coordinate is an entry of a jet at a point (z, w); a value is
+        # the 1 x 1 jet at (Re z, Im z)
+        nc = self.noncritical = np.array(cs.noncritical, dtype=complex)
+        self.point_z = np.concatenate([nc.real, [k[0] for k in keys]]).astype(complex)
+        self.point_w = np.concatenate([nc.imag, [k[1] for k in keys]]).astype(complex)
+        self.gather = jet_gather([JetShape(1, 1, B_KIND)] * self.nvalues + shapes)
         # remainder constants: p(Re z) + q(Im z) at the noncritical points; at
         # each critical spectral point x + iy with jet shape (m, n), the
         # overflow entries (m, 0), (0, n) and the factors m!/p^(m)(x),
@@ -292,7 +302,10 @@ class Layout:
         p, q = cs.p, cs.q
         self.denom = p(self.noncritical.real) + q(self.noncritical.imag)
         over = [(j, c) for j, c in enumerate(cs.crit) if c.spectral]
-        self.overflow_values = tuple(c.value for _, c in over)
+        hits = match_points(cs.centers, [c.value for _, c in over], 0.0)
+        self.critical = np.array([h is not None for h in hits], dtype=bool).reshape(-1)
+        self.value_clusters = np.flatnonzero(~self.critical)
+        over = [over[h] for h in hits if h is not None]
         self.overflow = np.array([
             [self.offsets[j] + c.shape.position(c.shape.m, 0),
              self.offsets[j] + c.shape.position(0, c.shape.n)] for j, c in over
@@ -303,8 +316,8 @@ class Layout:
         ]).reshape(-1, 2)
         for arr in (self.offsets, self.unit, self.supported, self.partner, self.off_support,
                     self.pairs_off, self.ideal, self.grid_index, self.noncritical,
-                    self.jet_z, self.jet_w, *self.gather[0], self.denom, self.overflow,
-                    self.overflow_scale):
+                    self.point_z, self.point_w, *self.gather[0], self.denom, self.value_clusters,
+                    self.critical, self.overflow, self.overflow_scale):
             arr.setflags(write=False)
 
     def segment(self, j: int) -> slice:
@@ -425,8 +438,14 @@ class CalculusContext:
     Built once per instance: the embedding bundle, the spectral data of the
     transferred operator (eigenvalues snapped onto matching critical points),
     the zero grid of the definitizing pair, and the resulting domain with its
-    coordinate layout. The factored interpolation system and the powers of
-    ``A`` and ``B`` are built on first use and kept.
+    coordinate layout. ``phi -> phi(N)`` is linear, so the first
+    :meth:`apply` compiles fixed maps and keeps them: the gated, factored
+    interpolation system, the lift ``LI`` of its basis onto the coordinates,
+    the basis ``S_g`` at ``(A, B)`` and the expansion of the spectral
+    integral with its commutant certificate (:class:`~kreincalc.embed.Expansion`).
+    An apply is one LU solve ``sol``, the remainder ``x - LI sol`` and its
+    tests, one ``n x r x n`` product and ``sum_g sol_g S_g``. :meth:`decompose`
+    and :meth:`apply_decomposition` are the uncompiled reference path.
     """
 
     def __init__(self, pair: DefinitizablePair, bundle: EmbeddingBundle,
@@ -436,8 +455,6 @@ class CalculusContext:
         self.spectral = spectral
         self.cs = cs
         self.layout = cs.layout
-        self._interpolation = None
-        self._powers = {}
 
     @classmethod
     def build(cls, pair: DefinitizablePair) -> "CalculusContext":
@@ -503,6 +520,7 @@ class CalculusContext:
 
         cs = CriticalSet(
             grid=grid,
+            centers=data.centers,
             noncritical=noncrit,
             crit=crit,
             zi=tuple(zi),
@@ -542,17 +560,11 @@ class CalculusContext:
         return CalculusFunction(self.cs, self._lift_coords(s))
 
     def _lift_coords(self, s: BiPoly) -> np.ndarray:
-        """Coordinates of ``lift(s)``: a vectorized evaluation at the
-        noncritical points and one batched Taylor shift at all others."""
+        """Coordinates of ``lift(s)``: one batched Taylor shift at every
+        point of the layout."""
         L = self.layout
-        C = s.dense()
-        nc = L.noncritical
-        values = npoly.polyval2d(nc.real, nc.imag, C).astype(complex)
-        if not L.shapes:
-            return values
         index, order_z, order_w = L.gather
-        table = taylor_shift(C, L.jet_z, L.jet_w, order_z, order_w)
-        return np.concatenate([values, table[index]])
+        return taylor_shift(s.dense(), L.point_z, L.point_w, order_z, order_w)[index]
 
     def delta(self, at, jet: Jet) -> CalculusFunction:
         """The function equal to ``jet`` at one critical/pair point, zero elsewhere."""
@@ -593,6 +605,10 @@ class CalculusContext:
                 "function was built over a different critical set"
             )
 
+    @cached_property
+    def _system(self) -> HermiteSystem:
+        return HermiteSystem(self.cs.grid, self.tol)
+
     def interpolant(self, fn: CalculusFunction) -> BiPoly:
         """Low-degree polynomial matching the function's jets on the zero grid.
 
@@ -602,20 +618,23 @@ class CalculusContext:
         comes from the first interpolant or apply, not from :meth:`build`.
         """
         self._check_owns(fn)
-        if self._interpolation is None:
-            self._interpolation = HermiteSystem(self.cs.grid, self.tol)
-        return self._interpolation.solve(fn.coords[self.layout.grid_index])
+        return self._system.solve(fn.coords[self.layout.grid_index])
 
     def remainder(self, fn: CalculusFunction, s: BiPoly):
         """Divide fn - lift(s) off the definitizing pair.
 
-        Returns the scalar part keyed by noncritical eigenvalues and the
-        overflow pairs keyed by critical spectral values. Raises when the
-        difference is not in the vanishing-projection ideal.
+        Returns ``(w, g)`` aligned with the spectral clusters: ``w[i]`` the
+        scalar part at a noncritical eigenvalue, ``g[i]`` the overflow pair
+        at a critical one (see :func:`~kreincalc.spectral.augmented_integral`).
+        Raises when the difference is not in the vanishing-projection ideal.
         """
         self._check_owns(fn)
+        return self._weights(fn.coords, self._lift_coords(s))
+
+    def _weights(self, coords, lifted):
+        """:meth:`remainder` of the coordinates ``coords`` against the
+        coordinates ``lifted`` of a polynomial."""
         cs, L = self.cs, self.layout
-        coords, lifted = fn.coords, self._lift_coords(s)
         rho = coords - lifted
         # the lift norm enters the bound: cancellation noise scales with it
         bound = self.tol.rel * (
@@ -635,57 +654,57 @@ class CalculusContext:
                 f"{cs.noncritical[i]} behaves critically (p+q = {L.denom[i]:.2e}) but "
                 "was not matched to a critical point; loosen the cluster tolerance"
             )
-        g_values = dict(zip(cs.noncritical, rho[: L.nvalues] / L.denom))
-        g_pairs = dict(zip(L.overflow_values, map(tuple, rho[L.overflow] * L.overflow_scale)))
-        return g_values, g_pairs
+        k = len(cs.centers)
+        w = np.zeros(k, dtype=complex)
+        w[L.value_clusters] = rho[: L.nvalues] / L.denom
+        g = np.zeros((k, 2), dtype=complex)
+        g[L.critical] = rho[L.overflow] * L.overflow_scale
+        return w, g
+
     def decompose(self, fn: CalculusFunction):
         s = self.interpolant(fn)
-        g_values, g_pairs = self.remainder(fn, s)
-        return s, g_values, g_pairs
-
-    def _matrix_powers(self, name: str, degree: int) -> np.ndarray:
-        """M^0 .. M^degree of ``pair.A`` or ``pair.B``, stacked, kept and
-        extended on demand."""
-        have = self._powers.get(name)
-        if have is None or have.shape[0] <= degree:
-            M = getattr(self.pair, name)
-            pows = [np.eye(M.shape[0], dtype=complex)] if have is None else list(have)
-            while len(pows) <= degree:
-                pows.append(pows[-1] @ M)
-            have = np.array(pows)
-            have.setflags(write=False)
-            self._powers[name] = have
-        return have[: degree + 1]
+        return (s, *self.remainder(fn, s))
 
     def polynomial_at_pair(self, s: BiPoly) -> np.ndarray:
-        """s(A, B) = sum_k A^k (sum_l c_kl B^l) over the kept commuting powers.
+        """s(A, B) = sum_k A^k (sum_l c_kl B^l) over monomial powers.
 
         The inner sums are one tensor contraction, the outer sum one matrix
         product of the stacked A-powers with the stacked inner sums.
         """
         C = s.dense()
-        apow = self._matrix_powers("A", C.shape[0] - 1)
-        bpow = self._matrix_powers("B", C.shape[1] - 1)
+        apow = matrix_powers(self.pair.A, C.shape[0])
+        bpow = matrix_powers(self.pair.B, C.shape[1])
         n = apow.shape[1]
         inner = np.tensordot(C, bpow, axes=(1, 0))
         return apow.transpose(1, 0, 2).reshape(n, -1) @ inner.reshape(-1, n)
 
-    def apply_decomposition(self, s: BiPoly, g_values, g_pairs) -> np.ndarray:
+    def apply_decomposition(self, s: BiPoly, w, g) -> np.ndarray:
+        """s(A, B) plus the expanded augmented integral of ``(w, g)``."""
         D = augmented_integral(
-            self.spectral, g_values, g_pairs, self.bundle.rr(1), self.bundle.rr(2)
+            self.spectral, w, g, self.layout.critical, self.bundle.rr(1), self.bundle.rr(2)
         )
         return self.polynomial_at_pair(s) + self.bundle.expand(D)
 
+    @cached_property
+    def _compiled(self):
+        system, L, pair = self._system, self.layout, self.pair
+        lift = system.jet_matrix(L.point_z, L.point_w, L.gather)
+        at_pair = system.basis_at(pair.A, pair.B).reshape(system.size, pair.A.size)
+        return system, lift, at_pair, Expansion(self.bundle, self.spectral, L.critical)
+
     def apply(self, fn: CalculusFunction) -> np.ndarray:
-        """The operator the function maps to.
+        """The operator the function maps to, through the compiled maps.
 
         Jets at nonreal pairs outside the support set cannot influence the
         result and are zeroed before decomposing.
         """
         self._check_owns(fn)
-        fn = self._zero_off_support(fn)
-        s, g_values, g_pairs = self.decompose(fn)
-        return self.apply_decomposition(s, g_values, g_pairs)
+        system, lift, at_pair, expansion = self._compiled
+        x = self._zero_off_support(fn).coords
+        sol = system.coefficients(x[self.layout.grid_index])
+        out = expansion(*self._weights(x, lift @ sol))
+        out += (sol @ at_pair).reshape(out.shape)
+        return out
 
     def _zero_off_support(self, fn: CalculusFunction) -> CalculusFunction:
         if not self.layout.pairs_off.size:

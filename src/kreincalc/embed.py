@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, NotInCommutantError, NotPsdError
-from .krein import DefinitizablePair, KreinSpace, poly_eval_scale
+from .krein import DefinitizablePair, KreinSpace
 from .tol import Tolerances, fro
 
 
@@ -214,6 +214,116 @@ class EmbeddingBundle:
             )
 
 
+class Expansion:
+    """``bundle.expand(augmented_integral(data, w, g, critical, RR1, RR2))``
+    as one ``n x r x n`` product per call. The commutant check of
+    :meth:`EmbeddingBundle.expand` becomes a certificate made once per
+    measure, plus an exact per-call bound where critical atoms carry weight.
+
+    With ``D = L Q^H`` the augmented integral (``L`` is ``Q diag(w[labels])``
+    with the critical columns ``RR_j Q_c diag(g_j[labels])``), ``T D T^* =
+    (T L)(Q^H F)``, and ``T L`` is ``TQ diag(w[labels])`` with the critical
+    columns taken from the kept ``T RR_j Q_c``.
+
+    Commutant certificate. Let ``M = Q^H TT Q`` and ``Y = Q^H D Q``; ``Q`` is
+    unitary, so ``||[D, TT]||_F = ||[Y, M]||_F`` and ``||D||_F = ||Y||_F``.
+    Split ``Y`` by columns into ``Y_n = diag(w[labels])`` on the noncritical
+    columns and ``Y_c = sum_a gamma_a Y_a`` over the critical atoms ``a = (c,
+    j)``: the cluster-c columns of ``Q^H RR_j Q``, weighted by ``gamma_a =
+    g[c, j - 1]``.
+
+    1. ``[Y_n, M]`` has entries ``(y_a - y_b) M_ab``, zero where the labels
+       of a and b agree, so ``||[Y_n, M]||_F <= 2 max|w| mu`` with ``mu`` the
+       norm of ``M`` off the diagonal blocks of the labels.
+    2. ``||[Y_c, M]||_F^2 = gamma^H Gamma gamma`` exactly, with the Gram
+       ``Gamma_ab = <[Y_a, M], [Y_b, M]>`` of the atoms' commutators.
+    3. The columns are disjoint, so ``||D||_F^2 = sum_i d_i |w_i|^2 +
+       gamma^H B gamma`` with ``d_i`` the size of cluster i and
+       ``B_ab = <Y_a, Y_b>``.
+
+    The certificate, checked at construction, is ``2 mu <= spec ||TT||_F``.
+    Since every cluster has a column, ``max|w| <= ||D||_F``, so without
+    critical atoms ``||[D, TT]||_F <= 2 max|w| mu <= spec ||D||_F ||TT||_F``
+    for every ``w``: the bound of :meth:`EmbeddingBundle.expand`. With
+    critical atoms each call tests ``2 max|w| mu + sqrt(gamma^H Gamma gamma)
+    <= spec max(||D||_F ||TT||_F, abs)``, ``||D||_F`` from 3, which implies
+    that bound by the triangle inequality, at a cost linear in the number of
+    clusters. No per-measure bound
+    covers the critical atoms for every ``gamma``: at a simple critical
+    eigenvalue ``RR1 P_c`` and ``RR2 P_c`` are parallel up to rounding, so
+    some ``gamma`` leaves ``D`` at rounding level but not its commutator.
+    As in :meth:`EmbeddingBundle.expand`, a ``TT`` below the Gram floor
+    commutes with everything and nothing is checked.
+    """
+
+    def __init__(self, bundle: EmbeddingBundle, data, critical):
+        Q, labels = data.Q, data.labels
+        cols = np.asarray(critical, dtype=bool)[labels]
+        self._labels = labels
+        self._cols = np.flatnonzero(cols)
+        self._col_labels = labels[cols]
+        self._TQ = bundle.T @ Q
+        self._QhF = Q.conj().T @ bundle.F
+        Qc = Q[:, cols]
+        RQ = [bundle.rr(j) @ Qc for j in (1, 2)]
+        self._TRQ = [bundle.T @ X for X in RQ]
+
+        tol = bundle.space.tol
+        self._spec, self._abs = tol.spec, tol.abs
+        self._tt_norm = fro(bundle.TT)
+        self._atoms = None
+        if self._tt_norm <= bundle._gram_floor():
+            return
+        M = Q.conj().T @ bundle.TT @ Q
+        self._mu = fro(np.where(labels[:, None] == labels[None, :], 0.0, M))
+        if 2 * self._mu > self._spec * self._tt_norm:
+            raise NotInCommutantError(
+                f"spectral measure does not commute with T* T: off-block residual "
+                f"2 * {self._mu:.2e} > {self._spec * self._tt_norm:.2e}"
+            )
+        self._sizes = np.bincount(labels, minlength=len(data.centers))
+        crit = np.flatnonzero(np.asarray(critical, dtype=bool))
+        if not crit.size:
+            return
+        # atom (c, j): the cluster-c columns of Q^H RR_j Q, zero elsewhere
+        r = Q.shape[0]
+        Y = np.zeros((crit.size, 2, r, r), dtype=complex)
+        for i, c in enumerate(crit):
+            at = np.flatnonzero(labels == c)
+            in_c = self._col_labels == c
+            for j in (0, 1):
+                Y[i, j][:, at] = Q.conj().T @ RQ[j][:, in_c]
+        Y = Y.reshape(-1, r, r)
+        C = (Y @ M - M @ Y).reshape(len(Y), -1)
+        Y = Y.reshape(len(Y), -1)
+        self._atoms = (crit, C.conj() @ C.T, Y.conj() @ Y.T)
+
+    def __call__(self, w, g) -> np.ndarray:
+        """``expand(augmented_integral(data, w, g, critical, RR1, RR2))``;
+        ``w`` and ``g`` are aligned with ``data.centers`` as there."""
+        if self._atoms is not None:
+            self._check(w, g)
+        left = self._TQ * w[self._labels]
+        if self._cols.size:
+            gc = g[self._col_labels]
+            left[:, self._cols] = self._TRQ[0] * gc[:, 0] + self._TRQ[1] * gc[:, 1]
+        return left @ self._QhF
+
+    def _check(self, w, g):
+        crit, comm, gram = self._atoms
+        gamma = g[crit].reshape(-1)
+        resid = 2 * np.abs(w).max(initial=0.0) * self._mu + np.sqrt(
+            max(float((gamma.conj() @ comm @ gamma).real), 0.0)
+        )
+        d2 = float(self._sizes @ np.abs(w) ** 2 + (gamma.conj() @ gram @ gamma).real)
+        bound = self._spec * max(np.sqrt(max(d2, 0.0)) * self._tt_norm, self._abs)
+        if resid > bound:
+            raise NotInCommutantError(
+                f"argument does not commute with T* T: residual at most {resid:.2e}, "
+                f"not within {bound:.2e}"
+            )
+
+
 def _row_norms2(F) -> np.ndarray:
     """Diagonal of F F^H: the squared row norms."""
     return np.linalg.norm(F, axis=1) ** 2
@@ -236,9 +346,8 @@ def build_bundle(pair: DefinitizablePair) -> EmbeddingBundle:
     space, tol = pair.space, pair.space.tol
     Gp, Gq, G = pair.gram_parts()
     scale = max(float(np.linalg.norm(G, 2)), tol.abs)
-    eval_scale = poly_eval_scale(space, pair.A, pair.p) + poly_eval_scale(
-        space, pair.B, pair.q
-    )
+    scale_a, scale_b = pair.eval_scales
+    eval_scale = scale_a + scale_b
     noise = 1e4 * np.finfo(float).eps * eval_scale
     F = gram_factor(G, tol, scale_floor=scale, noise=noise)
     F1 = gram_factor(Gp, tol, scale_floor=scale, noise=noise)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,10 +19,10 @@ class KreinSpace:
     """C^n with the indefinite inner product [x, y] = y^H J x.
 
     ``J`` must be Hermitian and invertible; ``tol`` governs every numerical
-    decision made on this space.
+    decision made on this space. ``norm`` is the spectral norm of ``J``.
     """
 
-    __slots__ = ("n", "J", "Jinv", "tol")
+    __slots__ = ("n", "J", "Jinv", "norm", "tol")
 
     def __init__(self, J, tol: Tolerances = DEFAULT_TOL):
         J = np.asarray(J, dtype=complex)
@@ -33,7 +34,8 @@ class KreinSpace:
                 f"Gram matrix is not Hermitian (residual {herm_resid:.2e})"
             )
         J = (J + J.conj().T) / 2.0
-        smin = np.linalg.svd(J, compute_uv=False)[-1]
+        sv = np.linalg.svd(J, compute_uv=False)
+        smin = sv[-1]
         if smin <= tol.abs:
             raise ValidationError(
                 f"Gram matrix is numerically singular (sigma_min {smin:.2e})"
@@ -41,6 +43,7 @@ class KreinSpace:
         self.n = J.shape[0]
         self.J = J
         self.Jinv = np.linalg.inv(J)
+        self.norm = float(sv[0])
         self.tol = tol
 
     def inner(self, x, y):
@@ -99,11 +102,16 @@ class PositivityReport:
     gram_norm: float
 
 
-def poly_eval_scale(space: KreinSpace, A, p: RealPoly) -> float:
-    """Worst-case magnitude of J p(A): the scale of its rounding noise."""
-    nrm = float(np.linalg.norm(np.asarray(A, dtype=complex), 2))
-    total = sum(abs(c) * nrm**k for k, c in enumerate(p.coeffs))
-    return float(np.linalg.norm(space.J, 2)) * total
+def _norm2(A) -> float:
+    """The spectral norm of a matrix."""
+    return float(np.linalg.norm(np.asarray(A, dtype=complex), 2))
+
+
+def poly_eval_scale(space: KreinSpace, a_norm: float, p: RealPoly) -> float:
+    """Worst-case magnitude of J p(A) for ``||A||_2 = a_norm``: the scale of
+    its rounding noise."""
+    total = sum(abs(c) * a_norm**k for k, c in enumerate(p.coeffs))
+    return space.norm * total
 
 
 def verify_definitizing(
@@ -117,7 +125,7 @@ def verify_definitizing(
     product that is mathematically zero but computed as noise still passes.
     """
     if scale_floor is None:
-        scale_floor = poly_eval_scale(space, A, p)
+        scale_floor = poly_eval_scale(space, _norm2(A), p)
     H = space.J @ p.of_matrix(np.asarray(A, dtype=complex))
     H = (H + H.conj().T) / 2.0
     norm = float(np.linalg.norm(H, 2)) if H.size else 0.0
@@ -140,6 +148,7 @@ def search_definitizing(space: KreinSpace, A, max_degree: int = 6) -> RealPoly:
     if not any(abs(c) <= radius for c in centers):
         centers.append(0.0)
     centers.sort(key=lambda c: (abs(c), c))
+    a_norm = _norm2(A)
     for degree in range(max_degree + 1):
         for combo in itertools.combinations_with_replacement(centers, degree):
             base = RealPoly([1.0])
@@ -147,7 +156,9 @@ def search_definitizing(space: KreinSpace, A, max_degree: int = 6) -> RealPoly:
                 base = base * RealPoly([-c, 1.0])
             for sign in (1.0, -1.0):
                 cand = sign * base
-                if verify_definitizing(space, A, cand).accepted:
+                if verify_definitizing(
+                    space, A, cand, poly_eval_scale(space, a_norm, cand)
+                ).accepted:
                     return cand
     raise SearchFailedError(
         f"no definitizing polynomial of degree <= {max_degree} found; "
@@ -190,6 +201,14 @@ class DefinitizablePair:
         pair.validate()
         return pair
 
+    @cached_property
+    def eval_scales(self) -> tuple:
+        """:func:`poly_eval_scale` of ``(A, p)`` and of ``(B, q)``."""
+        return (
+            poly_eval_scale(self.space, _norm2(self.A), self.p),
+            poly_eval_scale(self.space, _norm2(self.B), self.q),
+        )
+
     def validate(self):
         """Raise unless all structural invariants hold at tolerance."""
         sp, A, B = self.space, self.A, self.B
@@ -203,8 +222,8 @@ class DefinitizablePair:
             raise NotNormalError(
                 f"parts do not commute: ||AB - BA|| = {comm:.2e}"
             )
-        for M, poly, name in ((A, self.p, "p"), (B, self.q, "q")):
-            rep = verify_definitizing(sp, M, poly)
+        for M, poly, name, floor in zip((A, B), (self.p, self.q), "pq", self.eval_scales):
+            rep = verify_definitizing(sp, M, poly, floor)
             if not rep.accepted:
                 raise NotPsdError(
                     f"polynomial {name} is not definitizing: smallest eigenvalue "

@@ -42,20 +42,12 @@ class SpectralData:
     @property
     def points(self):
         """``(eigenvalue, projection)`` pairs, built densely on each access."""
-        return tuple(
-            (ev, self._projection(i)) for i, ev in enumerate(self.centers)
-        )
+        return tuple((ev, self.projection(i)) for i, ev in enumerate(self.centers))
 
-    def _projection(self, i):
+    def projection(self, i) -> np.ndarray:
+        """The orthogonal projection onto eigenvalue ``centers[i]``."""
         V = self.Q[:, self.labels == i]
         return V @ V.conj().T
-
-    def projection(self, value, radius=0.0):
-        """Projection at the eigenvalue matching ``value`` (zero if none)."""
-        idx = match_points([value], self.centers, radius)[0]
-        if idx is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return self._projection(idx)
 
     def resolution_residual(self):
         """How far the projections are from a resolution of the identity."""
@@ -124,51 +116,38 @@ def snap_eigenvalues(data: SpectralData, targets, radius) -> SpectralData:
     return SpectralData(data.dim, centers, data.Q, data.labels, data.warnings)
 
 
+def _weights(h, shape) -> np.ndarray:
+    h = np.asarray(h, dtype=complex)
+    if h.shape != shape:
+        raise DomainMismatchError(f"expected weights of shape {shape}, got {h.shape}")
+    return h
+
+
 def spectral_integral(data: SpectralData, h) -> np.ndarray:
-    """Sum of h(eigenvalue) times eigenprojection.
+    """Sum of ``h[i]`` times the eigenprojection of ``centers[i]``.
 
-    ``h`` may be a callable or a mapping keyed by the exact eigenvalues; a
-    missing value raises. Computed as ``(Q diag(h[labels])) Q^H``.
+    ``h`` holds one value per eigenvalue; any other length raises. Computed
+    as ``(Q diag(h[labels])) Q^H``.
     """
-    weights = np.empty(len(data.centers), dtype=complex)
-    for i, ev in enumerate(data.centers):
-        if callable(h):
-            weights[i] = complex(h(ev))
-        else:
-            if ev not in h:
-                raise DomainMismatchError(f"integrand has no value at {ev}")
-            weights[i] = complex(h[ev])
-    return (data.Q * weights[data.labels]) @ data.Q.conj().T
+    h = _weights(h, (len(data.centers),))
+    return (data.Q * h[data.labels]) @ data.Q.conj().T
 
 
-def augmented_integral(
-    data: SpectralData, values, pair_values, rr1, rr2
-) -> np.ndarray:
+def augmented_integral(data: SpectralData, w, g, critical, rr1, rr2) -> np.ndarray:
     """Spectral integral with contraction-weighted critical atoms.
 
-    ``values`` maps noncritical eigenvalues to scalars; ``pair_values`` maps
-    critical eigenvalues to pairs (g1, g2) weighting R1 R1* and R2 R2* on the
-    corresponding atom. Every eigenvalue must appear in exactly one mapping.
+    The arrays are aligned with ``data.centers``: eigenvalue i is critical
+    when ``critical[i]``, and then weights ``rr1`` and ``rr2`` on its atom
+    by the pair ``g[i]``; otherwise it weights its projection by ``w[i]``.
     The critical atoms enter as ``(rr1 Q_c diag(g1) + rr2 Q_c diag(g2)) Q_c^H``
     over the critical columns ``Q_c`` only.
     """
     k = len(data.centers)
-    w = np.zeros(k, dtype=complex)
-    g1 = np.zeros(k, dtype=complex)
-    g2 = np.zeros(k, dtype=complex)
-    crit = np.zeros(k, dtype=bool)
-    for i, ev in enumerate(data.centers):
-        if ev in pair_values:
-            g1[i], g2[i] = pair_values[ev]
-            crit[i] = True
-        elif ev in values:
-            w[i] = values[ev]
-        else:
-            raise DomainMismatchError(f"integrand has no value at {ev}")
+    w, g = _weights(w, (k,)), _weights(g, (k, 2))
     Q, labels = data.Q, data.labels
     left = Q * w[labels]
-    cols = crit[labels]
+    cols = np.asarray(critical, dtype=bool)[labels]
     if cols.any():
         Qc, lc = Q[:, cols], labels[cols]
-        left[:, cols] = rr1 @ (Qc * g1[lc]) + rr2 @ (Qc * g2[lc])
+        left[:, cols] = rr1 @ (Qc * g[lc, 0]) + rr2 @ (Qc * g[lc, 1])
     return left @ Q.conj().T

@@ -275,19 +275,21 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
         tol.spec * s,
     )
 
-    h = {lam: complex(c[0], c[1]) for lam, c in zip(
-        data.eigenvalues, rng.standard_normal((max(len(points), 1), 2))
-    )}
-    int_h = spectral_integral(data, h) if points else np.zeros((0, 0), complex)
+    draws = rng.standard_normal((max(len(points), 1), 2))
+    h = draws[: len(points), 0] + 1j * draws[: len(points), 1]
+    int_h = spectral_integral(data, h)
     for j in (1, 2):
         thj = bundle.compress_part(pair.N, j)
         dataj = diagonalize(thj, tol)
         if dataj.centers:
             dataj = snap_eigenvalues(dataj, list(data.eigenvalues), cs.radius)
+        zero = np.zeros((dataj.dim, dataj.dim), dtype=complex)
         worst_proj = 0.0
-        for lam, P in points:
+        hits = match_points(data.eigenvalues, dataj.centers, 0.0)
+        for (_, P), hit in zip(points, hits):
             gamma = bundle.part_from_full(P, j)
-            worst_proj = max(worst_proj, fro(gamma - dataj.projection(lam)))
+            Pj = zero if hit is None else dataj.projection(hit)
+            worst_proj = max(worst_proj, fro(gamma - Pj))
         prop(
             f"measure-transfer-{j}",
             f"restriction of E{{z}} to V{j} is E{j}{{z}}",
@@ -298,9 +300,8 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
             hits = match_points(dataj.eigenvalues, data.eigenvalues, cs.radius)
             int_hj = None
             if None not in hits:
-                hj = {mu: h[data.eigenvalues[i]] for mu, i in zip(dataj.eigenvalues, hits)}
-                int_hj = spectral_integral(dataj, hj)
-            hs = max(1.0, max(abs(v) for v in h.values()))
+                int_hj = spectral_integral(dataj, h[np.array(hits, dtype=int)])
+            hs = max(1.0, float(np.abs(h).max()))
             if int_hj is None:
                 prop(f"integral-transfer-{j}", "restriction of int h dE", 1.0, tol.spec)
             else:
@@ -383,27 +384,28 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
     )
 
     s0 = _random_bipoly(rng, 2, 2)
+    ref = ctx.polynomial_at_pair(s0)
     prop(
         "polynomial-compatible",
         "s(N) = s(A, B) for polynomial functions",
-        fro(ctx.apply(ctx.lift(s0)) - ctx.polynomial_at_pair(s0)),
-        tol.spec * max(1.0, fro(ctx.polynomial_at_pair(s0))),
+        fro(ctx.apply(ctx.lift(s0)) - ref),
+        tol.spec * max(1.0, fro(ref)),
     )
 
     pz = BiPoly.from_univariate(pair.p, "z")
     qw = BiPoly.from_univariate(pair.q, "w")
+    # each alternative decomposition, through the uncompiled reference
+    # path, against the compiled apply
     phi2 = ctx._zero_off_support(phi)
-    s, g_vals, g_pairs = ctx.decompose(phi2)
-    base = ctx.apply_decomposition(s, g_vals, g_pairs)
+    s = ctx.interpolant(phi2)
     worst = 0.0
-    scale = 1.0 + fro(base)
+    scale = 1.0 + fro(phi_n)
     for _ in range(5):
         u = _random_bipoly(rng, 1, 1)
         v = _random_bipoly(rng, 1, 1)
         s2 = s + pz * u + qw * v
-        g2_vals, g2_pairs = ctx.remainder(phi2, s2)
-        alt = ctx.apply_decomposition(s2, g2_vals, g2_pairs)
-        worst = max(worst, fro(alt - base))
+        alt = ctx.apply_decomposition(s2, *ctx.remainder(phi2, s2))
+        worst = max(worst, fro(alt - phi_n))
         scale = max(scale, 1.0 + fro(ctx.polynomial_at_pair(s2)))
     prop(
         "calculus-welldef",

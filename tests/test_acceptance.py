@@ -55,8 +55,9 @@ def test_criterion_1_worked_instance_w1():
     if not np.allclose(b.rr(1) + b.rr(2), np.eye(2), atol=1e-12):
         failures.append("partition of identity fails")
     p, q = inst.pair.p, inst.pair.q
-    int1 = spectral_integral(ctx.spectral, lambda z: p(z.real) / (p(z.real) + q(z.imag)))
-    int2 = spectral_integral(ctx.spectral, lambda z: q(z.imag) / (p(z.real) + q(z.imag)))
+    z = np.array(ctx.spectral.centers)
+    int1 = spectral_integral(ctx.spectral, p(z.real) / (p(z.real) + q(z.imag)))
+    int2 = spectral_integral(ctx.spectral, q(z.imag) / (p(z.real) + q(z.imag)))
     if not np.allclose(int1, b.rr(1), atol=1e-12):
         failures.append("weighted integral misses R1 R1*")
     if not np.allclose(int2, b.rr(2), atol=1e-12):

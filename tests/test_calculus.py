@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from kreincalc import (
     DomainMismatchError,
     Jet,
     JetShape,
+    NotInCommutantError,
     NotInIdealError,
     NotInvertibleError,
     RealPoly,
@@ -24,6 +27,7 @@ from kreincalc import (
 )
 from kreincalc.cluster import match_points
 from kreincalc.jets import A_KIND
+from kreincalc.tol import fro
 
 from cluster_reference import match_point
 
@@ -179,17 +183,18 @@ class TestDecomposition:
 
     def test_remainder_of_lift_vanishes(self, w1_ctx):
         s0 = BiPoly({(1, 0): 1.0, (0, 1): -2.0})
-        g_vals, g_pairs = w1_ctx.remainder(w1_ctx.lift(s0), s0)
-        assert all(abs(v) <= 1e-10 for v in g_vals.values())
-        assert not g_pairs
+        w, g = w1_ctx.remainder(w1_ctx.lift(s0), s0)
+        assert w.shape == (2,) and np.abs(w).max() <= 1e-10
+        assert not w1_ctx.layout.critical.any() and not g.any()
 
     def test_w1_disk_remainder_values(self, w1_ctx):
         fn = w1_ctx.indicator(Disk(1 + 2j, 1.0))
-        s, g_vals, g_pairs = w1_ctx.decompose(fn)
+        s, w, g = w1_ctx.decompose(fn)
+        centers = w1_ctx.spectral.centers
         assert not s or s.max_abs_coeff() <= 1e-13
-        assert g_vals[1 + 2j] == pytest.approx(0.5)
-        assert g_vals[-1 + 3j] == pytest.approx(0.0, abs=1e-14)
-        assert not g_pairs
+        assert w[centers.index(1 + 2j)] == pytest.approx(0.5)
+        assert w[centers.index(-1 + 3j)] == pytest.approx(0.0, abs=1e-14)
+        assert not w1_ctx.layout.critical.any() and not g.any()
 
     def test_not_in_ideal(self, w2_ctx):
         one = w2_ctx.one()
@@ -570,3 +575,55 @@ class TestFlatForm:
 def test_malformed_function_files_raise_domain_mismatch(w1_ctx, data):
     with pytest.raises(DomainMismatchError):
         function_from_dict(w1_ctx, data)
+
+
+def reference_apply(ctx, fn):
+    """The uncompiled path: interpolant, remainder, s(A, B) over monomial
+    powers and the public, checked expand."""
+    return ctx.apply_decomposition(*ctx.decompose(ctx._zero_off_support(fn)))
+
+
+class TestCompiledApply:
+    """The compiled apply against the reference path."""
+
+    def test_matches_reference_path(
+        self, w1_ctx, w2_ctx, zi_ctx, half_pair_ctx, deep_pair_ctx, contexts100
+    ):
+        rng = np.random.default_rng(61)
+        ctxs = [w1_ctx, w2_ctx, zi_ctx, half_pair_ctx, deep_pair_ctx] + contexts100
+        for ctx in ctxs:
+            coords = _random_coords(ctx, rng)
+            for fn in (CalculusFunction(ctx.cs, coords), ctx.one()):
+                ref = reference_apply(ctx, fn)
+                assert fro(ctx.apply(fn) - ref) <= 1e-10 * max(1.0, fro(ref))
+        # zero pairs, deep Jordan jets, r < n and critical atoms all occur
+        assert any(ctx.cs.zi for ctx in ctxs)
+        assert max(sh.size for ctx in ctxs for sh in ctx.layout.shapes) >= 6
+        assert any(ctx.bundle.dim_v < ctx.space.n for ctx in ctxs)
+        assert any(ctx.layout.critical.any() for ctx in ctxs)
+
+    def test_tampered_tt_fails_certificate_on_first_apply(self, w1_ctx):
+        bundle = w1_ctx.bundle
+        bump = 1e-3 * fro(bundle.TT) * np.array([[0.0, 1.0], [1.0, 0.0]])
+        tampered = dataclasses.replace(bundle, TT=bundle.TT + bump)
+        ctx = CalculusContext(w1_ctx.pair, tampered, w1_ctx.spectral, w1_ctx.cs)
+        for _ in range(2):
+            with pytest.raises(NotInCommutantError):
+                ctx.apply(ctx.one())
+        # the public expand keeps its own check
+        with pytest.raises(NotInCommutantError):
+            tampered.expand(np.diag([1.0, 0.0]))
+
+    def test_vanishing_denominator_raises(self):
+        # 5e-7 lies beyond the cluster radius 2e-7 of the critical point 0,
+        # where p + q = 1e-6 * 5e-7 is below tol.abs
+        J = np.eye(2, dtype=complex)
+        N = np.diag([5e-7, 1.0]).astype(complex)
+        pair = DefinitizablePair.from_normal(
+            KreinSpace(J), N, p=RealPoly([0, 1e-6]), q=RealPoly([0, 1])
+        )
+        ctx = CalculusContext.build(pair)
+        with pytest.raises(DomainMismatchError, match="behaves critically"):
+            ctx.apply(ctx.one())
+        with pytest.raises(DomainMismatchError, match="behaves critically"):
+            ctx.remainder(ctx.one(), BiPoly.constant(1.0))

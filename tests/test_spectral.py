@@ -85,27 +85,36 @@ class TestIntegrals:
         rng = np.random.default_rng(42)
         M, _ = random_normal_matrix(rng, 4)
         data = diagonalize(M)
-        assert np.allclose(spectral_integral(data, lambda z: 1.0), np.eye(4), atol=1e-12)
+        ones = np.ones(len(data.centers))
+        assert np.allclose(spectral_integral(data, ones), np.eye(4), atol=1e-12)
 
     def test_identity_function_reconstructs(self):
         rng = np.random.default_rng(43)
         M, _ = random_normal_matrix(rng, 5)
         data = diagonalize(M)
-        assert np.allclose(spectral_integral(data, lambda z: z), M, atol=1e-9)
+        assert np.allclose(spectral_integral(data, data.centers), M, atol=1e-9)
 
     def test_w1_weight_ratio(self, w1_ctx):
         p, q = w1_ctx.pair.p, w1_ctx.pair.q
-        h = lambda z: p(z.real) / (p(z.real) + q(z.imag))
+        h = [p(z.real) / (p(z.real) + q(z.imag)) for z in w1_ctx.spectral.centers]
         out = spectral_integral(w1_ctx.spectral, h)
         assert np.allclose(out, np.diag([0.5, 1.0]), atol=1e-12)
         assert np.allclose(out, w1_ctx.bundle.rr(1), atol=1e-12)
 
-    def test_mapping_keyed_by_eigenvalues(self, w1_ctx):
+    def test_one_weight_per_eigenvalue(self, w1_ctx):
         data = w1_ctx.spectral
-        h = {lam: 3.0 for lam in data.eigenvalues}
+        h = np.full(len(data.eigenvalues), 3.0)
         assert np.allclose(spectral_integral(data, h), 3 * np.eye(2), atol=1e-12)
         with pytest.raises(DomainMismatchError):
-            spectral_integral(data, {data.eigenvalues[0]: 1.0})
+            spectral_integral(data, [1.0])
+
+
+def none_critical(data):
+    return np.zeros(len(data.centers), dtype=bool)
+
+
+def no_pairs(data):
+    return np.zeros((len(data.centers), 2))
 
 
 class TestAugmentedIntegral:
@@ -113,8 +122,9 @@ class TestAugmentedIntegral:
         data = w1_ctx.spectral
         out = augmented_integral(
             data,
-            {lam: 0.0 for lam in data.eigenvalues},
-            {},
+            np.zeros(len(data.eigenvalues)),
+            no_pairs(data),
+            none_critical(data),
             w1_ctx.bundle.rr(1),
             w1_ctx.bundle.rr(2),
         )
@@ -122,21 +132,25 @@ class TestAugmentedIntegral:
 
     def test_no_critical_points_reduces_to_plain_integral(self, w1_ctx):
         data = w1_ctx.spectral
-        h = {lam: complex(i, -i) for i, lam in enumerate(data.eigenvalues)}
-        lhs = augmented_integral(data, h, {}, w1_ctx.bundle.rr(1), w1_ctx.bundle.rr(2))
+        h = np.array([complex(i, -i) for i in range(len(data.eigenvalues))])
+        lhs = augmented_integral(
+            data, h, no_pairs(data), none_critical(data), w1_ctx.bundle.rr(1), w1_ctx.bundle.rr(2)
+        )
         assert np.allclose(lhs, spectral_integral(data, h), atol=1e-14)
 
     def test_single_pair_term(self):
         data = diagonalize(np.diag([0.0, 3.0]).astype(complex))
+        assert data.centers == (0j, 3.0 + 0j)
         rr1 = np.diag([0.25, 0.5])
         rr2 = np.eye(2) - rr1
-        out = augmented_integral(data, {3.0 + 0j: 0.0}, {0j: (1.0, 0.0)}, rr1, rr2)
+        out = augmented_integral(data, [0.0, 0.0], [(1.0, 0.0), (0.0, 0.0)], [True, False], rr1, rr2)
         assert np.allclose(out, rr1 @ np.diag([1.0, 0.0]))
 
     def test_missing_value(self):
         data = diagonalize(np.diag([0.0, 3.0]).astype(complex))
         with pytest.raises(DomainMismatchError):
-            augmented_integral(data, {}, {}, np.eye(2), np.zeros((2, 2)))
+            augmented_integral(data, [], no_pairs(data), none_critical(data), np.eye(2),
+                               np.zeros((2, 2)))
 
 
 class TestFactoredMeasure:
@@ -150,33 +164,37 @@ class TestFactoredMeasure:
         H = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         self.rr1 = (H + H.conj().T) / 10.0
         self.rr2 = np.eye(6) - self.rr1
-        self.h = {lam: complex(*rng.standard_normal(2)) for lam in self.data.eigenvalues}
+        self.h = rng.standard_normal(len(self.data.eigenvalues)) * (1 + 0j)
+        self.h += 1j * rng.standard_normal(len(self.data.eigenvalues))
 
     def test_repeated_eigenvalue_clusters_to_one_atom(self):
         assert len(self.data.eigenvalues) == 3
         assert sorted(np.bincount(self.data.labels)) == [1, 2, 3]
 
     def test_spectral_integral_matches_dense_sum(self):
-        dense = sum(self.h[lam] * P for lam, P in self.data.points)
+        dense = sum(h * P for h, (_, P) in zip(self.h, self.data.points))
         assert np.allclose(spectral_integral(self.data, self.h), dense, atol=1e-12)
 
     def test_augmented_integral_matches_weighted_dense_sum(self):
-        crit = self.data.eigenvalues[0]
         g1, g2 = 0.3 - 2j, 1.5 + 0.25j
         dense = np.zeros((6, 6), dtype=complex)
-        for lam, P in self.data.points:
-            if lam == crit:
+        for i, (_, P) in enumerate(self.data.points):
+            if i == 0:
                 dense += g1 * (self.rr1 @ P) + g2 * (self.rr2 @ P)
             else:
-                dense += self.h[lam] * P
-        values = {lam: v for lam, v in self.h.items() if lam != crit}
-        out = augmented_integral(self.data, values, {crit: (g1, g2)}, self.rr1, self.rr2)
+                dense += self.h[i] * P
+        critical = np.arange(3) == 0
+        g = np.zeros((3, 2), dtype=complex)
+        g[0] = g1, g2
+        # the scalar weight of a critical eigenvalue is ignored
+        out = augmented_integral(self.data, self.h, g, critical, self.rr1, self.rr2)
         assert np.allclose(out, dense, atol=1e-12)
 
     def test_missing_value_still_raises(self):
-        values = dict(list(self.h.items())[1:])
+        critical = np.zeros(3, dtype=bool)
         with pytest.raises(DomainMismatchError):
-            augmented_integral(self.data, values, {}, self.rr1, self.rr2)
+            augmented_integral(self.data, self.h[1:], np.zeros((3, 2)), critical, self.rr1,
+                               self.rr2)
 
     def test_factors_are_read_only(self):
         assert not self.data.Q.flags.writeable

@@ -1,13 +1,17 @@
-"""The seed sweep: the property suite over 1000 generated instances.
+"""The seed sweeps: the property suite over 1000 generated instances, and
+the compiled apply against the reference path over 300.
 
-Marked ``slow`` (about 40 s) and deselected by default; run it with
+Marked ``slow`` (tens of seconds together) and deselected by default; run
+them with
 
     PYTHONPATH=src python -m pytest -m slow
 """
 
+import numpy as np
 import pytest
 
-from kreincalc import KreinCalcError, generate, run_suite
+from kreincalc import CalculusContext, CalculusFunction, KreinCalcError, generate, run_suite
+from kreincalc.tol import fro
 
 PROFILES = ("diagonal", "jordan", "pontryagin")
 
@@ -24,4 +28,22 @@ def test_suite_passes_on_1000_generated_instances():
             continue
         if not report.passed:
             failing.append((i, [p.name for p in report.properties if not p.passed]))
+    assert failing == []
+
+
+@pytest.mark.slow
+def test_compiled_apply_matches_reference_on_300_seeds():
+    """apply against interpolant + remainder + s(A, B) over monomial powers
+    + the checked expand, to 1e-10 relative, on a random function and 1."""
+    failing = []
+    for i in range(300):
+        ctx = CalculusContext.build(generate(i, 2 + i % 11, PROFILES[i % 3]).pair)
+        rng = np.random.default_rng(i)
+        size = ctx.layout.size
+        coords = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        for fn in (CalculusFunction(ctx.cs, coords), ctx.one()):
+            ref = ctx.apply_decomposition(*ctx.decompose(ctx._zero_off_support(fn)))
+            rel = fro(ctx.apply(fn) - ref) / max(1.0, fro(ref))
+            if not rel <= 1e-10:
+                failing.append((i, rel))
     assert failing == []
