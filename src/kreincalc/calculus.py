@@ -32,7 +32,7 @@ from .errors import (
 from .jets import A_KIND, B_KIND, Jet, JetShape, convolve, invert
 from .krein import DefinitizablePair
 from .spectral import SpectralData, augmented_integral, diagonalize, snap_eigenvalues
-from .tol import fro
+from .tol import fro, norm2
 
 
 # -- regions ----------------------------------------------------------------
@@ -42,6 +42,13 @@ from .tol import fro
 class Disk:
     center: complex
     radius: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.center) and self.radius >= 0):
+            raise DomainMismatchError(
+                f"disk needs a finite centre and a radius >= 0, "
+                f"got {self.center!r} and {self.radius!r}"
+            )
 
     def contains(self, z) -> bool:
         return abs(complex(z) - self.center) <= self.radius
@@ -61,6 +68,10 @@ class Disk:
 class Rect:
     x: tuple
     y: tuple
+
+    def __post_init__(self):
+        if not (self.x[0] <= self.x[1] and self.y[0] <= self.y[1]):
+            raise DomainMismatchError(f"rectangle bounds must be ordered, got {self.x} and {self.y}")
 
     def contains(self, z) -> bool:
         z = complex(z)
@@ -470,7 +481,7 @@ class CalculusContext:
         crit_values = [complex(x, y) for x, _, y, _ in crit_pairs]
 
         mags = [abs(v) for v in data.eigenvalues] + [abs(v) for v in crit_values]
-        mags += [float(np.linalg.norm(pair.N, 2))]
+        mags += [norm2(pair.N)]
         radius = tol.cluster_radius(max(mags, default=0.0))
 
         data = snap_eigenvalues(data, crit_values, radius) if crit_values else data

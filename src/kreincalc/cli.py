@@ -103,12 +103,12 @@ def _embed(args):
     ctx = CalculusContext.build(inst.pair)
     b = ctx.bundle
     payload = {
-        "F": matrix_to_json(b.F),
-        "F1": matrix_to_json(b.F1),
-        "F2": matrix_to_json(b.F2),
+        "F": matrix_to_json(b.coords[0].F),
+        "F1": matrix_to_json(b.coords[1].F),
+        "F2": matrix_to_json(b.coords[2].F),
         "R1": matrix_to_json(b.R1),
         "R2": matrix_to_json(b.R2),
-        "T": matrix_to_json(b.T),
+        "T": matrix_to_json(b.coords[0].T),
         "dim_v": b.dim_v,
     }
     _emit(payload, args)

@@ -1,9 +1,11 @@
 """Hilbert-space embeddings of a definitizable pair.
 
 Realizes the coordinate spaces V, V1, V2 through rank-revealing factorizations
-of the weighted Grams J p(A), J q(B) and their sum, the injections T, T1, T2
-back into the Krein space, the contractions R1, R2 relating them, and the six
-transfer maps between the commutants living on these spaces.
+of the weighted Grams J (p(A) + q(B)), J p(A) and J q(B), one
+:class:`CoordinateSpace` each with its injection back into the Krein space,
+the contractions R1, R2 relating them, and the transfer maps between the
+commutants living on these spaces: compress and expand between the Krein
+space and any V_j, and the two maps between V and V_j.
 
 Coordinates carry the standard inner product (factor rows are eigen-scaled),
 so Hilbert adjoints on V, V1, V2 are plain conjugate transposes, while * on
@@ -21,14 +23,15 @@ from .krein import DefinitizablePair, KreinSpace
 from .tol import Tolerances, fro
 
 
-def gram_factor(G, tol: Tolerances, scale_floor: float = 0.0, noise: float = 0.0) -> np.ndarray:
+def gram_factor(G, tol: Tolerances, scale_floor: float = 0.0, noise: float = 0.0) -> tuple:
     """Factor a PSD matrix as G = F^H F with eigen-scaled orthogonal rows.
 
     F has rank(G) rows, built from the eigenpairs kept above the rank cut
     (relative to the largest eigenvalue, floored at ``scale_floor`` and at the
     absolute rounding ``noise`` of the construction, so a Gram that is pure
     noise collapses to zero rows). Kept eigenvalues are ordered descending.
-    Raises when G is indefinite beyond tolerance.
+    Returns ``(F, top)`` with ``top`` the largest eigenvalue of G. Raises when
+    G is indefinite beyond tolerance.
     """
     G = np.asarray(G, dtype=complex)
     G = (G + G.conj().T) / 2.0
@@ -43,34 +46,50 @@ def gram_factor(G, tol: Tolerances, scale_floor: float = 0.0, noise: float = 0.0
     kept = np.where(evals > cut)[0]
     keep = kept[np.argsort(-evals[kept], kind="stable")]
     F = np.sqrt(evals[keep])[:, None] * vecs[:, keep].conj().T
-    return F
+    return F, top
+
+
+@dataclass(frozen=True)
+class CoordinateSpace:
+    """One Hilbert coordinate space: the factor F (r x n) of a weighted Gram
+    G = F^H F, the injection T = J^{-1} F^H into the Krein space, whose Krein
+    adjoint is T^* = F, and TT = T^* T on the coordinates. T T^* is read as
+    T F."""
+
+    F: np.ndarray
+    T: np.ndarray
+    TT: np.ndarray
+
+    @classmethod
+    def of(cls, F, Jinv) -> "CoordinateSpace":
+        T = Jinv @ F.conj().T
+        TT = F @ T
+        TT.setflags(write=False)
+        return cls(F, T, TT)
+
+    @property
+    def dim(self) -> int:
+        return self.F.shape[0]
 
 
 @dataclass(frozen=True)
 class EmbeddingBundle:
-    """Factor matrices, injections, and contractions of one instance.
+    """The coordinate spaces and contractions of one instance.
 
-    Shapes: F is r x n, F1 is r1 x n, F2 is r2 x n; T = J^{-1} F^H maps the
-    r-dimensional coordinate space V into the Krein space and its Krein
-    adjoint is T* = F. R_j maps V_j into V. RR1 = R1 R1^*, RR2 = R2 R2^* and
-    TT = T^* T on V are computed once at construction.
+    ``coords[j]`` is the :class:`CoordinateSpace` of V (j = 0), V1 (j = 1)
+    and V2 (j = 2), factoring J (p(A) + q(B)), J p(A) and J q(B). R_j maps
+    V_j into V; RR1 = R1 R1^* and RR2 = R2 R2^* are computed once at
+    construction. The transfer maps are :meth:`compress` and :meth:`expand`
+    between the Krein space and any V_j, and :meth:`part_from_full` and
+    :meth:`embed_part` between V and V_j.
     """
 
     pair: DefinitizablePair
-    F: np.ndarray
-    F1: np.ndarray
-    F2: np.ndarray
-    T: np.ndarray
-    T1: np.ndarray
-    T2: np.ndarray
+    coords: tuple
     R1: np.ndarray
     R2: np.ndarray
-    gram: np.ndarray
-    gram1: np.ndarray
-    gram2: np.ndarray
     RR1: np.ndarray
     RR2: np.ndarray
-    TT: np.ndarray
     scale: float
     noise: float = 0.0
     report: tuple = field(default=(), compare=False)
@@ -81,43 +100,15 @@ class EmbeddingBundle:
 
     @property
     def dim_v(self) -> int:
-        return self.F.shape[0]
+        return self.coords[0].dim
 
-    def dim_part(self, j: int) -> int:
-        return self.f_part(j).shape[0]
-
-    def f_part(self, j: int) -> np.ndarray:
-        return (self.F1, self.F2)[_part_index(j)]
-
-    def t_part(self, j: int) -> np.ndarray:
-        return (self.T1, self.T2)[_part_index(j)]
-
-    def r_part(self, j: int) -> np.ndarray:
-        return (self.R1, self.R2)[_part_index(j)]
+    def r(self, j: int) -> np.ndarray:
+        """R_j: V_j -> V, for j = 1, 2."""
+        return {1: self.R1, 2: self.R2}[j]
 
     def rr(self, j: int) -> np.ndarray:
-        """R_j R_j^* on V."""
-        return (self.RR1, self.RR2)[_part_index(j)]
-
-    def rr_co(self, j: int) -> np.ndarray:
-        """R_j^* R_j on V_j."""
-        R = self.r_part(j)
-        return R.conj().T @ R
-
-    def tt_on_v(self) -> np.ndarray:
-        """T^* T on V."""
-        return self.TT
-
-    def tt_on_part(self, j: int) -> np.ndarray:
-        Fj = self.f_part(j)
-        return Fj @ self.space.Jinv @ Fj.conj().T
-
-    def ttstar(self) -> np.ndarray:
-        """T T^* = p(A) + q(B) on the Krein space."""
-        return self.space.Jinv @ self.gram
-
-    def ttstar_part(self, j: int) -> np.ndarray:
-        return self.space.Jinv @ (self.gram1, self.gram2)[_part_index(j)]
+        """R_j R_j^* on V, for j = 1, 2."""
+        return {1: self.RR1, 2: self.RR2}[j]
 
     # -- transfer maps -----------------------------------------------------
 
@@ -131,58 +122,44 @@ class EmbeddingBundle:
         # them through the rank-cut inverse would only amplify noise
         return fro(C) <= self._gram_floor()
 
-    def compress(self, C) -> np.ndarray:
-        """Solve T X = C T for the action of C on V.
+    def compress(self, C, j: int = 0) -> np.ndarray:
+        """Solve T_j X = C T_j for the action of C on V_j (V for j = 0).
 
-        Defined on the commutant of T T^*; membership is checked, then the
+        Defined on the commutant of T_j T_j^*; membership is checked, then the
         residual of the solve certifies the result.
         """
+        V = self.coords[j]
         C = np.asarray(C, dtype=complex)
         if self._negligible(C):
-            return np.zeros((self.dim_v, self.dim_v), dtype=complex)
-        self._check_commutant(C, self.ttstar(), "T T*", self._gram_floor())
-        X = self._t_solve(self.F, C)
-        self._certify(self.T @ X, C @ self.T, C, "compression onto V")
+            return np.zeros((V.dim, V.dim), dtype=complex)
+        t = f"T{j or ''}"
+        self._check_commutant(C, V.T @ V.F, f"{t} {t}*", self._gram_floor())
+        X = self._t_solve(V.F, C)
+        self._certify(V.T @ X, C @ V.T, C, f"compression onto V{j or ''}")
         return X
 
-    def compress_part(self, C, j: int) -> np.ndarray:
-        """Solve T_j X = C T_j for the action of C on V_j."""
-        C = np.asarray(C, dtype=complex)
-        rj = self.dim_part(j)
-        if self._negligible(C):
-            return np.zeros((rj, rj), dtype=complex)
-        self._check_commutant(C, self.ttstar_part(j), f"T{j} T{j}*", self._gram_floor())
-        Fj = self.f_part(j)
-        X = self._t_solve(Fj, C)
-        self._certify(self.t_part(j) @ X, C @ self.t_part(j), C, f"compression onto V{j}")
-        return X
+    def expand(self, D, j: int = 0) -> np.ndarray:
+        """T_j D T_j^* back on the Krein space (T_j^* = F_j)."""
+        V = self.coords[j]
+        D = np.asarray(D, dtype=complex)
+        t = f"T{j or ''}"
+        self._check_commutant(D, V.TT, f"{t}* {t}", self._gram_floor())
+        return V.T @ D @ V.F
 
     def part_from_full(self, D, j: int) -> np.ndarray:
         """Solve R_j Y = D R_j for the V_j representative of D on V."""
         D = np.asarray(D, dtype=complex)
         self._check_commutant(D, self.rr(j), f"R{j} R{j}*", self.space.tol.spec)
-        R = self.r_part(j)
+        R = self.r(j)
         Y = np.linalg.lstsq(R, D @ R, rcond=None)[0]
         self._certify(R @ Y, D @ R, D, f"restriction to V{j}")
         return Y
 
-    def expand(self, D) -> np.ndarray:
-        """T D T^* back on the Krein space (T^* = F)."""
-        D = np.asarray(D, dtype=complex)
-        self._check_commutant(D, self.TT, "T* T", self._gram_floor())
-        return self.T @ D @ self.F
-
-    def expand_part(self, Dj, j: int) -> np.ndarray:
-        """T_j D_j T_j^* back on the Krein space."""
-        Dj = np.asarray(Dj, dtype=complex)
-        self._check_commutant(Dj, self.tt_on_part(j), f"T{j}* T{j}", self._gram_floor())
-        return self.t_part(j) @ Dj @ self.f_part(j)
-
     def embed_part(self, Dj, j: int) -> np.ndarray:
         """R_j D_j R_j^* on V."""
         Dj = np.asarray(Dj, dtype=complex)
-        self._check_commutant(Dj, self.rr_co(j), f"R{j}* R{j}", self.space.tol.spec)
-        R = self.r_part(j)
+        R = self.r(j)
+        self._check_commutant(Dj, R.conj().T @ R, f"R{j}* R{j}", self.space.tol.spec)
         return R @ Dj @ R.conj().T
 
     # -- internals ---------------------------------------------------------
@@ -207,7 +184,9 @@ class EmbeddingBundle:
 
     def _certify(self, left, right, C, what):
         resid = fro(left - right)
-        bound = self.space.tol.spec * max(fro(C) * max(fro(self.T), 1.0), self.space.tol.abs)
+        bound = self.space.tol.spec * max(
+            fro(C) * max(fro(self.coords[0].T), 1.0), self.space.tol.abs
+        )
         if resid > bound:
             raise NotInCommutantError(
                 f"{what} failed certification: residual {resid:.2e} > {bound:.2e}"
@@ -262,19 +241,20 @@ class Expansion:
         self._labels = labels
         self._cols = np.flatnonzero(cols)
         self._col_labels = labels[cols]
-        self._TQ = bundle.T @ Q
-        self._QhF = Q.conj().T @ bundle.F
+        V = bundle.coords[0]
+        self._TQ = V.T @ Q
+        self._QhF = Q.conj().T @ V.F
         Qc = Q[:, cols]
         RQ = [bundle.rr(j) @ Qc for j in (1, 2)]
-        self._TRQ = [bundle.T @ X for X in RQ]
+        self._TRQ = [V.T @ X for X in RQ]
 
         tol = bundle.space.tol
         self._spec, self._abs = tol.spec, tol.abs
-        self._tt_norm = fro(bundle.TT)
+        self._tt_norm = fro(V.TT)
         self._atoms = None
         if self._tt_norm <= bundle._gram_floor():
             return
-        M = Q.conj().T @ bundle.TT @ Q
+        M = Q.conj().T @ V.TT @ Q
         self._mu = fro(np.where(labels[:, None] == labels[None, :], 0.0, M))
         if 2 * self._mu > self._spec * self._tt_norm:
             raise NotInCommutantError(
@@ -329,46 +309,33 @@ def _row_norms2(F) -> np.ndarray:
     return np.linalg.norm(F, axis=1) ** 2
 
 
-def _part_index(j: int) -> int:
-    if j not in (1, 2):
-        raise ValueError("part index must be 1 or 2")
-    return j - 1
-
-
 def build_bundle(pair: DefinitizablePair) -> EmbeddingBundle:
     """Construct the embedding bundle and verify its invariants.
 
     The contractions are obtained from R_j^* = F_j F^H (F F^H)^{-1}, the
     unique bounded continuation of T^* x -> T_j^* x, which is well defined
     because ker F = ker F_j intersected over j. F F^H is the diagonal of the
-    squared row norms of F.
+    squared row norms of F. The scale of the construction is the top
+    eigenvalue of J (p(A) + q(B)), PSD up to rounding, so its spectral norm.
     """
     space, tol = pair.space, pair.space.tol
     Gp, Gq, G = pair.gram_parts()
-    scale = max(float(np.linalg.norm(G, 2)), tol.abs)
-    scale_a, scale_b = pair.eval_scales
-    eval_scale = scale_a + scale_b
-    noise = 1e4 * np.finfo(float).eps * eval_scale
-    F = gram_factor(G, tol, scale_floor=scale, noise=noise)
-    F1 = gram_factor(Gp, tol, scale_floor=scale, noise=noise)
-    F2 = gram_factor(Gq, tol, scale_floor=scale, noise=noise)
-
-    Jinv = space.Jinv
-    T = Jinv @ F.conj().T
-    T1 = Jinv @ F1.conj().T
-    T2 = Jinv @ F2.conj().T
+    noise = 1e4 * np.finfo(float).eps * sum(pair.eval_scales)
+    F, top = gram_factor(G, tol, noise=noise)
+    scale = max(top, tol.abs)
+    F1, _ = gram_factor(Gp, tol, scale_floor=scale, noise=noise)
+    F2, _ = gram_factor(Gq, tol, scale_floor=scale, noise=noise)
 
     d = _row_norms2(F)
     R1 = (F1 @ F.conj().T / d).conj().T
     R2 = (F2 @ F.conj().T / d).conj().T
-    RR1, RR2, TT = R1 @ R1.conj().T, R2 @ R2.conj().T, F @ Jinv @ F.conj().T
-    for arr in (RR1, RR2, TT):
+    RR1, RR2 = R1 @ R1.conj().T, R2 @ R2.conj().T
+    for arr in (RR1, RR2):
         arr.setflags(write=False)
 
     bundle = EmbeddingBundle(
-        pair=pair, F=F, F1=F1, F2=F2, T=T, T1=T1, T2=T2, R1=R1, R2=R2,
-        gram=G, gram1=Gp, gram2=Gq, RR1=RR1, RR2=RR2, TT=TT,
-        scale=scale, noise=noise,
+        pair=pair, coords=tuple(CoordinateSpace.of(X, space.Jinv) for X in (F, F1, F2)),
+        R1=R1, R2=R2, RR1=RR1, RR2=RR2, scale=scale, noise=noise,
     )
     report = verify_bundle(bundle)
     worst = max((r for _, r, _ in report), default=0.0)
@@ -381,45 +348,48 @@ def build_bundle(pair: DefinitizablePair) -> EmbeddingBundle:
 
 
 def verify_bundle(bundle: EmbeddingBundle):
-    """Residuals of the construction identities: (name, residual, bound)."""
+    """Residuals of the construction identities: (name, residual, bound).
+
+    The Gram identities measure T_j F_j, so they check the stored factors.
+    """
     pair, tol = bundle.pair, bundle.space.tol
     scale = bundle.scale
     noisy = 10 * bundle.noise
     pA = pair.p.of_matrix(pair.A)
     qB = pair.q.of_matrix(pair.B)
+    V = bundle.coords[0]
     r = bundle.dim_v
     out = []
 
     def entry(name, resid, bound):
         out.append((name, float(resid), float(bound)))
 
-    entry("T T* = p(A) + q(B)", fro(bundle.ttstar() - (pA + qB)), tol.rel * scale + noisy)
-    entry("T1 T1* = p(A)", fro(bundle.ttstar_part(1) - pA), tol.rel * scale + noisy)
-    entry("T2 T2* = q(B)", fro(bundle.ttstar_part(2) - qB), tol.rel * scale + noisy)
+    grams = (("T T* = p(A) + q(B)", pA + qB), ("T1 T1* = p(A)", pA), ("T2 T2* = q(B)", qB))
+    for Vj, (name, target) in zip(bundle.coords, grams):
+        entry(name, fro(Vj.T @ Vj.F - target), tol.rel * scale + noisy)
     rr_sum = bundle.RR1 + bundle.RR2
     entry("R1 R1* + R2 R2* = I", fro(rr_sum - np.eye(r)), tol.rel)
-    ttv = bundle.TT
+    ttv = V.TT
     for j in (1, 2):
-        Rj = bundle.r_part(j)
+        Rj, Vj = bundle.r(j), bundle.coords[j]
         entry(
             f"T{j} = T R{j}",
-            fro(bundle.t_part(j) - bundle.T @ Rj),
+            fro(Vj.T - V.T @ Rj),
             tol.rel * max(1.0, scale) + noisy,
         )
-        norm = float(np.linalg.norm(Rj, 2)) if Rj.size else 0.0
-        entry(f"||R{j}|| <= 1", max(0.0, norm - 1.0), tol.rel)
-        if Rj.size:
-            smin = float(np.linalg.svd(Rj, compute_uv=False)[-1])
-            entry(f"R{j} injective", 1.0 if smin <= tol.rank else 0.0, 0.5)
+        sv = np.linalg.svd(Rj, compute_uv=False) if Rj.size else np.zeros(0)
+        entry(f"||R{j}|| <= 1", max(0.0, sv.max(initial=0.0) - 1.0), tol.rel)
+        if sv.size:
+            entry(f"R{j} injective", 1.0 if sv[-1] <= tol.rank else 0.0, 0.5)
         entry(
             f"[R{j} R{j}*, T* T] = 0",
             fro(bundle.rr(j) @ ttv - ttv @ bundle.rr(j)),
             tol.rel * max(1.0, fro(ttv)),
         )
-        ttp = bundle.tt_on_part(j)
+        rr_co, ttp = Rj.conj().T @ Rj, Vj.TT
         entry(
             f"[R{j}* R{j}, T{j}* T{j}] = 0",
-            fro(bundle.rr_co(j) @ ttp - ttp @ bundle.rr_co(j)),
+            fro(rr_co @ ttp - ttp @ rr_co),
             tol.rel * max(1.0, fro(ttp)),
         )
     return out

@@ -19,7 +19,7 @@ import scipy.linalg
 from .bipoly import RealPoly
 from .errors import ValidationError
 from .krein import DefinitizablePair, KreinSpace, split_normal
-from .tol import DEFAULT_TOL, Tolerances
+from .tol import DEFAULT_TOL, Tolerances, norm2
 
 PROFILES = ("diagonal", "jordan", "pontryagin")
 
@@ -153,7 +153,7 @@ def _krein_unitary(rng, J, strength=0.4):
     n = J.shape[0]
     M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     skew = (M - M.conj().T) / 2.0
-    K = np.linalg.solve(J, skew) * (strength / max(1.0, np.linalg.norm(skew, 2)))
+    K = np.linalg.solve(J, skew) * (strength / max(1.0, norm2(skew)))
     return scipy.linalg.expm(K)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .cluster import cluster_points
 from .errors import NotNormalError, NotPsdError, SearchFailedError, ValidationError
 from .bipoly import RealPoly
-from .tol import DEFAULT_TOL, Tolerances, fro
+from .tol import DEFAULT_TOL, Tolerances, fro, norm2
 
 
 class KreinSpace:
@@ -53,7 +53,7 @@ class KreinSpace:
     def adjoint(self, C) -> np.ndarray:
         """Krein adjoint C* = J^{-1} C^H J, so [Cx, y] = [x, C*y]."""
         C = np.asarray(C, dtype=complex)
-        return np.linalg.solve(self.J, C.conj().T @ self.J)
+        return self.Jinv @ (C.conj().T @ self.J)
 
     def is_selfadjoint(self, C, scale: float = None) -> bool:
         C = np.asarray(C, dtype=complex)
@@ -99,12 +99,6 @@ class PositivityReport:
     accepted: bool
     min_eigenvalue: float
     threshold: float
-    gram_norm: float
-
-
-def _norm2(A) -> float:
-    """The spectral norm of a matrix."""
-    return float(np.linalg.norm(np.asarray(A, dtype=complex), 2))
 
 
 def poly_eval_scale(space: KreinSpace, a_norm: float, p: RealPoly) -> float:
@@ -123,15 +117,17 @@ def verify_definitizing(
     the symmetry, so the product is symmetrized before the eigenvalue test.
     Negativity is tolerated relative to the evaluation scale of J p(A), so a
     product that is mathematically zero but computed as noise still passes.
+    By the triangle inequality that scale bounds ||sym(J p(A))||_2 from above,
+    so the norm of the product itself needs no decomposition.
     """
+    A = np.asarray(A, dtype=complex)
     if scale_floor is None:
-        scale_floor = poly_eval_scale(space, _norm2(A), p)
-    H = space.J @ p.of_matrix(np.asarray(A, dtype=complex))
+        scale_floor = poly_eval_scale(space, norm2(A), p)
+    H = space.J @ p.of_matrix(A)
     H = (H + H.conj().T) / 2.0
-    norm = float(np.linalg.norm(H, 2)) if H.size else 0.0
-    threshold = space.tol.spec * max(norm, scale_floor, space.tol.abs)
+    threshold = space.tol.spec * max(scale_floor, space.tol.abs)
     min_eig = float(np.linalg.eigvalsh(H)[0]) if H.size else 0.0
-    return PositivityReport(min_eig >= -threshold, min_eig, threshold, norm)
+    return PositivityReport(min_eig >= -threshold, min_eig, threshold)
 
 
 def search_definitizing(space: KreinSpace, A, max_degree: int = 6) -> RealPoly:
@@ -148,7 +144,7 @@ def search_definitizing(space: KreinSpace, A, max_degree: int = 6) -> RealPoly:
     if not any(abs(c) <= radius for c in centers):
         centers.append(0.0)
     centers.sort(key=lambda c: (abs(c), c))
-    a_norm = _norm2(A)
+    a_norm = norm2(A)
     for degree in range(max_degree + 1):
         for combo in itertools.combinations_with_replacement(centers, degree):
             base = RealPoly([1.0])
@@ -205,8 +201,8 @@ class DefinitizablePair:
     def eval_scales(self) -> tuple:
         """:func:`poly_eval_scale` of ``(A, p)`` and of ``(B, q)``."""
         return (
-            poly_eval_scale(self.space, _norm2(self.A), self.p),
-            poly_eval_scale(self.space, _norm2(self.B), self.q),
+            poly_eval_scale(self.space, norm2(self.A), self.p),
+            poly_eval_scale(self.space, norm2(self.B), self.q),
         )
 
     def validate(self):

@@ -18,7 +18,7 @@ from .calculus import CalculusContext, CalculusFunction, Disk, RegionUnion
 from .cluster import match_points
 from .instances import Instance
 from .spectral import diagonalize, snap_eigenvalues, spectral_integral
-from .tol import fro
+from .tol import fro, norm2
 
 __all__ = ["PropertyResult", "Report", "run_suite"]
 
@@ -73,10 +73,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _norm2(M):
-    return float(np.linalg.norm(M, 2)) if M.size else 0.0
-
-
 def _random_commuting(ctx, rng):
     A, B = ctx.pair.A, ctx.pair.B
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -97,15 +93,14 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
 
     tests = [pair.N, ctx.space.adjoint(pair.N)]
     tests += [_random_commuting(ctx, rng) for _ in range(2)]
-    ttv = bundle.tt_on_v()
+    ths = [bundle.compress(C) for C in tests]
+    parts = {j: [bundle.compress(C, j) for C in tests] for j in (1, 2)}
+    ttv = bundle.coords[0].TT
     for j in (1, 2):
-        rr = bundle.rr(j)
+        rr, Rj = bundle.rr(j), bundle.r(j)
         worst_inter = worst_comp = 0.0
         scale = 1.0
-        for C in tests:
-            th = bundle.compress(C)
-            thj = bundle.compress_part(C, j)
-            Rj = bundle.r_part(j)
+        for th, thj in zip(ths, parts[j]):
             mid = Rj @ thj @ Rj.conj().T
             worst_inter = max(
                 worst_inter, fro(th @ rr - mid), fro(mid - rr @ th)
@@ -144,7 +139,8 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
         tol.rel * s,
     )
     for j in (1, 2):
-        lhs = bundle.compress(bundle.ttstar_part(j))
+        Vj = bundle.coords[j]
+        lhs = bundle.compress(Vj.T @ Vj.F)
         prop(
             f"gram-transfer-{j}",
             f"Th(T{j}T{j}*) = R{j}R{j}* T*T",
@@ -152,8 +148,7 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
             tol.rel * max(1.0, fro(ttv)),
         )
 
-    C1, C2 = tests[2], tests[3]
-    th1, th2 = bundle.compress(C1), bundle.compress(C2)
+    (C1, C2), (th1, th2) = tests[2:], ths[2:]
     s12 = max(1.0, fro(th1) * fro(th2))
     prop(
         "transfer-multiplicative",
@@ -177,8 +172,7 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
     sigma = ctx.spectral.eigenvalues
     worst = 0.0
     for j in (1, 2):
-        thj = bundle.compress_part(pair.N, j)
-        for mu in diagonalize(thj, tol).eigenvalues:
+        for mu in diagonalize(parts[j][0], tol).eigenvalues:
             if sigma:
                 worst = max(worst, min(abs(mu - lam) for lam in sigma))
             elif abs(mu) > worst:
@@ -219,7 +213,7 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
         worst,
         max(tol.spec * max(1.0, fro(thN)), 3 * cs.radius * max(1.0, np.sqrt(r))),
     )
-    ttv = bundle.tt_on_v()
+    ttv = bundle.coords[0].TT
     worst = 0.0
     for _, P in points:
         for S in (bundle.rr(1), bundle.rr(2), ttv):
@@ -231,8 +225,8 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
         tol.spec * max(1.0, fro(ttv)),
     )
 
-    n1 = _norm2(bundle.rr(1))
-    n2 = _norm2(bundle.rr(2))
+    n1 = norm2(bundle.rr(1))
+    n2 = norm2(bundle.rr(2))
     pq_scale = max(
         [1.0]
         + [abs(p(z.real)) + abs(q(z.imag)) for z in data.eigenvalues]
@@ -279,8 +273,7 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
     h = draws[: len(points), 0] + 1j * draws[: len(points), 1]
     int_h = spectral_integral(data, h)
     for j in (1, 2):
-        thj = bundle.compress_part(pair.N, j)
-        dataj = diagonalize(thj, tol)
+        dataj = diagonalize(bundle.compress(pair.N, j), tol)
         if dataj.centers:
             dataj = snap_eigenvalues(dataj, list(data.eigenvalues), cs.radius)
         zero = np.zeros((dataj.dim, dataj.dim), dtype=complex)
@@ -315,7 +308,7 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
                     f"integral-expand-{j}",
                     f"T{j} (int h dE{j}) T{j}* = T (R{j}R{j}* int h dE) T*",
                     fro(
-                        bundle.expand_part(int_hj, j)
+                        bundle.expand(int_hj, j)
                         - bundle.expand(bundle.rr(j) @ int_h)
                     ),
                     tol.spec * hs * max(1.0, bundle.scale),

@@ -66,3 +66,9 @@ DEFAULT_TOL = Tolerances()
 def fro(M) -> float:
     """Frobenius norm, the measure residual checks compare to a threshold."""
     return float(np.linalg.norm(M, "fro"))
+
+
+def norm2(M) -> float:
+    """Spectral norm, 0 for an empty matrix."""
+    M = np.asarray(M)
+    return float(np.linalg.norm(M, 2)) if M.size else 0.0

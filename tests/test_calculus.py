@@ -237,7 +237,7 @@ class TestCachedState:
     def test_cached_arrays_are_read_only(self, zi_ctx, w1_ctx):
         for ctx in (zi_ctx, w1_ctx):
             ctx.apply(ctx.lift(shift_poly(0.5) * shift_poly(-1.0)))
-            cached = [ctx.bundle.rr(1), ctx.bundle.rr(2), ctx.bundle.tt_on_v(),
+            cached = [ctx.bundle.rr(1), ctx.bundle.rr(2), ctx.bundle.coords[0].TT,
                       ctx.spectral.Q, ctx.spectral.labels]
             assert not any(arr.flags.writeable for arr in cached)
 
@@ -604,8 +604,10 @@ class TestCompiledApply:
 
     def test_tampered_tt_fails_certificate_on_first_apply(self, w1_ctx):
         bundle = w1_ctx.bundle
-        bump = 1e-3 * fro(bundle.TT) * np.array([[0.0, 1.0], [1.0, 0.0]])
-        tampered = dataclasses.replace(bundle, TT=bundle.TT + bump)
+        V = bundle.coords[0]
+        bump = 1e-3 * fro(V.TT) * np.array([[0.0, 1.0], [1.0, 0.0]])
+        coords = (dataclasses.replace(V, TT=V.TT + bump), *bundle.coords[1:])
+        tampered = dataclasses.replace(bundle, coords=coords)
         ctx = CalculusContext(w1_ctx.pair, tampered, w1_ctx.spectral, w1_ctx.cs)
         for _ in range(2):
             with pytest.raises(NotInCommutantError):

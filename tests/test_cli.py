@@ -116,6 +116,20 @@ def test_unreadable_files_exit_2(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "region",
+    [
+        '{"type": "disk", "center": [1, 2], "radius": NaN}',
+        '{"type": "disk", "center": [1, 2], "radius": -1.0}',
+        '{"type": "disk", "center": [NaN, 2], "radius": 1.0}',
+        '{"type": "rect", "x": [2, 0], "y": [1, 3]}',
+    ],
+)
+def test_malformed_region_exits_2(capsys, region):
+    assert run("project", "--input", W1, "--region", region) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_input_errors(capsys):
     assert run("inspect") == 2
 

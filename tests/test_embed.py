@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,19 +19,19 @@ from kreincalc.tol import DEFAULT_TOL
 
 class TestGramFactor:
     def test_zero_gram(self):
-        F = gram_factor(np.zeros((3, 3)), DEFAULT_TOL)
+        F, _ = gram_factor(np.zeros((3, 3)), DEFAULT_TOL)
         assert F.shape == (0, 3)
 
     def test_full_rank(self):
         G = np.diag([2.0, 1.0]).astype(complex)
-        F = gram_factor(G, DEFAULT_TOL)
+        F, _ = gram_factor(G, DEFAULT_TOL)
         assert F.shape == (2, 2)
         assert np.allclose(F.conj().T @ F, G)
         # descending eigenvalue order
         assert abs(F[0, 0]) == pytest.approx(np.sqrt(2.0))
 
     def test_rank_deficient(self):
-        F = gram_factor(np.diag([1.0, 0.0]), DEFAULT_TOL)
+        F, _ = gram_factor(np.diag([1.0, 0.0]), DEFAULT_TOL)
         assert F.shape == (1, 2)
         assert np.allclose(F.conj().T @ F, np.diag([1.0, 0.0]))
 
@@ -43,16 +45,17 @@ class TestGramFactor:
             n = rng.integers(1, 7)
             M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             G = M @ M.conj().T
-            F = gram_factor(G, DEFAULT_TOL)
+            F, _ = gram_factor(G, DEFAULT_TOL)
             assert np.allclose(F.conj().T @ F, G, atol=1e-10 * np.linalg.norm(G))
 
 
 class TestBundleW1:
     def test_factors(self, w1_ctx):
         b = w1_ctx.bundle
-        assert np.allclose(b.F, np.diag([np.sqrt(2), 1.0]), atol=1e-14)
-        assert np.allclose(b.F1, np.eye(2), atol=1e-14)
-        assert np.allclose(b.F2, [[1.0, 0.0]], atol=1e-14)
+        F, F1, F2 = (V.F for V in b.coords)
+        assert np.allclose(F, np.diag([np.sqrt(2), 1.0]), atol=1e-14)
+        assert np.allclose(F1, np.eye(2), atol=1e-14)
+        assert np.allclose(F2, [[1.0, 0.0]], atol=1e-14)
 
     def test_contraction_grams(self, w1_ctx):
         b = w1_ctx.bundle
@@ -62,15 +65,16 @@ class TestBundleW1:
 
     def test_injections(self, w1_ctx):
         b = w1_ctx.bundle
-        assert np.allclose(b.T, np.diag([np.sqrt(2), -1.0]), atol=1e-14)
+        V = b.coords[0]
+        assert np.allclose(V.T, np.diag([np.sqrt(2), -1.0]), atol=1e-14)
         pA_qB = b.pair.p.of_matrix(b.pair.A) + b.pair.q.of_matrix(b.pair.B)
-        assert np.allclose(b.ttstar(), pA_qB, atol=1e-12)
+        assert np.allclose(V.T @ V.F, pA_qB, atol=1e-12)
 
 
 class TestBundleW2:
     def test_everything_is_zero_dimensional(self, w2_ctx):
         b = w2_ctx.bundle
-        assert b.dim_v == 0 and b.dim_part(1) == 0 and b.dim_part(2) == 0
+        assert [V.dim for V in b.coords] == [0, 0, 0]
 
     def test_transfers_short_circuit(self, w2_ctx):
         b = w2_ctx.bundle
@@ -90,18 +94,19 @@ class TestTransfers:
 
     def test_gram_compresses_to_v_metric(self, w1_ctx):
         b = w1_ctx.bundle
-        assert np.allclose(b.compress(b.ttstar()), b.tt_on_v(), atol=1e-12)
+        V = b.coords[0]
+        assert np.allclose(b.compress(V.T @ V.F), V.TT, atol=1e-12)
 
     def test_part_compression_is_scalar(self, w1_ctx):
         b = w1_ctx.bundle
-        th2 = b.compress_part(b.pair.N, 2)
+        th2 = b.compress(b.pair.N, 2)
         assert th2.shape == (1, 1)
         assert th2[0, 0] == pytest.approx(1 + 2j)
 
     def test_restriction_composes(self, w1_ctx):
         b = w1_ctx.bundle
         for j in (1, 2):
-            lhs = b.compress_part(b.pair.N, j)
+            lhs = b.compress(b.pair.N, j)
             rhs = b.part_from_full(b.compress(b.pair.N), j)
             assert np.allclose(lhs, rhs, atol=1e-12)
 
@@ -123,11 +128,22 @@ class TestTransfers:
     def test_part_expansion_factor(self, w1_ctx):
         b = w1_ctx.bundle
         for j in (1, 2):
-            rj = b.dim_part(j)
-            Dj = np.diag(1.0 + np.arange(rj)).astype(complex)
-            lhs = b.expand_part(Dj, j)
+            Dj = np.diag(1.0 + np.arange(b.coords[j].dim)).astype(complex)
+            lhs = b.expand(Dj, j)
             rhs = b.expand(b.embed_part(Dj, j))
             assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "j, name", [(0, "T T* = p(A) + q(B)"), (1, "T1 T1* = p(A)"), (2, "T2 T2* = q(B)")]
+)
+def test_gram_entries_check_the_factors(w1_ctx, j, name):
+    b = w1_ctx.bundle
+    coords = list(b.coords)
+    coords[j] = dataclasses.replace(coords[j], F=2 * coords[j].F)
+    report = verify_bundle(dataclasses.replace(b, coords=tuple(coords)))
+    resid, bound = next((r, t) for n, r, t in report if n == name)
+    assert resid > bound
 
 
 class TestInvariantsOnRandomInstances:
@@ -145,7 +161,7 @@ class TestInvariantsOnRandomInstances:
             r = b.dim_v
             assert np.allclose(b.rr(1) + b.rr(2), np.eye(r), atol=1e-10)
             for j in (1, 2):
-                Rj = b.r_part(j)
+                Rj = b.r(j)
                 if Rj.size:
                     assert np.linalg.norm(Rj, 2) <= 1.0 + 1e-10
 

@@ -13,6 +13,7 @@ from kreincalc import (
     split_normal,
     verify_definitizing,
 )
+from kreincalc.krein import poly_eval_scale
 
 J2 = np.diag([1.0, -1.0]).astype(complex)
 FLIP = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -185,3 +186,15 @@ class TestDefinitizablePair:
         for M in (Gp, Gq, G):
             assert np.allclose(M, M.conj().T)
             assert np.min(np.linalg.eigvalsh(M)) >= -1e-12
+
+
+def test_eval_scale_bounds_the_definitizer_norm(instances100, w1, w2):
+    # verify_definitizing floors its threshold at poly_eval_scale and takes
+    # no norm of sym(J p(A)); the triangle inequality makes the floor larger
+    for inst in instances100 + [w1, w2]:
+        pair = inst.pair
+        for M, poly in ((pair.A, pair.p), (pair.B, pair.q)):
+            H = pair.space.J @ poly.of_matrix(M)
+            H = (H + H.conj().T) / 2.0
+            scale = poly_eval_scale(pair.space, np.linalg.norm(M, 2), poly)
+            assert scale >= (1 - 1e-14) * np.linalg.norm(H, 2), inst.label
