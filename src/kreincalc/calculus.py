@@ -691,9 +691,8 @@ class CalculusContext:
 
     def apply_decomposition(self, s: BiPoly, w, g) -> np.ndarray:
         """s(A, B) plus the expanded augmented integral of ``(w, g)``."""
-        D = augmented_integral(
-            self.spectral, w, g, self.layout.critical, self.bundle.rr(1), self.bundle.rr(2)
-        )
+        _, V1, V2 = self.bundle.coords
+        D = augmented_integral(self.spectral, w, g, self.layout.critical, V1.RR, V2.RR)
         return self.polynomial_at_pair(s) + self.bundle.expand(D)
 
     @cached_property

@@ -106,8 +106,8 @@ def _embed(args):
         "F": matrix_to_json(b.coords[0].F),
         "F1": matrix_to_json(b.coords[1].F),
         "F2": matrix_to_json(b.coords[2].F),
-        "R1": matrix_to_json(b.R1),
-        "R2": matrix_to_json(b.R2),
+        "R1": matrix_to_json(b.coords[1].R),
+        "R2": matrix_to_json(b.coords[2].R),
         "T": matrix_to_json(b.coords[0].T),
         "dim_v": b.dim_v,
     }

@@ -30,8 +30,9 @@ def gram_factor(G, tol: Tolerances, scale_floor: float = 0.0, noise: float = 0.0
     (relative to the largest eigenvalue, floored at ``scale_floor`` and at the
     absolute rounding ``noise`` of the construction, so a Gram that is pure
     noise collapses to zero rows). Kept eigenvalues are ordered descending.
-    Returns ``(F, top)`` with ``top`` the largest eigenvalue of G. Raises when
-    G is indefinite beyond tolerance.
+    Returns ``(F, top, dropped)`` with ``top`` the largest eigenvalue of G and
+    ``dropped`` the Frobenius norm of the eigenvalues below the cut, that is
+    of G - F^H F. Raises when G is indefinite beyond tolerance.
     """
     G = np.asarray(G, dtype=complex)
     G = (G + G.conj().T) / 2.0
@@ -43,10 +44,11 @@ def gram_factor(G, tol: Tolerances, scale_floor: float = 0.0, noise: float = 0.0
             f"Gram has eigenvalue {evals[0]:.3e} below -{neg_bound:.3e}"
         )
     cut = max(tol.rank * max(top, 0.0), neg_bound)
-    kept = np.where(evals > cut)[0]
+    above = evals > cut
+    kept = np.flatnonzero(above)
     keep = kept[np.argsort(-evals[kept], kind="stable")]
     F = np.sqrt(evals[keep])[:, None] * vecs[:, keep].conj().T
-    return F, top
+    return F, top, float(np.linalg.norm(evals[~above]))
 
 
 @dataclass(frozen=True)
@@ -54,18 +56,27 @@ class CoordinateSpace:
     """One Hilbert coordinate space: the factor F (r x n) of a weighted Gram
     G = F^H F, the injection T = J^{-1} F^H into the Krein space, whose Krein
     adjoint is T^* = F, and TT = T^* T on the coordinates. T T^* is read as
-    T F."""
+    T F. ``dropped`` is the Frobenius norm of G - F^H F, what the rank cut of
+    :func:`gram_factor` left out. For V1 and V2, R is the contraction R_j
+    into V and RR = R_j R_j^* on V; both are None for V itself."""
 
     F: np.ndarray
     T: np.ndarray
     TT: np.ndarray
+    dropped: float = 0.0
+    R: np.ndarray = None
+    RR: np.ndarray = None
 
     @classmethod
-    def of(cls, F, Jinv) -> "CoordinateSpace":
+    def of(cls, F, Jinv, dropped: float = 0.0, R=None) -> "CoordinateSpace":
         T = Jinv @ F.conj().T
         TT = F @ T
         TT.setflags(write=False)
-        return cls(F, T, TT)
+        RR = None
+        if R is not None:
+            RR = R @ R.conj().T
+            RR.setflags(write=False)
+        return cls(F, T, TT, dropped, R, RR)
 
     @property
     def dim(self) -> int:
@@ -77,19 +88,15 @@ class EmbeddingBundle:
     """The coordinate spaces and contractions of one instance.
 
     ``coords[j]`` is the :class:`CoordinateSpace` of V (j = 0), V1 (j = 1)
-    and V2 (j = 2), factoring J (p(A) + q(B)), J p(A) and J q(B). R_j maps
-    V_j into V; RR1 = R1 R1^* and RR2 = R2 R2^* are computed once at
-    construction. The transfer maps are :meth:`compress` and :meth:`expand`
-    between the Krein space and any V_j, and :meth:`part_from_full` and
-    :meth:`embed_part` between V and V_j.
+    and V2 (j = 2), factoring J (p(A) + q(B)), J p(A) and J q(B); for
+    j = 1, 2 it also holds the contraction R_j: V_j -> V and R_j R_j^*,
+    computed once at construction. The transfer maps are :meth:`compress`
+    and :meth:`expand` between the Krein space and any V_j, and
+    :meth:`part_from_full` and :meth:`embed_part` between V and V_j.
     """
 
     pair: DefinitizablePair
     coords: tuple
-    R1: np.ndarray
-    R2: np.ndarray
-    RR1: np.ndarray
-    RR2: np.ndarray
     scale: float
     noise: float = 0.0
     report: tuple = field(default=(), compare=False)
@@ -101,14 +108,6 @@ class EmbeddingBundle:
     @property
     def dim_v(self) -> int:
         return self.coords[0].dim
-
-    def r(self, j: int) -> np.ndarray:
-        """R_j: V_j -> V, for j = 1, 2."""
-        return {1: self.R1, 2: self.R2}[j]
-
-    def rr(self, j: int) -> np.ndarray:
-        """R_j R_j^* on V, for j = 1, 2."""
-        return {1: self.RR1, 2: self.RR2}[j]
 
     # -- transfer maps -----------------------------------------------------
 
@@ -149,8 +148,9 @@ class EmbeddingBundle:
     def part_from_full(self, D, j: int) -> np.ndarray:
         """Solve R_j Y = D R_j for the V_j representative of D on V."""
         D = np.asarray(D, dtype=complex)
-        self._check_commutant(D, self.rr(j), f"R{j} R{j}*", self.space.tol.spec)
-        R = self.r(j)
+        Vj = self.coords[j]
+        self._check_commutant(D, Vj.RR, f"R{j} R{j}*", self.space.tol.spec)
+        R = Vj.R
         Y = np.linalg.lstsq(R, D @ R, rcond=None)[0]
         self._certify(R @ Y, D @ R, D, f"restriction to V{j}")
         return Y
@@ -158,7 +158,7 @@ class EmbeddingBundle:
     def embed_part(self, Dj, j: int) -> np.ndarray:
         """R_j D_j R_j^* on V."""
         Dj = np.asarray(Dj, dtype=complex)
-        R = self.r(j)
+        R = self.coords[j].R
         self._check_commutant(Dj, R.conj().T @ R, f"R{j}* R{j}", self.space.tol.spec)
         return R @ Dj @ R.conj().T
 
@@ -245,7 +245,7 @@ class Expansion:
         self._TQ = V.T @ Q
         self._QhF = Q.conj().T @ V.F
         Qc = Q[:, cols]
-        RQ = [bundle.rr(j) @ Qc for j in (1, 2)]
+        RQ = [bundle.coords[j].RR @ Qc for j in (1, 2)]
         self._TRQ = [V.T @ X for X in RQ]
 
         tol = bundle.space.tol
@@ -321,22 +321,16 @@ def build_bundle(pair: DefinitizablePair) -> EmbeddingBundle:
     space, tol = pair.space, pair.space.tol
     Gp, Gq, G = pair.gram_parts()
     noise = 1e4 * np.finfo(float).eps * sum(pair.eval_scales)
-    F, top = gram_factor(G, tol, noise=noise)
+    F, top, dropped = gram_factor(G, tol, noise=noise)
     scale = max(top, tol.abs)
-    F1, _ = gram_factor(Gp, tol, scale_floor=scale, noise=noise)
-    F2, _ = gram_factor(Gq, tol, scale_floor=scale, noise=noise)
-
+    coords = [CoordinateSpace.of(F, space.Jinv, dropped)]
     d = _row_norms2(F)
-    R1 = (F1 @ F.conj().T / d).conj().T
-    R2 = (F2 @ F.conj().T / d).conj().T
-    RR1, RR2 = R1 @ R1.conj().T, R2 @ R2.conj().T
-    for arr in (RR1, RR2):
-        arr.setflags(write=False)
+    for Gj in (Gp, Gq):
+        Fj, _, dropped = gram_factor(Gj, tol, scale_floor=scale, noise=noise)
+        Rj = (Fj @ F.conj().T / d).conj().T
+        coords.append(CoordinateSpace.of(Fj, space.Jinv, dropped, Rj))
 
-    bundle = EmbeddingBundle(
-        pair=pair, coords=tuple(CoordinateSpace.of(X, space.Jinv) for X in (F, F1, F2)),
-        R1=R1, R2=R2, RR1=RR1, RR2=RR2, scale=scale, noise=noise,
-    )
+    bundle = EmbeddingBundle(pair=pair, coords=tuple(coords), scale=scale, noise=noise)
     report = verify_bundle(bundle)
     worst = max((r for _, r, _ in report), default=0.0)
     if any(r > b for _, r, b in report):
@@ -351,8 +345,10 @@ def verify_bundle(bundle: EmbeddingBundle):
     """Residuals of the construction identities: (name, residual, bound).
 
     The Gram identities measure T_j F_j, so they check the stored factors.
+    T_j F_j misses the target by J^{-1} (G_j - F_j^H F_j), what the rank cut
+    dropped, so their bound adds ||J^{-1}||_2 times the dropped norm.
     """
-    pair, tol = bundle.pair, bundle.space.tol
+    pair, space, tol = bundle.pair, bundle.space, bundle.space.tol
     scale = bundle.scale
     noisy = 10 * bundle.noise
     pA = pair.p.of_matrix(pair.A)
@@ -366,12 +362,14 @@ def verify_bundle(bundle: EmbeddingBundle):
 
     grams = (("T T* = p(A) + q(B)", pA + qB), ("T1 T1* = p(A)", pA), ("T2 T2* = q(B)", qB))
     for Vj, (name, target) in zip(bundle.coords, grams):
-        entry(name, fro(Vj.T @ Vj.F - target), tol.rel * scale + noisy)
-    rr_sum = bundle.RR1 + bundle.RR2
+        lost = space.inv_norm * Vj.dropped
+        entry(name, fro(Vj.T @ Vj.F - target), tol.rel * scale + noisy + lost)
+    rr_sum = bundle.coords[1].RR + bundle.coords[2].RR
     entry("R1 R1* + R2 R2* = I", fro(rr_sum - np.eye(r)), tol.rel)
     ttv = V.TT
     for j in (1, 2):
-        Rj, Vj = bundle.r(j), bundle.coords[j]
+        Vj = bundle.coords[j]
+        Rj = Vj.R
         entry(
             f"T{j} = T R{j}",
             fro(Vj.T - V.T @ Rj),
@@ -383,7 +381,7 @@ def verify_bundle(bundle: EmbeddingBundle):
             entry(f"R{j} injective", 1.0 if sv[-1] <= tol.rank else 0.0, 0.5)
         entry(
             f"[R{j} R{j}*, T* T] = 0",
-            fro(bundle.rr(j) @ ttv - ttv @ bundle.rr(j)),
+            fro(Vj.RR @ ttv - ttv @ Vj.RR),
             tol.rel * max(1.0, fro(ttv)),
         )
         rr_co, ttp = Rj.conj().T @ Rj, Vj.TT

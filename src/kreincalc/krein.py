@@ -19,10 +19,11 @@ class KreinSpace:
     """C^n with the indefinite inner product [x, y] = y^H J x.
 
     ``J`` must be Hermitian and invertible; ``tol`` governs every numerical
-    decision made on this space. ``norm`` is the spectral norm of ``J``.
+    decision made on this space. ``norm`` is the spectral norm of ``J`` and
+    ``inv_norm`` that of ``J^{-1}``.
     """
 
-    __slots__ = ("n", "J", "Jinv", "norm", "tol")
+    __slots__ = ("n", "J", "Jinv", "norm", "inv_norm", "tol")
 
     def __init__(self, J, tol: Tolerances = DEFAULT_TOL):
         J = np.asarray(J, dtype=complex)
@@ -44,6 +45,7 @@ class KreinSpace:
         self.J = J
         self.Jinv = np.linalg.inv(J)
         self.norm = float(sv[0])
+        self.inv_norm = float(1.0 / smin)
         self.tol = tol
 
     def inner(self, x, y):
@@ -109,23 +111,24 @@ def poly_eval_scale(space: KreinSpace, a_norm: float, p: RealPoly) -> float:
 
 
 def verify_definitizing(
-    space: KreinSpace, A, p: RealPoly, scale_floor: float = None
+    space: KreinSpace, A, p: RealPoly, scale: float = None
 ) -> PositivityReport:
     """Check [p(A)x, x] >= 0 by the smallest eigenvalue of sym(J p(A)).
 
     J p(A) is Hermitian in exact arithmetic for selfadjoint A; rounding breaks
     the symmetry, so the product is symmetrized before the eigenvalue test.
-    Negativity is tolerated relative to the evaluation scale of J p(A), so a
-    product that is mathematically zero but computed as noise still passes.
-    By the triangle inequality that scale bounds ||sym(J p(A))||_2 from above,
-    so the norm of the product itself needs no decomposition.
+    Negativity is tolerated relative to ``scale``, the evaluation scale of
+    J p(A), so a product that is mathematically zero but computed as noise
+    still passes. ``scale`` must bound ||J p(A)||_2 from above, as
+    :func:`poly_eval_scale` does by the triangle inequality (its default), so
+    the norm of the product itself needs no decomposition.
     """
     A = np.asarray(A, dtype=complex)
-    if scale_floor is None:
-        scale_floor = poly_eval_scale(space, norm2(A), p)
+    if scale is None:
+        scale = poly_eval_scale(space, norm2(A), p)
     H = space.J @ p.of_matrix(A)
     H = (H + H.conj().T) / 2.0
-    threshold = space.tol.spec * max(scale_floor, space.tol.abs)
+    threshold = space.tol.spec * max(scale, space.tol.abs)
     min_eig = float(np.linalg.eigvalsh(H)[0]) if H.size else 0.0
     return PositivityReport(min_eig >= -threshold, min_eig, threshold)
 
@@ -218,8 +221,8 @@ class DefinitizablePair:
             raise NotNormalError(
                 f"parts do not commute: ||AB - BA|| = {comm:.2e}"
             )
-        for M, poly, name, floor in zip((A, B), (self.p, self.q), "pq", self.eval_scales):
-            rep = verify_definitizing(sp, M, poly, floor)
+        for M, poly, name, s in zip((A, B), (self.p, self.q), "pq", self.eval_scales):
+            rep = verify_definitizing(sp, M, poly, s)
             if not rep.accepted:
                 raise NotPsdError(
                     f"polynomial {name} is not definitizing: smallest eigenvalue "

@@ -97,7 +97,7 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
     parts = {j: [bundle.compress(C, j) for C in tests] for j in (1, 2)}
     ttv = bundle.coords[0].TT
     for j in (1, 2):
-        rr, Rj = bundle.rr(j), bundle.r(j)
+        rr, Rj = bundle.coords[j].RR, bundle.coords[j].R
         worst_inter = worst_comp = 0.0
         scale = 1.0
         for th, thj in zip(ths, parts[j]):
@@ -129,13 +129,13 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
     prop(
         "definitizer-split-1",
         "p(Th(A)) = R1R1* (p(Th(A)) + q(Th(B)))",
-        fro(pth - bundle.rr(1) @ total),
+        fro(pth - bundle.coords[1].RR @ total),
         tol.rel * s,
     )
     prop(
         "definitizer-split-2",
         "q(Th(B)) = R2R2* (p(Th(A)) + q(Th(B)))",
-        fro(qth - bundle.rr(2) @ total),
+        fro(qth - bundle.coords[2].RR @ total),
         tol.rel * s,
     )
     for j in (1, 2):
@@ -144,7 +144,7 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
         prop(
             f"gram-transfer-{j}",
             f"Th(T{j}T{j}*) = R{j}R{j}* T*T",
-            fro(lhs - bundle.rr(j) @ ttv),
+            fro(lhs - bundle.coords[j].RR @ ttv),
             tol.rel * max(1.0, fro(ttv)),
         )
 
@@ -216,7 +216,7 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
     ttv = bundle.coords[0].TT
     worst = 0.0
     for _, P in points:
-        for S in (bundle.rr(1), bundle.rr(2), ttv):
+        for S in (bundle.coords[1].RR, bundle.coords[2].RR, ttv):
             worst = max(worst, fro(P @ S - S @ P))
     prop(
         "measure-commutant",
@@ -225,8 +225,7 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
         tol.spec * max(1.0, fro(ttv)),
     )
 
-    n1 = norm2(bundle.rr(1))
-    n2 = norm2(bundle.rr(2))
+    n1, n2 = (norm2(bundle.coords[j].RR) for j in (1, 2))
     pq_scale = max(
         [1.0]
         + [abs(p(z.real)) + abs(q(z.imag)) for z in data.eigenvalues]
@@ -259,13 +258,13 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
     prop(
         "measure-weighted-1",
         "R1R1* E(noncrit) = int p/(p+q) dE",
-        fro(bundle.rr(1) @ noncrit_e - ratio1),
+        fro(bundle.coords[1].RR @ noncrit_e - ratio1),
         tol.spec * s,
     )
     prop(
         "measure-weighted-2",
         "R2R2* E(noncrit) = int q/(p+q) dE",
-        fro(bundle.rr(2) @ noncrit_e - ratio2),
+        fro(bundle.coords[2].RR @ noncrit_e - ratio2),
         tol.spec * s,
     )
 
@@ -309,7 +308,7 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
                     f"T{j} (int h dE{j}) T{j}* = T (R{j}R{j}* int h dE) T*",
                     fro(
                         bundle.expand(int_hj, j)
-                        - bundle.expand(bundle.rr(j) @ int_h)
+                        - bundle.expand(bundle.coords[j].RR @ int_h)
                     ),
                     tol.spec * hs * max(1.0, bundle.scale),
                 )

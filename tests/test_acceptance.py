@@ -48,19 +48,19 @@ def test_criterion_1_worked_instance_w1():
     ctx = CalculusContext.build(inst.pair)
     b = ctx.bundle
     failures = []
-    if not np.allclose(b.rr(1), np.diag([0.5, 1.0]), atol=1e-12):
+    if not np.allclose(b.coords[1].RR, np.diag([0.5, 1.0]), atol=1e-12):
         failures.append("R1 R1* != diag(1/2, 1)")
-    if not np.allclose(b.rr(2), np.diag([0.5, 0.0]), atol=1e-12):
+    if not np.allclose(b.coords[2].RR, np.diag([0.5, 0.0]), atol=1e-12):
         failures.append("R2 R2* != diag(1/2, 0)")
-    if not np.allclose(b.rr(1) + b.rr(2), np.eye(2), atol=1e-12):
+    if not np.allclose(b.coords[1].RR + b.coords[2].RR, np.eye(2), atol=1e-12):
         failures.append("partition of identity fails")
     p, q = inst.pair.p, inst.pair.q
     z = np.array(ctx.spectral.centers)
     int1 = spectral_integral(ctx.spectral, p(z.real) / (p(z.real) + q(z.imag)))
     int2 = spectral_integral(ctx.spectral, q(z.imag) / (p(z.real) + q(z.imag)))
-    if not np.allclose(int1, b.rr(1), atol=1e-12):
+    if not np.allclose(int1, b.coords[1].RR, atol=1e-12):
         failures.append("weighted integral misses R1 R1*")
-    if not np.allclose(int2, b.rr(2), atol=1e-12):
+    if not np.allclose(int2, b.coords[2].RR, atol=1e-12):
         failures.append("weighted integral misses R2 R2*")
     P = ctx.spectral_projection(Disk(1 + 2j, 1.0))
     if not np.allclose(P, np.diag([1.0, 0.0]), atol=1e-12):

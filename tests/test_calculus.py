@@ -237,8 +237,8 @@ class TestCachedState:
     def test_cached_arrays_are_read_only(self, zi_ctx, w1_ctx):
         for ctx in (zi_ctx, w1_ctx):
             ctx.apply(ctx.lift(shift_poly(0.5) * shift_poly(-1.0)))
-            cached = [ctx.bundle.rr(1), ctx.bundle.rr(2), ctx.bundle.coords[0].TT,
-                      ctx.spectral.Q, ctx.spectral.labels]
+            _, V1, V2 = ctx.bundle.coords
+            cached = [V1.RR, V2.RR, ctx.bundle.coords[0].TT, ctx.spectral.Q, ctx.spectral.labels]
             assert not any(arr.flags.writeable for arr in cached)
 
     def test_mutating_a_result_leaves_the_next_apply_unchanged(

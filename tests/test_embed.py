@@ -19,19 +19,19 @@ from kreincalc.tol import DEFAULT_TOL
 
 class TestGramFactor:
     def test_zero_gram(self):
-        F, _ = gram_factor(np.zeros((3, 3)), DEFAULT_TOL)
+        F, *_ = gram_factor(np.zeros((3, 3)), DEFAULT_TOL)
         assert F.shape == (0, 3)
 
     def test_full_rank(self):
         G = np.diag([2.0, 1.0]).astype(complex)
-        F, _ = gram_factor(G, DEFAULT_TOL)
+        F, *_ = gram_factor(G, DEFAULT_TOL)
         assert F.shape == (2, 2)
         assert np.allclose(F.conj().T @ F, G)
         # descending eigenvalue order
         assert abs(F[0, 0]) == pytest.approx(np.sqrt(2.0))
 
     def test_rank_deficient(self):
-        F, _ = gram_factor(np.diag([1.0, 0.0]), DEFAULT_TOL)
+        F, *_ = gram_factor(np.diag([1.0, 0.0]), DEFAULT_TOL)
         assert F.shape == (1, 2)
         assert np.allclose(F.conj().T @ F, np.diag([1.0, 0.0]))
 
@@ -45,7 +45,7 @@ class TestGramFactor:
             n = rng.integers(1, 7)
             M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             G = M @ M.conj().T
-            F, _ = gram_factor(G, DEFAULT_TOL)
+            F, *_ = gram_factor(G, DEFAULT_TOL)
             assert np.allclose(F.conj().T @ F, G, atol=1e-10 * np.linalg.norm(G))
 
 
@@ -59,9 +59,9 @@ class TestBundleW1:
 
     def test_contraction_grams(self, w1_ctx):
         b = w1_ctx.bundle
-        assert np.allclose(b.rr(1), np.diag([0.5, 1.0]), atol=1e-12)
-        assert np.allclose(b.rr(2), np.diag([0.5, 0.0]), atol=1e-12)
-        assert np.allclose(b.rr(1) + b.rr(2), np.eye(2), atol=1e-12)
+        assert np.allclose(b.coords[1].RR, np.diag([0.5, 1.0]), atol=1e-12)
+        assert np.allclose(b.coords[2].RR, np.diag([0.5, 0.0]), atol=1e-12)
+        assert np.allclose(b.coords[1].RR + b.coords[2].RR, np.eye(2), atol=1e-12)
 
     def test_injections(self, w1_ctx):
         b = w1_ctx.bundle
@@ -146,6 +146,17 @@ def test_gram_entries_check_the_factors(w1_ctx, j, name):
     assert resid > bound
 
 
+def test_gram_entries_allow_what_the_rank_cut_drops():
+    # p(A) = diag(1, 4.9e-9): the small eigenvalue is below the rank cut, so
+    # T F misses p(A) by it, and the bound must admit that
+    space = KreinSpace(np.eye(2))
+    p = RealPoly([0.0, 0.0, 1.0])
+    b = build_bundle(DefinitizablePair.from_normal(space, np.diag([1.0, 7e-5]), p, p))
+    assert [V.dim for V in b.coords] == [1, 1, 0]
+    resid, bound = next((r, t) for n, r, t in b.report if n == "T T* = p(A) + q(B)")
+    assert 4e-9 < resid <= bound
+
+
 class TestInvariantsOnRandomInstances:
     def test_bundle_report_clean(self):
         for seed in range(12):
@@ -159,9 +170,9 @@ class TestInvariantsOnRandomInstances:
             inst = generate(seed, 5, "diagonal")
             b = build_bundle(inst.pair)
             r = b.dim_v
-            assert np.allclose(b.rr(1) + b.rr(2), np.eye(r), atol=1e-10)
+            assert np.allclose(b.coords[1].RR + b.coords[2].RR, np.eye(r), atol=1e-10)
             for j in (1, 2):
-                Rj = b.r(j)
+                Rj = b.coords[j].R
                 if Rj.size:
                     assert np.linalg.norm(Rj, 2) <= 1.0 + 1e-10
 

@@ -9,11 +9,14 @@ from kreincalc import (
     RealPoly,
     SearchFailedError,
     ValidationError,
+    build_bundle,
+    generate,
     search_definitizing,
     split_normal,
     verify_definitizing,
 )
 from kreincalc.krein import poly_eval_scale
+from kreincalc.tol import fro
 
 J2 = np.diag([1.0, -1.0]).astype(complex)
 FLIP = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -53,6 +56,22 @@ class TestAdjoint:
         space = KreinSpace(J2)
         C = np.array([[0, 1], [0, 0]], dtype=complex)
         assert np.allclose(space.adjoint(C), [[0, 0], [-1, 0]])
+
+    def test_non_diagonal_gram_matches_solve(self):
+        # a random congruence S^H J S of a generated instance: the adjoint by
+        # the kept inverse agrees with solve(J, .), and the pair still builds
+        for seed in range(12):
+            inst = generate(seed, 3 + seed % 6, ("diagonal", "jordan", "pontryagin")[seed % 3])
+            n = inst.pair.space.n
+            rng = np.random.default_rng(seed)
+            S = np.eye(n) + 0.5 * random_operator(rng, n) / np.sqrt(n)
+            space = KreinSpace(S.conj().T @ inst.pair.space.J @ S)
+            N = np.linalg.solve(S, inst.pair.N @ S)
+            for C in (N, random_operator(rng, n)):
+                exact = np.linalg.solve(space.J, C.conj().T @ space.J)
+                assert fro(space.adjoint(C) - exact) <= space.tol.rel * fro(C)
+            pair = DefinitizablePair.from_normal(space, N, inst.pair.p, inst.pair.q)
+            assert all(r <= t for _, r, t in build_bundle(pair).report)
 
     def test_defining_identity_on_basis(self):
         rng = np.random.default_rng(20)
@@ -189,8 +208,8 @@ class TestDefinitizablePair:
 
 
 def test_eval_scale_bounds_the_definitizer_norm(instances100, w1, w2):
-    # verify_definitizing floors its threshold at poly_eval_scale and takes
-    # no norm of sym(J p(A)); the triangle inequality makes the floor larger
+    # verify_definitizing scales its threshold by poly_eval_scale and takes
+    # no norm of sym(J p(A)); the triangle inequality makes the scale larger
     for inst in instances100 + [w1, w2]:
         pair = inst.pair
         for M, poly in ((pair.A, pair.p), (pair.B, pair.q)):

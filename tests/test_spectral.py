@@ -99,7 +99,7 @@ class TestIntegrals:
         h = [p(z.real) / (p(z.real) + q(z.imag)) for z in w1_ctx.spectral.centers]
         out = spectral_integral(w1_ctx.spectral, h)
         assert np.allclose(out, np.diag([0.5, 1.0]), atol=1e-12)
-        assert np.allclose(out, w1_ctx.bundle.rr(1), atol=1e-12)
+        assert np.allclose(out, w1_ctx.bundle.coords[1].RR, atol=1e-12)
 
     def test_one_weight_per_eigenvalue(self, w1_ctx):
         data = w1_ctx.spectral
@@ -125,8 +125,8 @@ class TestAugmentedIntegral:
             np.zeros(len(data.eigenvalues)),
             no_pairs(data),
             none_critical(data),
-            w1_ctx.bundle.rr(1),
-            w1_ctx.bundle.rr(2),
+            w1_ctx.bundle.coords[1].RR,
+            w1_ctx.bundle.coords[2].RR,
         )
         assert np.allclose(out, 0.0)
 
@@ -134,7 +134,8 @@ class TestAugmentedIntegral:
         data = w1_ctx.spectral
         h = np.array([complex(i, -i) for i in range(len(data.eigenvalues))])
         lhs = augmented_integral(
-            data, h, no_pairs(data), none_critical(data), w1_ctx.bundle.rr(1), w1_ctx.bundle.rr(2)
+            data, h, no_pairs(data), none_critical(data),
+            w1_ctx.bundle.coords[1].RR, w1_ctx.bundle.coords[2].RR,
         )
         assert np.allclose(lhs, spectral_integral(data, h), atol=1e-14)
 
