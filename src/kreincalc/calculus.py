@@ -446,32 +446,47 @@ class InvertibilityReport:
 class CalculusContext:
     """Everything needed to evaluate functions of one definitizable operator.
 
-    Built once per instance: the embedding bundle, the spectral data of the
-    transferred operator (eigenvalues snapped onto matching critical points),
-    the zero grid of the definitizing pair, and the resulting domain with its
-    coordinate layout. ``phi -> phi(N)`` is linear, so the first
-    :meth:`apply` compiles fixed maps and keeps them: the gated, factored
-    interpolation system, the lift ``LI`` of its basis onto the coordinates,
-    the basis ``S_g`` at ``(A, B)`` and the expansion of the spectral
-    integral with its commutant certificate (:class:`~kreincalc.embed.Expansion`).
+    Built once per instance: the embedding bundle, the transferred operator
+    ``theta_n`` = Th(N) and its spectral data (eigenvalues snapped onto
+    matching critical points), the zero grid of the definitizing pair, and the
+    resulting domain with its coordinate layout. The spectrum of N is that of
+    Th(N) together with that of N on the quotient C^n / ran T
+    (:meth:`~kreincalc.embed.EmbeddingBundle.quotient`), so no eigenvalue
+    problem of the non-normal N is solved. ``phi -> phi(N)`` is linear, so
+    the first :meth:`apply` compiles fixed maps and keeps them: the gated,
+    factored interpolation system, the lift ``LI`` of its basis onto the
+    coordinates, the basis ``S_g`` at ``(A, B)`` and the expansion of the
+    spectral integral with its commutant certificate
+    (:class:`~kreincalc.embed.Expansion`).
     An apply is one LU solve ``sol``, the remainder ``x - LI sol`` and its
     tests, one ``n x r x n`` product and ``sum_g sol_g S_g``. :meth:`decompose`
     and :meth:`apply_decomposition` are the uncompiled reference path.
     """
 
     def __init__(self, pair: DefinitizablePair, bundle: EmbeddingBundle,
-                 spectral: SpectralData, cs: CriticalSet):
+                 spectral: SpectralData, cs: CriticalSet, theta_n: np.ndarray):
         self.pair = pair
         self.bundle = bundle
         self.spectral = spectral
         self.cs = cs
         self.layout = cs.layout
+        self.theta_n = theta_n
+
+    @cached_property
+    def theta_parts(self) -> tuple:
+        """``(Th_j(N), diagonalize(Th_j(N)))`` for V1 and V2 (j = 1, 2, at
+        index j - 1), made on the first access."""
+        N = self.pair.N
+        parts = (self.bundle.compress(N, j) for j in (1, 2))
+        return tuple((X, diagonalize(X, self.tol)) for X in parts)
 
     @classmethod
     def build(cls, pair: DefinitizablePair) -> "CalculusContext":
         tol = pair.space.tol
+        N = pair.N
         bundle = build_bundle(pair)
-        theta_n = bundle.compress(pair.N)
+        theta_n = bundle.compress(N)
+        theta_n.setflags(write=False)
         data = diagonalize(theta_n, tol)
 
         grid = ZeroGrid.from_polys(pair.p, pair.q, tol)
@@ -481,14 +496,18 @@ class CalculusContext:
         crit_values = [complex(x, y) for x, _, y, _ in crit_pairs]
 
         mags = [abs(v) for v in data.eigenvalues] + [abs(v) for v in crit_values]
-        mags += [norm2(pair.N)]
+        mags += [norm2(N)]
         radius = tol.cluster_radius(max(mags, default=0.0))
+
+        # ran T is N-invariant (N T = T Th(N)), so sigma(N) is spec(Th(N))
+        # together with the spectrum of N on the quotient C^n / ran T
+        quotient = np.linalg.eigvals(bundle.quotient(N))
+        centers, _ = cluster_points(np.concatenate([data.eigenvalues, quotient]), radius)
 
         data = snap_eigenvalues(data, crit_values, radius) if crit_values else data
         exact = match_points(data.eigenvalues, crit_values, 0.0)
         noncrit = tuple(ev for ev, hit in zip(data.eigenvalues, exact) if hit is None)
 
-        centers, _ = cluster_points(np.linalg.eigvals(pair.N), radius)
         sigma_n = tuple(
             c if hit is None else crit_values[hit]
             for c, hit in zip(centers.tolist(), match_points(centers, crit_values, radius))
@@ -540,7 +559,7 @@ class CalculusContext:
             p=pair.p,
             q=pair.q,
         )
-        return cls(pair, bundle, data, cs)
+        return cls(pair, bundle, data, cs, theta_n)
 
     @property
     def space(self):

@@ -8,6 +8,7 @@ computation failures exit 2 with the error message on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -74,6 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, default=4)
     gen.add_argument("--profile", choices=PROFILES, default="diagonal")
     return parser
+
+
+# parse_args fills a new namespace on every call, so one parser serves them all
+_parser = functools.cache(build_parser)
 
 
 def _require_input(args):
@@ -199,7 +204,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     np.set_printoptions(precision=10, suppress=False)
     try:
         rc = COMMANDS[args.command](args)

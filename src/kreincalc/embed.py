@@ -30,9 +30,10 @@ def gram_factor(G, tol: Tolerances, scale_floor: float = 0.0, noise: float = 0.0
     (relative to the largest eigenvalue, floored at ``scale_floor`` and at the
     absolute rounding ``noise`` of the construction, so a Gram that is pure
     noise collapses to zero rows). Kept eigenvalues are ordered descending.
-    Returns ``(F, top, dropped)`` with ``top`` the largest eigenvalue of G and
-    ``dropped`` the Frobenius norm of the eigenvalues below the cut, that is
-    of G - F^H F. Raises when G is indefinite beyond tolerance.
+    Returns ``(F, top, dropped, kernel)`` with ``top`` the largest eigenvalue
+    of G, ``dropped`` the Frobenius norm of the eigenvalues below the cut,
+    that is of G - F^H F, and ``kernel`` the orthonormal eigenvectors below
+    the cut, a basis of ker F. Raises when G is indefinite beyond tolerance.
     """
     G = np.asarray(G, dtype=complex)
     G = (G + G.conj().T) / 2.0
@@ -48,7 +49,7 @@ def gram_factor(G, tol: Tolerances, scale_floor: float = 0.0, noise: float = 0.0
     kept = np.flatnonzero(above)
     keep = kept[np.argsort(-evals[kept], kind="stable")]
     F = np.sqrt(evals[keep])[:, None] * vecs[:, keep].conj().T
-    return F, top, float(np.linalg.norm(evals[~above]))
+    return F, top, float(np.linalg.norm(evals[~above])), vecs[:, ~above]
 
 
 @dataclass(frozen=True)
@@ -93,12 +94,15 @@ class EmbeddingBundle:
     computed once at construction. The transfer maps are :meth:`compress`
     and :meth:`expand` between the Krein space and any V_j, and
     :meth:`part_from_full` and :meth:`embed_part` between V and V_j.
+    ``cokernel`` is an orthonormal basis of ran(T)^perp = J ker F, on which
+    :meth:`quotient` acts.
     """
 
     pair: DefinitizablePair
     coords: tuple
     scale: float
     noise: float = 0.0
+    cokernel: np.ndarray = None
     report: tuple = field(default=(), compare=False)
 
     @property
@@ -144,6 +148,16 @@ class EmbeddingBundle:
         t = f"T{j or ''}"
         self._check_commutant(D, V.TT, f"{t}* {t}", self._gram_floor())
         return V.T @ D @ V.F
+
+    def quotient(self, C) -> np.ndarray:
+        """C on the quotient C^n / ran T, in the basis ``cokernel``: Q2^H C Q2.
+
+        When ran T is C-invariant (C T = T compress(C), as for C in the
+        commutant), C is block upper triangular in [ran T, ran(T)^perp], so
+        the spectrum of C is that of compress(C) together with this one's.
+        """
+        Q2 = self.cokernel
+        return Q2.conj().T @ np.asarray(C, dtype=complex) @ Q2
 
     def part_from_full(self, D, j: int) -> np.ndarray:
         """Solve R_j Y = D R_j for the V_j representative of D on V."""
@@ -321,16 +335,20 @@ def build_bundle(pair: DefinitizablePair) -> EmbeddingBundle:
     space, tol = pair.space, pair.space.tol
     Gp, Gq, G = pair.gram_parts()
     noise = 1e4 * np.finfo(float).eps * sum(pair.eval_scales)
-    F, top, dropped = gram_factor(G, tol, noise=noise)
+    F, top, dropped, kernel = gram_factor(G, tol, noise=noise)
     scale = max(top, tol.abs)
     coords = [CoordinateSpace.of(F, space.Jinv, dropped)]
     d = _row_norms2(F)
     for Gj in (Gp, Gq):
-        Fj, _, dropped = gram_factor(Gj, tol, scale_floor=scale, noise=noise)
+        Fj, _, dropped, _ = gram_factor(Gj, tol, scale_floor=scale, noise=noise)
         Rj = (Fj @ F.conj().T / d).conj().T
         coords.append(CoordinateSpace.of(Fj, space.Jinv, dropped, Rj))
 
-    bundle = EmbeddingBundle(pair=pair, coords=tuple(coords), scale=scale, noise=noise)
+    # ran(T)^perp = ker(T^H) = ker(F J^{-1}) = J ker F
+    cokernel = np.linalg.qr(space.J @ kernel)[0]
+    bundle = EmbeddingBundle(
+        pair=pair, coords=tuple(coords), scale=scale, noise=noise, cokernel=cokernel
+    )
     report = verify_bundle(bundle)
     worst = max((r for _, r, _ in report), default=0.0)
     if any(r > b for _, r, b in report):
@@ -351,8 +369,7 @@ def verify_bundle(bundle: EmbeddingBundle):
     pair, space, tol = bundle.pair, bundle.space, bundle.space.tol
     scale = bundle.scale
     noisy = 10 * bundle.noise
-    pA = pair.p.of_matrix(pair.A)
-    qB = pair.q.of_matrix(pair.B)
+    pA, qB = pair.poly_values
     V = bundle.coords[0]
     r = bundle.dim_v
     out = []

@@ -63,19 +63,24 @@ class KreinSpace:
         return fro(C - self.adjoint(C)) <= self.tol.rel * s
 
     def normality_defect(self, N) -> float:
+        return self._normality(N)[0]
+
+    def _normality(self, N):
         N = np.asarray(N, dtype=complex)
         Ns = self.adjoint(N)
-        return fro(N @ Ns - Ns @ N)
+        return fro(N @ Ns - Ns @ N), Ns
 
-    def check_normal(self, N):
-        """Raise unless N commutes with its Krein adjoint at tolerance."""
+    def check_normal(self, N) -> np.ndarray:
+        """Raise unless N commutes with its Krein adjoint at tolerance;
+        return that adjoint."""
         N = np.asarray(N, dtype=complex)
-        defect = self.normality_defect(N)
+        defect, Ns = self._normality(N)
         bound = self.tol.rel * max(fro(N) ** 2, self.tol.abs)
         if defect > bound:
             raise NotNormalError(
                 f"operator is not normal: ||NN* - N*N|| = {defect:.2e} > {bound:.2e}"
             )
+        return Ns
 
     def signature(self):
         """(positive, negative) eigenvalue counts of J."""
@@ -88,9 +93,8 @@ def split_normal(space: KreinSpace, N):
 
     Requires N normal; the parts are selfadjoint and commute.
     """
-    space.check_normal(N)
     N = np.asarray(N, dtype=complex)
-    Ns = space.adjoint(N)
+    Ns = space.check_normal(N)
     A = (N + Ns) / 2.0
     B = (N - Ns) / 2.0j
     return A, B
@@ -111,7 +115,7 @@ def poly_eval_scale(space: KreinSpace, a_norm: float, p: RealPoly) -> float:
 
 
 def verify_definitizing(
-    space: KreinSpace, A, p: RealPoly, scale: float = None
+    space: KreinSpace, A, p: RealPoly, scale: float = None, value=None
 ) -> PositivityReport:
     """Check [p(A)x, x] >= 0 by the smallest eigenvalue of sym(J p(A)).
 
@@ -121,12 +125,13 @@ def verify_definitizing(
     J p(A), so a product that is mathematically zero but computed as noise
     still passes. ``scale`` must bound ||J p(A)||_2 from above, as
     :func:`poly_eval_scale` does by the triangle inequality (its default), so
-    the norm of the product itself needs no decomposition.
+    the norm of the product itself needs no decomposition. ``value`` is
+    p(A) when the caller has evaluated it already.
     """
     A = np.asarray(A, dtype=complex)
     if scale is None:
         scale = poly_eval_scale(space, norm2(A), p)
-    H = space.J @ p.of_matrix(A)
+    H = space.J @ (p.of_matrix(A) if value is None else value)
     H = (H + H.conj().T) / 2.0
     threshold = space.tol.spec * max(scale, space.tol.abs)
     min_eig = float(np.linalg.eigvalsh(H)[0]) if H.size else 0.0
@@ -208,6 +213,14 @@ class DefinitizablePair:
             poly_eval_scale(self.space, norm2(self.B), self.q),
         )
 
+    @cached_property
+    def poly_values(self) -> tuple:
+        """p(A) and q(B), each evaluated once, read-only."""
+        values = self.p.of_matrix(self.A), self.q.of_matrix(self.B)
+        for value in values:
+            value.setflags(write=False)
+        return values
+
     def validate(self):
         """Raise unless all structural invariants hold at tolerance."""
         sp, A, B = self.space, self.A, self.B
@@ -221,8 +234,10 @@ class DefinitizablePair:
             raise NotNormalError(
                 f"parts do not commute: ||AB - BA|| = {comm:.2e}"
             )
-        for M, poly, name, s in zip((A, B), (self.p, self.q), "pq", self.eval_scales):
-            rep = verify_definitizing(sp, M, poly, s)
+        for M, poly, name, s, value in zip(
+            (A, B), (self.p, self.q), "pq", self.eval_scales, self.poly_values
+        ):
+            rep = verify_definitizing(sp, M, poly, s, value)
             if not rep.accepted:
                 raise NotPsdError(
                     f"polynomial {name} is not definitizing: smallest eigenvalue "
@@ -231,8 +246,9 @@ class DefinitizablePair:
 
     def gram_parts(self):
         """The PSD matrices J p(A), J q(B) and their sum, symmetrized."""
-        Gp = self.space.J @ self.p.of_matrix(self.A)
-        Gq = self.space.J @ self.q.of_matrix(self.B)
+        pA, qB = self.poly_values
+        Gp = self.space.J @ pA
+        Gq = self.space.J @ qB
         Gp = (Gp + Gp.conj().T) / 2.0
         Gq = (Gq + Gq.conj().T) / 2.0
         return Gp, Gq, Gp + Gq

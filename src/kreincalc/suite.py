@@ -17,7 +17,7 @@ from .bipoly import BiPoly
 from .calculus import CalculusContext, CalculusFunction, Disk, RegionUnion
 from .cluster import match_points
 from .instances import Instance
-from .spectral import diagonalize, snap_eigenvalues, spectral_integral
+from .spectral import snap_eigenvalues, spectral_integral
 from .tol import fro, norm2
 
 __all__ = ["PropertyResult", "Report", "run_suite"]
@@ -91,10 +91,13 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
         slug = re.sub(r"[^a-z0-9]+", "-", name.lower()).strip("-")
         prop("bundle/" + slug, name, resid, thr)
 
-    tests = [pair.N, ctx.space.adjoint(pair.N)]
-    tests += [_random_commuting(ctx, rng) for _ in range(2)]
-    ths = [bundle.compress(C) for C in tests]
-    parts = {j: [bundle.compress(C, j) for C in tests] for j in (1, 2)}
+    # test operators N, N*, C1, C2; the context holds the compressions of N
+    tests = [ctx.space.adjoint(pair.N)] + [_random_commuting(ctx, rng) for _ in range(2)]
+    ths = [ctx.theta_n] + [bundle.compress(C) for C in tests]
+    parts = {
+        j: [ctx.theta_parts[j - 1][0]] + [bundle.compress(C, j) for C in tests]
+        for j in (1, 2)
+    }
     ttv = bundle.coords[0].TT
     for j in (1, 2):
         rr, Rj = bundle.coords[j].RR, bundle.coords[j].R
@@ -148,7 +151,7 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
             tol.rel * max(1.0, fro(ttv)),
         )
 
-    (C1, C2), (th1, th2) = tests[2:], ths[2:]
+    (C1, C2), (th1, th2) = tests[1:], ths[2:]
     s12 = max(1.0, fro(th1) * fro(th2))
     prop(
         "transfer-multiplicative",
@@ -171,8 +174,8 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
 
     sigma = ctx.spectral.eigenvalues
     worst = 0.0
-    for j in (1, 2):
-        for mu in diagonalize(parts[j][0], tol).eigenvalues:
+    for _, dataj in ctx.theta_parts:
+        for mu in dataj.eigenvalues:
             if sigma:
                 worst = max(worst, min(abs(mu - lam) for lam in sigma))
             elif abs(mu) > worst:
@@ -202,7 +205,7 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
         data.resolution_residual(),
         tol.rel * max(1.0, np.sqrt(r)),
     )
-    thN = bundle.compress(pair.N)
+    thN = ctx.theta_n
     worst = max(
         (fro(thN @ P - lam * P) for lam, P in points), default=0.0
     )
@@ -271,8 +274,7 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
     draws = rng.standard_normal((max(len(points), 1), 2))
     h = draws[: len(points), 0] + 1j * draws[: len(points), 1]
     int_h = spectral_integral(data, h)
-    for j in (1, 2):
-        dataj = diagonalize(bundle.compress(pair.N, j), tol)
+    for j, (_, dataj) in enumerate(ctx.theta_parts, start=1):
         if dataj.centers:
             dataj = snap_eigenvalues(dataj, list(data.eigenvalues), cs.radius)
         zero = np.zeros((dataj.dim, dataj.dim), dtype=complex)

@@ -15,8 +15,10 @@ class Tolerances:
 
     ``abs``      absolute floor (Gram invertibility, jet inversion, Hermitianity)
     ``rel``      relative slack of identities that hold to rounding: normality
-                 ||NN*-N*N||_F <= rel * ||N||_F**2, the Schur block of normal
-                 operators, and the remainder's vanishing-projection test
+                 ||NN*-N*N||_F <= rel * ||N||_F**2, the off-diagonal of
+                 Q^H M Q in the eigenbasis of a normal M (its eigh groups
+                 split at real-part gaps above 100 eps ||M||_F / rel), and
+                 the remainder's vanishing-projection test
     ``cluster``  base factor for zero/eigenvalue clustering; the effective
                  radius is cluster * (1 + largest magnitude in play)
     ``rank``     relative eigenvalue cut for rank-revealing factorizations

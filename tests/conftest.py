@@ -17,6 +17,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 PROFILES = ("diagonal", "jordan", "pontryagin")
 
 
+def assert_same_set(got, expected, atol):
+    """Every point of each list lies within ``atol`` of the other list."""
+    dist = np.abs(np.asarray(got)[:, None] - np.asarray(expected)[None, :])
+    assert dist.min(axis=1).max() <= atol and dist.min(axis=0).max() <= atol
+
+
 def instance_matrix(count=100):
     """The (seed, n, profile) grid the acceptance suites run over."""
     return [(i, 2 + (i % 7), PROFILES[i % 3]) for i in range(count)]

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kreincalc import (
     DEFAULT_TOL,
@@ -23,13 +24,15 @@ from kreincalc import (
     RegionUnion,
     KreinSpace,
     ShapeMismatchError,
+    diagonalize,
     function_from_dict,
 )
-from kreincalc.cluster import match_points
+from kreincalc.cluster import cluster_points, match_points
 from kreincalc.jets import A_KIND
 from kreincalc.tol import fro
 
 from cluster_reference import match_point
+from conftest import assert_same_set
 
 Z = BiPoly.variable("z")
 W = BiPoly.variable("w")
@@ -239,6 +242,7 @@ class TestCachedState:
             ctx.apply(ctx.lift(shift_poly(0.5) * shift_poly(-1.0)))
             _, V1, V2 = ctx.bundle.coords
             cached = [V1.RR, V2.RR, ctx.bundle.coords[0].TT, ctx.spectral.Q, ctx.spectral.labels]
+            cached += [ctx.theta_n, *ctx.pair.poly_values]
             assert not any(arr.flags.writeable for arr in cached)
 
     def test_mutating_a_result_leaves_the_next_apply_unchanged(
@@ -608,7 +612,7 @@ class TestCompiledApply:
         bump = 1e-3 * fro(V.TT) * np.array([[0.0, 1.0], [1.0, 0.0]])
         coords = (dataclasses.replace(V, TT=V.TT + bump), *bundle.coords[1:])
         tampered = dataclasses.replace(bundle, coords=coords)
-        ctx = CalculusContext(w1_ctx.pair, tampered, w1_ctx.spectral, w1_ctx.cs)
+        ctx = CalculusContext(w1_ctx.pair, tampered, w1_ctx.spectral, w1_ctx.cs, w1_ctx.theta_n)
         for _ in range(2):
             with pytest.raises(NotInCommutantError):
                 ctx.apply(ctx.one())
@@ -629,3 +633,61 @@ class TestCompiledApply:
             ctx.apply(ctx.one())
         with pytest.raises(DomainMismatchError, match="behaves critically"):
             ctx.remainder(ctx.one(), BiPoly.constant(1.0))
+
+
+def lattice_pair(seed, n, quadratics=()):
+    """A Pontryagin-signature pair of dimension n: distinct points of the
+    half-step lattice on [-4, 4]^2, conjugated by a J-unitary exp(K), with
+    p = (z - a)^k prod ((z - c)^2 + d^2) and q alike vanishing at the
+    J-negative slot (a, b); k = 2 without quadratic factors, 1 with them,
+    the slot then sitting below and left of every other point."""
+    rng = np.random.default_rng(seed)
+    grid = np.arange(-8, 9) * 0.5
+    spectrum = rng.choice((grid[:, None] + 1j * grid[None, :]).ravel(), n, replace=False)
+    if quadratics:
+        rest = spectrum[:-1]
+        spectrum[-1] = complex(rest.real.min(), rest.imag.min()) - 0.5 - 0.5j
+    signs = np.ones(n)
+    signs[-1] = -1.0
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    skew = (M - M.conj().T) / 2.0
+    U = scipy.linalg.expm(signs[:, None] * skew * (0.4 / max(1.0, np.linalg.norm(skew, 2))))
+    Uinv = np.linalg.inv(U)
+    polys = []
+    for root in (spectrum[-1].real, spectrum[-1].imag):
+        poly = RealPoly([-root, 1.0])
+        if not quadratics:
+            poly = poly * poly
+        for c, d in quadratics:
+            poly = poly * RealPoly([c * c + d * d, -2.0 * c, 1.0])
+        polys.append(poly)
+    A = U @ np.diag(spectrum.real) @ Uinv
+    B = U @ np.diag(spectrum.imag) @ Uinv
+    pair = DefinitizablePair(KreinSpace(np.diag(signs)), A, B, *polys)
+    pair.validate()
+    return pair, spectrum
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [48, 96])
+@pytest.mark.parametrize("quadratics", [(), ((0.25, 0.5), (-1.75, 1.0))])
+def test_large_lattice_build_matches_eigvals_and_schur(n, quadratics):
+    """sigma(N) from spec(Th(N)) and the quotient, against clustering
+    eigvals(N); the transferred spectrum against scipy's Schur form."""
+    for seed in range(3):
+        pair, spectrum = lattice_pair(seed, n, quadratics)
+        ctx = CalculusContext.build(pair)
+        cs = ctx.cs
+        assert ctx.bundle.dim_v == n - 1
+        sigma, _ = cluster_points(np.linalg.eigvals(pair.N), cs.radius)
+        assert [c.in_sigma_n for c in cs.crit] == [
+            hit is not None for hit in match_points(cs.crit_values, sigma, cs.radius)
+        ]
+        assert any(c.in_sigma_n and not c.spectral for c in cs.crit)
+        for pt in cs.zi:
+            conj = np.conj(pt.zw[0]) + 1j * np.conj(pt.zw[1])
+            hits = match_points([pt.location, conj], sigma, cs.radius)
+            assert pt.in_support == (None not in hits)
+        assert_same_set(cs.support_values(), spectrum, 1e-9)
+        schur = np.diag(scipy.linalg.schur(ctx.theta_n, output="complex")[0])
+        assert_same_set(diagonalize(ctx.theta_n).centers, schur, 1e-12)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kreincalc import cli
 from kreincalc.cli import main
 from kreincalc.instances import matrix_from_json
 
@@ -23,6 +24,23 @@ def test_generate_then_verify(tmp_path, capsys):
     assert run("verify", "--input", str(out)) == 0
     text = capsys.readouterr().out
     assert "verdict: PASS" in text
+
+
+def test_one_parser_serves_successive_calls(tmp_path, capsys):
+    inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+    assert run("generate", "--seed", "3", "--n", "4", "--profile", "pontryagin",
+               "--output", str(inst)) == 0
+    assert run("verify", "--input", str(inst), "--format", "json", "--tol-scale", "2",
+               "--output", str(report)) == 0
+    assert json.loads(report.read_text())["properties"]
+    assert run("inspect", "--input", str(inst)) == 0
+    # text on stdout: neither --format json nor --output carried over
+    assert capsys.readouterr().out.startswith("label: pontryagin-n4-seed3\n")
+    parser = cli._parser()
+    assert cli._parser() is parser
+    args = parser.parse_args(["inspect", "--input", str(inst)])
+    assert (args.format, args.output, args.tol_scale, args.seed) == ("text", None, 1.0, 0)
+    assert not hasattr(args, "n") and not hasattr(args, "profile")
 
 
 def test_generate_is_deterministic(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kreincalc import (
     DomainMismatchError,
@@ -10,6 +11,8 @@ from kreincalc import (
 )
 from kreincalc.spectral import snap_eigenvalues
 from kreincalc.tol import DEFAULT_TOL
+
+from conftest import assert_same_set
 
 
 def random_normal_matrix(rng, n, values=None):
@@ -70,6 +73,94 @@ class TestDiagonalize:
         data = diagonalize(M, DEFAULT_TOL)
         assert len(data.points) == 2
         assert data.warnings
+
+
+def group_gap(M, tol=DEFAULT_TOL):
+    """The real-part gap above which diagonalize splits eigh groups."""
+    return 100 * np.finfo(float).eps * max(np.linalg.norm(M), 1.0) / tol.rel
+
+
+def count_schur_calls(monkeypatch):
+    sizes = []
+    schur = scipy.linalg.schur
+
+    def counting(M, *args, **kwargs):
+        sizes.append(M.shape[0])
+        return schur(M, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    return sizes
+
+
+class TestEigenbasis:
+    """diagonalize through eigh of the real part, Schur forms per group."""
+
+    def test_lattice_with_shared_real_parts(self, monkeypatch):
+        # 3 real parts x 4 imaginary parts, two points doubled: 14 eigenvalues
+        # in 3 groups of equal real part
+        lattice = [x + 1j * y for x in (-1.0, 0.5, 2.0) for y in (-1.5, 0.0, 0.5, 3.0)]
+        values = np.array(lattice + [lattice[0], lattice[5]])
+        M, _ = random_normal_matrix(np.random.default_rng(45), values.size, values=values)
+        sizes = count_schur_calls(monkeypatch)
+        data = diagonalize(M)
+        assert sorted(sizes) == [4, 5, 5]
+        assert_same_set(data.centers, lattice, 1e-12)
+        assert sorted(np.bincount(data.labels)) == [1] * 10 + [2, 2]
+        assert data.resolution_residual() <= 1e-12
+        assert np.allclose(spectral_integral(data, data.centers), M, atol=1e-12)
+
+    @pytest.mark.parametrize("factor, schur_sizes", [(2.0, []), (0.5, [2])])
+    def test_real_parts_either_side_of_the_group_gap(self, monkeypatch, factor, schur_sizes):
+        rng = np.random.default_rng(46)
+        base = np.array([1.0, 1.0 + 2j])
+        M, _ = random_normal_matrix(rng, 2, values=base)
+        delta = factor * group_gap(M)
+        values = base + np.array([0.0, delta])
+        M, _ = random_normal_matrix(rng, 2, values=values)
+        sizes = count_schur_calls(monkeypatch)
+        data = diagonalize(M)
+        assert sizes == schur_sizes
+        assert_same_set(data.centers, values, 1e-12)
+        assert data.resolution_residual() <= 1e-12
+
+    def test_chain_just_over_the_gap_certifies(self):
+        # real parts 2g apart with imaginary parts far apart: the eigh
+        # vectors of each group are rotated by at most rel / 200
+        rng = np.random.default_rng(47)
+        k = np.arange(6)
+        M0, _ = random_normal_matrix(rng, 6, values=1.0 + 3j * k)
+        values = 1.0 + 2 * group_gap(M0) * k + 3j * k
+        M, _ = random_normal_matrix(rng, 6, values=values)
+        data = diagonalize(M)
+        assert_same_set(data.centers, values, 1e-12)
+        assert np.allclose(spectral_integral(data, data.centers), M, atol=1e-12)
+
+    def test_empty(self):
+        data = diagonalize(np.zeros((0, 0)))
+        assert (data.dim, data.centers, data.Q.shape, data.labels.shape) == (0, (), (0, 0), (0,))
+
+    def test_one_by_one(self):
+        data = diagonalize(np.array([[2.0 - 3.0j]]))
+        assert data.centers == (2.0 - 3.0j,)
+        assert abs(abs(data.Q[0, 0]) - 1.0) <= 1e-15 and data.labels.tolist() == [0]
+
+    @pytest.mark.parametrize("M", [
+        np.array([[0.0, 1e-6], [0.0, 0.0]]),  # one group: the Schur path
+        np.array([[0.0, 1e-7], [0.0, 1e-3]]),  # two groups: the eigh path
+    ])
+    def test_certificate_catches_what_the_self_commutator_lets_through(self, M):
+        M = M.astype(complex)
+        comm = np.linalg.norm(M @ M.conj().T - M.conj().T @ M)
+        assert comm <= DEFAULT_TOL.rel * max(np.linalg.norm(M), 1.0) ** 2
+        with pytest.raises(NotNormalError, match="off-diagonal"):
+            diagonalize(M)
+
+    def test_non_normal_lattice_raises(self):
+        rng = np.random.default_rng(48)
+        M, _ = random_normal_matrix(rng, 6, values=np.array([1, 1, 1j, 2j, 2, 2 + 1j]))
+        M[0, 5] += 1e-3
+        with pytest.raises(NotNormalError):
+            diagonalize(M)
 
 
 class TestSnap:

@@ -1,8 +1,13 @@
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from kreincalc import NotPsdError, parse_instance, run_suite
+from kreincalc import NotPsdError, generate, parse_instance, run_suite
+from kreincalc.embed import EmbeddingBundle
+
+from conftest import PROFILES
 
 
 def test_w1_all_pass_tightly(w1):
@@ -45,3 +50,27 @@ def test_reports_are_reproducible(w1):
 def test_text_rendering(w1):
     text = run_suite(w1).to_text()
     assert "verdict: PASS" in text
+
+
+def test_suite_compresses_n_once_per_space(monkeypatch):
+    """build keeps Th(N), the context keeps (Th_j(N), its spectral data), and
+    the property groups read them: one compression of N onto each of V, V1
+    and V2 per run_suite. compress(A) is a compression of A even where B = 0
+    makes A equal to N, so the stored A and B are not counted; where N is
+    Krein-selfadjoint, the transfer checks' compressions of N* = N are."""
+    counts = Counter()
+    compress = EmbeddingBundle.compress
+
+    def counting(bundle, C, j=0):
+        pair = bundle.pair
+        if C is not pair.A and C is not pair.B and np.array_equal(C, pair.N):
+            counts[j] += 1
+        return compress(bundle, C, j)
+
+    monkeypatch.setattr(EmbeddingBundle, "compress", counting)
+    for i in range(30):
+        counts.clear()
+        inst = generate(i, 2 + i % 11, PROFILES[i % 3])
+        assert run_suite(inst).passed
+        once = 1 + np.array_equal(inst.space.adjoint(inst.N), inst.N)
+        assert counts == {0: once, 1: once, 2: once}, i
