@@ -101,8 +101,8 @@ class EmbeddingBundle:
     pair: DefinitizablePair
     coords: tuple
     scale: float
+    cokernel: np.ndarray
     noise: float = 0.0
-    cokernel: np.ndarray = None
     report: tuple = field(default=(), compare=False)
 
     @property

@@ -11,10 +11,11 @@ Grams.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import zgees, zheevd
 
 from .cluster import cluster_points, match_points
 from .errors import DomainMismatchError, NotNormalError
@@ -62,53 +63,87 @@ class SpectralData:
         return resid
 
 
+_EPS = np.finfo(float).eps
+
+
 def _read_only(arr):
     arr.setflags(write=False)
     return arr
+
+
+@functools.cache
+def _schur_lwork(k: int) -> int:
+    # LAPACK's optimal workspace for zgees depends on the order only
+    return int(zgees(lambda x: None, np.zeros((k, k), complex), lwork=-1)[-2][0].real)
+
+
+def _schur_vectors(B) -> np.ndarray:
+    """Unitary ``Z`` with ``Z^H B Z`` upper triangular (complex Schur form).
+
+    LAPACK ``zgees`` called directly: the ``scipy.linalg.schur`` wrapper's
+    validation and workspace query cost more than the factorization of a
+    small ``B``.
+    """
+    _, _, _, Z, _, info = zgees(
+        lambda x: None, B, lwork=_schur_lwork(B.shape[0]), overwrite_a=True
+    )
+    if info:
+        raise np.linalg.LinAlgError(f"Schur form not found (zgees info {info})")
+    return Z
 
 
 def diagonalize(M, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
     """Cluster a unitary eigenbasis of a normal matrix into spectral data.
 
     The basis comes from the Hermitian real part ``H = (M + M^H)/2``, which
-    commutes with ``M``: ``eigh(H)`` splits the space into groups of
-    eigenvectors whose real parts lie within ``g = 100 eps ||M||_F / rel`` of
-    a neighbour, and a complex Schur form of ``M`` compressed onto each group
-    of two or more splits it further. Between groups further apart than
-    ``g``, the eigenvectors of ``H`` are accurate to ``eps ||M||_F / g =
-    rel / 100`` (Davis-Kahan), inside the certificate: the off-diagonal of
-    ``Q^H M Q`` must stay within ``rel ||M||_F``, or ``NotNormalError`` is
-    raised, as for a self-commutator above ``rel ||M||_F**2``. When every
-    real part coincides this is one full Schur form.
+    commutes with ``M`` up to the self-commutator: ``eigh(H)`` splits the
+    space into groups of eigenvectors whose real parts lie within ``g`` of a
+    neighbour, and a complex Schur form of ``M`` compressed onto each group
+    of two or more splits it further. ``M`` is normal only up to its
+    self-commutator ``c = ||M M^H - M^H M||_F``, which may be as large as
+    ``rel ||M||_F**2``, and ``eigh`` adds a backward error of a few
+    ``eps ||M||_F``; between groups whose real parts differ by ``d``, these
+    put about ``max(eps ||M||_F, c / ||M||_F) / d`` into the off-diagonal of
+    ``Q^H M Q`` (relative to ``||M||_F``). So ``g = 100 max(eps ||M||_F,
+    c / ||M||_F) / rel`` keeps the split a hundredfold inside the
+    certificate: the off-diagonal of ``Q^H M Q`` must stay within
+    ``rel ||M||_F``, or ``NotNormalError`` is raised, as for a
+    self-commutator above ``rel ||M||_F**2``. When every real part lies in
+    one group this is one full Schur form.
 
     Eigenvalues (read off the diagonal of ``Q^H M Q``) within the cluster
     radius are merged; clusters closer than three radii are flagged as
-    ambiguous.
+    ambiguous. Non-finite entries raise ``ValueError``.
     """
     M = np.asarray(M, dtype=complex)
+    if not np.isfinite(M).all():
+        raise ValueError("array must not contain infs or NaNs")
     r = M.shape[0]
     if r == 0:
         return SpectralData(
             0, (), _read_only(np.zeros((0, 0), complex)), _read_only(np.zeros(0, int))
         )
     scale = max(fro(M), 1.0)
-    comm = fro(M @ M.conj().T - M.conj().T @ M)
+    Mh = M.conj().T
+    comm = fro(M @ Mh - Mh @ M)
     if comm > tol.rel * scale**2:
         raise NotNormalError(
             f"matrix is not normal: self-commutator {comm:.2e} > {tol.rel * scale**2:.2e}"
         )
-    real, Q = np.linalg.eigh((M + M.conj().T) / 2.0)
+    real, Q, info = zheevd((M + Mh) / 2.0, overwrite_a=True)
+    if info:
+        raise np.linalg.LinAlgError(f"eigh did not converge (zheevd info {info})")
     # a group ends where the next real part is more than g away; written
     # without the division so that rel = 0 makes one group
-    ends = np.flatnonzero(tol.rel * np.diff(real) > 100 * np.finfo(float).eps * scale) + 1
-    for lo, hi in zip(np.concatenate([[0], ends]), np.concatenate([ends, [r]])):
+    floor = max(_EPS * scale, comm / scale)
+    ends = (np.nonzero(tol.rel * (real[1:] - real[:-1]) > 100 * floor)[0] + 1).tolist()
+    for lo, hi in zip([0, *ends], [*ends, r]):
         if hi - lo >= 2:
             U = Q[:, lo:hi]
-            _, Z = scipy.linalg.schur(U.conj().T @ M @ U, output="complex")
-            Q[:, lo:hi] = U @ Z
+            Q[:, lo:hi] = U @ _schur_vectors(U.conj().T @ M @ U)
     D = Q.conj().T @ M @ Q
-    evals = np.diag(D).copy()
-    np.fill_diagonal(D, 0.0)
+    evals = D.diagonal().copy()
+    D.flat[:: r + 1] = 0.0
     off = fro(D)
     if off > tol.rel * scale:
         raise NotNormalError(

@@ -17,7 +17,8 @@ class Tolerances:
     ``rel``      relative slack of identities that hold to rounding: normality
                  ||NN*-N*N||_F <= rel * ||N||_F**2, the off-diagonal of
                  Q^H M Q in the eigenbasis of a normal M (its eigh groups
-                 split at real-part gaps above 100 eps ||M||_F / rel), and
+                 split at real-part gaps above 100 max(eps ||M||_F, c /
+                 ||M||_F) / rel, c the self-commutator), and
                  the remainder's vanishing-projection test
     ``cluster``  base factor for zero/eigenvalue clustering; the effective
                  radius is cluster * (1 + largest magnitude in play)

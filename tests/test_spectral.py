@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
-
 from kreincalc import (
     DomainMismatchError,
     NotNormalError,
@@ -9,6 +7,7 @@ from kreincalc import (
     diagonalize,
     spectral_integral,
 )
+from kreincalc import spectral
 from kreincalc.spectral import snap_eigenvalues
 from kreincalc.tol import DEFAULT_TOL
 
@@ -77,18 +76,21 @@ class TestDiagonalize:
 
 def group_gap(M, tol=DEFAULT_TOL):
     """The real-part gap above which diagonalize splits eigh groups."""
-    return 100 * np.finfo(float).eps * max(np.linalg.norm(M), 1.0) / tol.rel
+    M = np.asarray(M, dtype=complex)
+    scale = max(np.linalg.norm(M), 1.0)
+    comm = np.linalg.norm(M @ M.conj().T - M.conj().T @ M)
+    return 100 * max(np.finfo(float).eps * scale, comm / scale) / tol.rel
 
 
 def count_schur_calls(monkeypatch):
     sizes = []
-    schur = scipy.linalg.schur
+    schur = spectral._schur_vectors
 
-    def counting(M, *args, **kwargs):
-        sizes.append(M.shape[0])
-        return schur(M, *args, **kwargs)
+    def counting(B):
+        sizes.append(B.shape[0])
+        return schur(B)
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    monkeypatch.setattr(spectral, "_schur_vectors", counting)
     return sizes
 
 
@@ -117,11 +119,34 @@ class TestEigenbasis:
         delta = factor * group_gap(M)
         values = base + np.array([0.0, delta])
         M, _ = random_normal_matrix(rng, 2, values=values)
+        assert (delta > group_gap(M)) == (factor > 1)
         sizes = count_schur_calls(monkeypatch)
         data = diagonalize(M)
         assert sizes == schur_sizes
         assert_same_set(data.centers, values, 1e-12)
         assert data.resolution_residual() <= 1e-12
+
+    def test_near_normal_pair_inside_the_widened_gap(self, monkeypatch):
+        # normal only up to a self-commutator of 1.4e-12, within rel: split
+        # at 1e-4, eigh's vectors would leave an off-diagonal of 7e-9 > rel,
+        # but the gap grows with the self-commutator to 0.14, so one Schur
+        # form diagonalizes it
+        M = np.array([[0.0, 1e-12], [0.0, 1e-4 + 1j]])
+        assert 1e-4 < group_gap(M) / 1000
+        sizes = count_schur_calls(monkeypatch)
+        data = diagonalize(M)
+        assert sizes == [2]
+        assert_same_set(data.centers, [0.0, 1e-4 + 1j], 1e-11)
+
+    def test_near_normal_pair_just_over_the_widened_gap(self, monkeypatch):
+        # the same departure from normality with real parts 0.3 apart, twice
+        # the gap: eigh alone splits it and the certificate holds
+        M = np.array([[0.0, 1e-12], [0.0, 0.3 + 1j]])
+        assert 1.5 * group_gap(M) < 0.3 < 3 * group_gap(M)
+        sizes = count_schur_calls(monkeypatch)
+        data = diagonalize(M)
+        assert sizes == []
+        assert_same_set(data.centers, [0.0, 0.3 + 1j], 1e-11)
 
     def test_chain_just_over_the_gap_certifies(self):
         # real parts 2g apart with imaginary parts far apart: the eigh
@@ -145,8 +170,8 @@ class TestEigenbasis:
         assert abs(abs(data.Q[0, 0]) - 1.0) <= 1e-15 and data.labels.tolist() == [0]
 
     @pytest.mark.parametrize("M", [
-        np.array([[0.0, 1e-6], [0.0, 0.0]]),  # one group: the Schur path
-        np.array([[0.0, 1e-7], [0.0, 1e-3]]),  # two groups: the eigh path
+        np.array([[0.0, 1e-6], [0.0, 0.0]]),  # a double eigenvalue
+        np.array([[0.0, 1e-7], [0.0, 1e-3]]),  # distinct real parts inside the gap
     ])
     def test_certificate_catches_what_the_self_commutator_lets_through(self, M):
         M = M.astype(complex)
@@ -154,6 +179,11 @@ class TestEigenbasis:
         assert comm <= DEFAULT_TOL.rel * max(np.linalg.norm(M), 1.0) ** 2
         with pytest.raises(NotNormalError, match="off-diagonal"):
             diagonalize(M)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_raise(self, bad):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            diagonalize(np.array([[1.0, 0.0], [0.0, bad]]))
 
     def test_non_normal_lattice_raises(self):
         rng = np.random.default_rng(48)
