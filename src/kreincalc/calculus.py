@@ -180,15 +180,15 @@ class ZiPoint:
 class CriticalSet:
     """Domain data of the function class for one instance: the zero grid of
     the definitizing pair ``(p, q)`` and the points a function lives on.
-    ``centers`` are the spectral data's eigenvalues; the noncritical values
-    are those not pinned to a critical point, in order."""
+    ``pinned[i]`` is the index of the critical point spectral cluster i is
+    pinned to, or None; the noncritical values are the unpinned clusters'
+    eigenvalues, in order."""
 
     grid: ZeroGrid
-    centers: tuple
+    pinned: tuple
     noncritical: tuple
     crit: tuple
     zi: tuple
-    sigma_n: tuple
     radius: float
     p: RealPoly
     q: RealPoly
@@ -289,17 +289,16 @@ class Layout:
         self.pairs_off = self.off_support[self.off_support >= self.offsets[ncrit]]
         # the entries the interpolant matches and the remainder must cancel:
         # the box of a critical jet (a prefix of it), all of a zero-pair jet
-        box = {
-            key: np.arange(start, start + sh.box().size)
-            for key, sh, start in zip(keys, shapes, self.offsets)
-        }
+        box = [np.arange(start, start + sh.box().size) for sh, start in zip(shapes, self.offsets)]
         self.ideal = np.zeros(self.size, dtype=bool)
-        for entries in box.values():
+        for entries in box:
             self.ideal[entries] = True
-        # grid pairs key real zeros as complex, equal to the float keys above
-        self.grid_index = np.concatenate(
-            [box[(za, zb)] for (za, _), (zb, _) in cs.grid.pairs()] or [np.zeros(0, int)]
-        )
+        # the grid pairs run over a_zeros x b_zeros: the real ones are the
+        # critical points in order, the others the zero pairs in cross() order
+        real = np.array([za.imag == 0.0 and zb.imag == 0.0
+                         for (za, _), (zb, _) in cs.grid.pairs()], dtype=bool)
+        jets = np.where(real, np.cumsum(real) - 1, ncrit + np.cumsum(~real) - 1)
+        self.grid_index = np.concatenate([box[j] for j in jets] or [np.zeros(0, int)])
         # every coordinate is an entry of a jet at a point (z, w); a value is
         # the 1 x 1 jet at (Re z, Im z)
         nc = self.noncritical = np.array(cs.noncritical, dtype=complex)
@@ -312,11 +311,9 @@ class Layout:
         # n!/q^(n)(y) that turn them into the contraction-weighted pair
         p, q = cs.p, cs.q
         self.denom = p(self.noncritical.real) + q(self.noncritical.imag)
-        over = [(j, c) for j, c in enumerate(cs.crit) if c.spectral]
-        hits = match_points(cs.centers, [c.value for _, c in over], 0.0)
-        self.critical = np.array([h is not None for h in hits], dtype=bool).reshape(-1)
+        self.critical = np.array([j is not None for j in cs.pinned], dtype=bool).reshape(-1)
         self.value_clusters = np.flatnonzero(~self.critical)
-        over = [over[h] for h in hits if h is not None]
+        over = [(j, cs.crit[j]) for j in cs.pinned if j is not None]
         self.overflow = np.array([
             [self.offsets[j] + c.shape.position(c.shape.m, 0),
              self.offsets[j] + c.shape.position(0, c.shape.n)] for j, c in over
@@ -503,27 +500,23 @@ class CalculusContext:
         # together with the spectrum of N on the quotient C^n / ran T
         quotient = np.linalg.eigvals(bundle.quotient(N))
         centers, _ = cluster_points(np.concatenate([data.eigenvalues, quotient]), radius)
-
-        data = snap_eigenvalues(data, crit_values, radius) if crit_values else data
-        exact = match_points(data.eigenvalues, crit_values, 0.0)
-        noncrit = tuple(ev for ev, hit in zip(data.eigenvalues, exact) if hit is None)
-
         sigma_n = tuple(
             c if hit is None else crit_values[hit]
             for c, hit in zip(centers.tolist(), match_points(centers, crit_values, radius))
         )
 
-        spectral_set = set(data.eigenvalues)
+        data, pinned = snap_eigenvalues(data, crit_values, radius)
+        noncrit = tuple(ev for ev, hit in zip(data.eigenvalues, pinned) if hit is None)
         crit = tuple(
             CritPoint(
                 value=v,
                 shape=JetShape(mx, my, A_KIND),
-                spectral=v in spectral_set,
+                spectral=i in pinned,
                 in_sigma_n=hit is not None,
             )
-            for v, (x, mx, y, my), hit in zip(
+            for i, (v, (x, mx, y, my), hit) in enumerate(zip(
                 crit_values, crit_pairs, match_points(crit_values, sigma_n, radius)
-            )
+            ))
         )
 
         cross = grid.cross()
@@ -550,11 +543,10 @@ class CalculusContext:
 
         cs = CriticalSet(
             grid=grid,
-            centers=data.centers,
+            pinned=pinned,
             noncritical=noncrit,
             crit=crit,
             zi=tuple(zi),
-            sigma_n=sigma_n,
             radius=radius,
             p=pair.p,
             q=pair.q,
@@ -603,7 +595,7 @@ class CalculusContext:
         coords[L.segment(self.cs.locate([at], [jet.shape])[0])] = jet.coeffs
         return CalculusFunction(self.cs, coords)
 
-    def indicator(self, region, check_boundary: bool = True) -> CalculusFunction:
+    def indicator(self, region) -> CalculusFunction:
         """The lifted characteristic function of a disk/rectangle region.
 
         Critical points in the spectrum must stay clear of the boundary. A
@@ -611,15 +603,13 @@ class CalculusContext:
         representative lies in the region, so conjugate partners always agree.
         """
         cs, L = self.cs, self.layout
-        if check_boundary:
-            margin_scale = max((abs(c.value) for c in cs.crit), default=0.0)
-            margin = self.tol.boundary_margin(margin_scale)
-            for c in cs.crit:
-                if c.in_sigma_n and region.boundary_distance(c.value) <= margin:
-                    raise BoundaryError(
-                        f"region boundary passes within {margin:.1e} of the "
-                        f"critical spectral point {c.value}"
-                    )
+        margin = self.tol.boundary_margin(max((abs(c.value) for c in cs.crit), default=0.0))
+        for c in cs.crit:
+            if c.in_sigma_n and region.boundary_distance(c.value) <= margin:
+                raise BoundaryError(
+                    f"region boundary passes within {margin:.1e} of the "
+                    f"critical spectral point {c.value}"
+                )
         coords = np.zeros(L.size, dtype=complex)
         coords[: L.nvalues] = [region.contains(z) for z in cs.noncritical]
         inside = [region.contains(c.value) for c in cs.crit]
@@ -684,7 +674,7 @@ class CalculusContext:
                 f"{cs.noncritical[i]} behaves critically (p+q = {L.denom[i]:.2e}) but "
                 "was not matched to a critical point; loosen the cluster tolerance"
             )
-        k = len(cs.centers)
+        k = len(cs.pinned)
         w = np.zeros(k, dtype=complex)
         w[L.value_clusters] = rho[: L.nvalues] / L.denom
         g = np.zeros((k, 2), dtype=complex)

@@ -32,10 +32,11 @@ def _load_json_arg(value: str, what: str) -> dict:
 
 
 def _emit(payload, args, text_renderer=None):
+    """Write ``payload`` as JSON, or as ``text_renderer()`` under --format text."""
     if args.format == "json" or text_renderer is None:
         text = json.dumps(payload, indent=1, sort_keys=True)
     else:
-        text = text_renderer(payload)
+        text = text_renderer()
     if args.output:
         Path(args.output).write_text(text + "\n")
     else:
@@ -100,7 +101,7 @@ def _inspect(args):
         "searched": list(inst.searched),
         "normality_defect": inst.space.normality_defect(inst.N),
     }
-    _emit(payload, args, lambda d: "\n".join(f"{k}: {v}" for k, v in d.items()))
+    _emit(payload, args, lambda: "\n".join(f"{k}: {v}" for k, v in payload.items()))
 
 
 def _embed(args):
@@ -172,24 +173,12 @@ def _project(args):
 def _verify(args):
     inst = _require_input(args)
     report = run_suite(inst)
-    if args.format == "json":
-        _emit(report.to_json(), args)
-    else:
-        text = report.to_text()
-        if args.output:
-            Path(args.output).write_text(text + "\n")
-        else:
-            print(text)
+    _emit(report.to_json(), args, report.to_text)
     return 0 if report.passed else 1
 
 
 def _generate(args):
-    inst = generate(args.seed, args.n, args.profile)
-    payload = inst.to_json()
-    if args.output:
-        Path(args.output).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=1))
+    _emit(generate(args.seed, args.n, args.profile).to_json(), args)
 
 
 COMMANDS = {

@@ -18,8 +18,8 @@ import scipy.linalg
 
 from .bipoly import RealPoly
 from .errors import ValidationError
-from .krein import DefinitizablePair, KreinSpace, split_normal
-from .tol import DEFAULT_TOL, Tolerances, norm2
+from .krein import DefinitizablePair, KreinSpace, search_definitizing, split_normal
+from .tol import DEFAULT_TOL, fro, norm2
 
 PROFILES = ("diagonal", "jordan", "pontryagin")
 
@@ -76,9 +76,9 @@ def parse_instance(source, tol_scale: float = 1.0) -> Instance:
     """Load and validate an instance from a path, JSON string, or dict.
 
     Validation order matches the failure messages callers branch on: Gram
-    shape and Hermitianity, normality (or commuting selfadjoint parts), then
-    the definitizing property of the supplied polynomials. Missing
-    polynomials trigger the bounded search.
+    shape and Hermitianity, normality of N (or of A + iB, whose given parts
+    must be its J-selfadjoint parts), then the definitizing property of the
+    supplied polynomials. Missing polynomials trigger the bounded search.
     """
     try:
         if not isinstance(source, (str, Path)):
@@ -117,27 +117,30 @@ def parse_instance(source, tol_scale: float = 1.0) -> Instance:
         raise ValidationError("'p' and 'q' must be lists of finite real coefficients") from exc
 
     if "N" in data:
-        N = matrix_from_json(data["N"], "N")
-        if N.shape != (space.n, space.n):
-            raise ValidationError("operator N and Gram J disagree in size")
-        A, B = split_normal(space, N)
+        given = {"N": matrix_from_json(data["N"], "N")}
     elif "A" in data and "B" in data:
-        A = matrix_from_json(data["A"], "A")
-        B = matrix_from_json(data["B"], "B")
-        if A.shape != (space.n, space.n) or B.shape != (space.n, space.n):
-            raise ValidationError("operators A, B and Gram J disagree in size")
+        given = {name: matrix_from_json(data[name], name) for name in "AB"}
     else:
         raise ValidationError("instance needs either 'N' or both 'A' and 'B'")
+    if any(M.shape != (space.n, space.n) for M in given.values()):
+        raise ValidationError(f"{', '.join(given)} and Gram J disagree in size")
 
-    searched = []
-    pair = DefinitizablePair.from_normal(
-        space, A + 1j * B, p=p, q=q, max_degree=6, label=label
-    )
-    if p is None:
-        searched.append("p")
-    if q is None:
-        searched.append("q")
-    return Instance(label, space, pair, tuple(searched))
+    N = given["N"] if "N" in given else given["A"] + 1j * given["B"]
+    A, B = split_normal(space, N)
+    for name, part in zip("AB", (A, B)):
+        if name in given:
+            resid = fro(given[name] - part)
+            if resid > tol.rel * (1.0 + fro(given[name])):
+                raise ValidationError(
+                    f"'{name}' is not J-selfadjoint: it differs by {resid:.2e} "
+                    "from the matching part of A + iB"
+                )
+    searched = tuple(name for name, poly in zip("pq", (p, q)) if poly is None)
+    p = search_definitizing(space, A) if p is None else p
+    q = search_definitizing(space, B) if q is None else q
+    pair = DefinitizablePair(space, A, B, p, q, label)
+    pair.validate()
+    return Instance(label, space, pair, searched)
 
 
 # -- generation -------------------------------------------------------------
@@ -180,7 +183,7 @@ def _cap_negative_values(rng, values, signs, distinct=2):
     return values
 
 
-def generate(seed: int, n: int, profile: str, tol: Tolerances = DEFAULT_TOL) -> Instance:
+def generate(seed: int, n: int, profile: str) -> Instance:
     """Deterministic random instance of one of three construction profiles.
 
     diagonal    random real diagonal parts conjugated by a random J-unitary,

@@ -57,10 +57,9 @@ class KreinSpace:
         C = np.asarray(C, dtype=complex)
         return self.Jinv @ (C.conj().T @ self.J)
 
-    def is_selfadjoint(self, C, scale: float = None) -> bool:
+    def is_selfadjoint(self, C) -> bool:
         C = np.asarray(C, dtype=complex)
-        s = scale if scale is not None else 1.0 + fro(C)
-        return fro(C - self.adjoint(C)) <= self.tol.rel * s
+        return fro(C - self.adjoint(C)) <= self.tol.rel * (1.0 + fro(C))
 
     def normality_defect(self, N) -> float:
         return self._normality(N)[0]

@@ -161,17 +161,18 @@ def diagonalize(M, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
     return SpectralData(r, centers, _read_only(Q), _read_only(labels), warnings)
 
 
-def snap_eigenvalues(data: SpectralData, targets, radius) -> SpectralData:
+def snap_eigenvalues(data: SpectralData, targets, radius):
     """Replace eigenvalues lying within ``radius`` of a target by the target.
 
     Coincidence of spectrum with critical points is structural, so matched
-    clusters are pinned to the exact critical value.
+    clusters are pinned to the exact critical value. Returns the snapped
+    data and, per cluster, the index of the target it is pinned to, or None.
     """
+    pinned = match_points(data.centers, targets, radius)
     centers = tuple(
-        ev if idx is None else complex(targets[idx])
-        for ev, idx in zip(data.centers, match_points(data.centers, targets, radius))
+        ev if idx is None else complex(targets[idx]) for ev, idx in zip(data.centers, pinned)
     )
-    return SpectralData(data.dim, centers, data.Q, data.labels, data.warnings)
+    return SpectralData(data.dim, centers, data.Q, data.labels, data.warnings), tuple(pinned)
 
 
 def _weights(h, shape) -> np.ndarray:

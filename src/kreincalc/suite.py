@@ -15,7 +15,6 @@ import numpy as np
 
 from .bipoly import BiPoly
 from .calculus import CalculusContext, CalculusFunction, Disk, RegionUnion
-from .cluster import match_points
 from .instances import Instance
 from .spectral import snap_eigenvalues, spectral_integral
 from .tol import fro, norm2
@@ -249,9 +248,8 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
     noncrit_e = np.zeros((r, r), dtype=complex)
     ratio1 = np.zeros((r, r), dtype=complex)
     ratio2 = np.zeros((r, r), dtype=complex)
-    crit_values = set(cs.crit_values)
-    for lam, P in points:
-        if lam in crit_values:
+    for (lam, P), pinned in zip(points, ctx.layout.critical):
+        if pinned:
             continue
         noncrit_e += P
         sv = p(lam.real) + q(lam.imag)
@@ -275,14 +273,14 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
     h = draws[: len(points), 0] + 1j * draws[: len(points), 1]
     int_h = spectral_integral(data, h)
     for j, (_, dataj) in enumerate(ctx.theta_parts, start=1):
-        if dataj.centers:
-            dataj = snap_eigenvalues(dataj, list(data.eigenvalues), cs.radius)
+        dataj, hits = snap_eigenvalues(dataj, data.eigenvalues, cs.radius)
+        # the cluster of V_j pinned to each cluster of V (the last, if several)
+        owner = {i: k for k, i in enumerate(hits)}
         zero = np.zeros((dataj.dim, dataj.dim), dtype=complex)
         worst_proj = 0.0
-        hits = match_points(data.eigenvalues, dataj.centers, 0.0)
-        for (_, P), hit in zip(points, hits):
+        for i, (_, P) in enumerate(points):
             gamma = bundle.part_from_full(P, j)
-            Pj = zero if hit is None else dataj.projection(hit)
+            Pj = zero if owner.get(i) is None else dataj.projection(owner[i])
             worst_proj = max(worst_proj, fro(gamma - Pj))
         prop(
             f"measure-transfer-{j}",
@@ -290,30 +288,23 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
             worst_proj,
             tol.spec,
         )
-        if points:
-            hits = match_points(dataj.eigenvalues, data.eigenvalues, cs.radius)
-            int_hj = None
-            if None not in hits:
-                int_hj = spectral_integral(dataj, h[np.array(hits, dtype=int)])
+        if points and None in hits:
+            prop(f"integral-transfer-{j}", "restriction of int h dE", 1.0, tol.spec)
+        elif points:
+            int_hj = spectral_integral(dataj, h[np.array(hits, dtype=int)])
             hs = max(1.0, float(np.abs(h).max()))
-            if int_hj is None:
-                prop(f"integral-transfer-{j}", "restriction of int h dE", 1.0, tol.spec)
-            else:
-                prop(
-                    f"integral-transfer-{j}",
-                    f"restriction of (int h dE) to V{j} = int h dE{j}",
-                    fro(bundle.part_from_full(int_h, j) - int_hj),
-                    tol.spec * hs,
-                )
-                prop(
-                    f"integral-expand-{j}",
-                    f"T{j} (int h dE{j}) T{j}* = T (R{j}R{j}* int h dE) T*",
-                    fro(
-                        bundle.expand(int_hj, j)
-                        - bundle.expand(bundle.coords[j].RR @ int_h)
-                    ),
-                    tol.spec * hs * max(1.0, bundle.scale),
-                )
+            prop(
+                f"integral-transfer-{j}",
+                f"restriction of (int h dE) to V{j} = int h dE{j}",
+                fro(bundle.part_from_full(int_h, j) - int_hj),
+                tol.spec * hs,
+            )
+            prop(
+                f"integral-expand-{j}",
+                f"T{j} (int h dE{j}) T{j}* = T (R{j}R{j}* int h dE) T*",
+                fro(bundle.expand(int_hj, j) - bundle.expand(bundle.coords[j].RR @ int_h)),
+                tol.spec * hs * max(1.0, bundle.scale),
+            )
     return out
 
 
@@ -550,16 +541,15 @@ GROUPS = (
 )
 
 
-def run_suite(instance: Instance, seed: int = None) -> Report:
+def run_suite(instance: Instance) -> Report:
     """Run every property group against one instance.
 
-    The random draws inside the groups are seeded from the instance digest
-    (or the explicit seed), so reports are reproducible.
+    The random draws inside the groups are seeded from the instance digest,
+    so reports are reproducible.
     """
     start = time.perf_counter()
     digest = instance.digest()
-    if seed is None:
-        seed = int(digest[:8], 16)
+    seed = int(digest[:8], 16)
     ctx = CalculusContext.build(instance.pair)
     props = []
     for gname, group in GROUPS:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kreincalc import (
+    KreinSpace,
     NotNormalError,
     NotPsdError,
     ValidationError,
@@ -72,6 +73,25 @@ class TestParse:
         inst = parse_instance(data)
         assert set(inst.searched) == {"p", "q"}
         assert inst.pair.validate() is None
+
+    def test_parts_that_are_not_j_selfadjoint_raise(self):
+        # A + iB = iI is normal, but A = iI is not its real part: the parse
+        # must not swap the parts for (0, I)
+        eye = np.eye(2)
+        data = {"J": matrix_to_json(eye), "A": matrix_to_json(1j * eye),
+                "B": matrix_to_json(0 * eye), "p": [1.0], "q": [1.0]}
+        with pytest.raises(ValidationError, match="'A' is not J-selfadjoint"):
+            parse_instance(data)
+
+    def test_normal_operator_is_checked_once(self, monkeypatch):
+        data = generate(3, 6, "diagonal").to_json()
+        calls = []
+        check = KreinSpace.check_normal
+        monkeypatch.setattr(
+            KreinSpace, "check_normal", lambda self, N: calls.append(1) or check(self, N)
+        )
+        parse_instance(data)
+        assert len(calls) == 1
 
     def test_tol_overrides(self, w1):
         data = w1.to_json()

@@ -196,9 +196,10 @@ class TestEigenbasis:
 class TestSnap:
     def test_snap_moves_matching_points(self):
         data = diagonalize(np.diag([1.0 + 1e-9, 5.0]).astype(complex))
-        snapped = snap_eigenvalues(data, [1.0 + 0j], 1e-7)
+        snapped, pinned = snap_eigenvalues(data, [1.0 + 0j], 1e-7)
         assert 1.0 + 0j in snapped.eigenvalues
         assert 5.0 + 0j in snapped.eigenvalues
+        assert pinned == (0, None)
 
 
 class TestIntegrals:
