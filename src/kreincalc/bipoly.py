@@ -534,6 +534,7 @@ class HermiteSystem:
                 f"interpolation grid condition number {cond:.2e} exceeds {tol.cond:.1e}"
             )
         self._lu = scipy.linalg.lu_factor(mat)
+        self._getrs = scipy.linalg.get_lapack_funcs("getrs", self._lu)
         self.size = m * n
         self._centre = ((mu_a, rho_a, m), (mu_b, rho_b, n))
         self._row_scale = np.array([rho_a**k * rho_b**l for _, _, k, l in row_keys])
@@ -546,10 +547,19 @@ class HermiteSystem:
 
     def coefficients(self, rhs) -> np.ndarray:
         """The interpolant of :meth:`solve` in the centered basis: a vector
-        of :attr:`size` coefficients."""
+        of :attr:`size` coefficients, or one column of them for each column
+        of a 2-D ``rhs``."""
+        rhs = np.asarray(rhs)
         if self._lu is None:
-            return np.zeros(0, dtype=complex)
-        return scipy.linalg.lu_solve(self._lu, np.asarray(rhs) * self._row_scale)
+            return np.zeros(rhs.shape, dtype=complex)
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        # LAPACK getrs called directly: scipy.linalg.lu_solve's validation
+        # costs more than the solve of a grid system
+        sol, info = self._getrs(*self._lu, (rhs.T * self._row_scale).T)
+        if info:
+            raise np.linalg.LinAlgError(f"interpolation solve failed (getrs info {info})")
+        return sol
 
     def solve(self, rhs) -> BiPoly:
         """The polynomial whose grid jets have the coefficients ``rhs``.

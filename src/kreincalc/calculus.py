@@ -456,8 +456,10 @@ class CalculusContext:
     spectral integral with its commutant certificate
     (:class:`~kreincalc.embed.Expansion`).
     An apply is one LU solve ``sol``, the remainder ``x - LI sol`` and its
-    tests, one ``n x r x n`` product and ``sum_g sol_g S_g``. :meth:`decompose`
-    and :meth:`apply_decomposition` are the uncompiled reference path.
+    tests, one ``n x r x n`` product and ``sum_g sol_g S_g``;
+    :meth:`apply_many` does this for many functions in one pass, and
+    :meth:`apply` is its stack of one. :meth:`decompose` and
+    :meth:`apply_decomposition` are the uncompiled reference path.
     """
 
     def __init__(self, pair: DefinitizablePair, bundle: EmbeddingBundle,
@@ -595,6 +597,12 @@ class CalculusContext:
         coords[L.segment(self.cs.locate([at], [jet.shape])[0])] = jet.coeffs
         return CalculusFunction(self.cs, coords)
 
+    def unit_jet(self, at) -> CalculusFunction:
+        """The unit jet at one critical point or zero pair, zero elsewhere."""
+        coords = np.zeros(self.layout.size, dtype=complex)
+        coords[self.layout.unit[self.cs.locate([at])[0]]] = 1.0
+        return CalculusFunction(self.cs, coords)
+
     def indicator(self, region) -> CalculusFunction:
         """The lifted characteristic function of a disk/rectangle region.
 
@@ -651,34 +659,45 @@ class CalculusContext:
         self._check_owns(fn)
         return self._weights(fn.coords, self._lift_coords(s))
 
+    @cached_property
+    def _vanishing_denominators(self) -> np.ndarray:
+        """The noncritical points where p(Re z) + q(Im z) is at zero."""
+        return np.flatnonzero(np.abs(self.layout.denom) <= self.tol.abs)
+
     def _weights(self, coords, lifted):
         """:meth:`remainder` of the coordinates ``coords`` against the
-        coordinates ``lifted`` of a polynomial."""
+        coordinates ``lifted`` of a polynomial, or of each row of a stack of
+        them; the ideal test of every row comes first, and the first failing
+        row raises."""
         cs, L = self.cs, self.layout
         rho = coords - lifted
         # the lift norm enters the bound: cancellation noise scales with it
         bound = self.tol.rel * (
-            1.0 + np.abs(coords).max(initial=0.0) + np.abs(lifted).max(initial=0.0)
+            1.0
+            + np.abs(coords).max(axis=-1, initial=0.0)
+            + np.abs(lifted).max(axis=-1, initial=0.0)
         )
-        over = np.flatnonzero(L.ideal & (np.abs(rho) > bound))
+        over = np.flatnonzero(L.ideal & (np.abs(rho) > bound[..., None]))
         if over.size:
-            j = int(np.searchsorted(L.offsets, over[0], side="right")) - 1
+            row, at = divmod(int(over[0]), L.size)
+            j = int(np.searchsorted(L.offsets, at, side="right")) - 1
             seg = L.segment(j)
-            resid = float(np.abs(rho[seg][L.ideal[seg]]).max())
+            resid = float(np.abs(rho.reshape(-1, L.size)[row, seg][L.ideal[seg]]).max())
             label, point = cs.jet_point(j)
-            raise NotInIdealError(f"remainder at {label} {point} is {resid:.2e} > {bound:.2e}")
-        small = np.flatnonzero(np.abs(L.denom) <= self.tol.abs)
-        if small.size:
-            i = small[0]
+            raise NotInIdealError(
+                f"remainder at {label} {point} is {resid:.2e} > {np.ravel(bound)[row]:.2e}"
+            )
+        if self._vanishing_denominators.size:
+            i = self._vanishing_denominators[0]
             raise DomainMismatchError(
                 f"{cs.noncritical[i]} behaves critically (p+q = {L.denom[i]:.2e}) but "
                 "was not matched to a critical point; loosen the cluster tolerance"
             )
         k = len(cs.pinned)
-        w = np.zeros(k, dtype=complex)
-        w[L.value_clusters] = rho[: L.nvalues] / L.denom
-        g = np.zeros((k, 2), dtype=complex)
-        g[L.critical] = rho[L.overflow] * L.overflow_scale
+        w = np.zeros(rho.shape[:-1] + (k,), dtype=complex)
+        w[..., L.value_clusters] = rho[..., : L.nvalues] / L.denom
+        g = np.zeros(rho.shape[:-1] + (k, 2), dtype=complex)
+        g[..., L.critical, :] = rho[..., L.overflow] * L.overflow_scale
         return w, g
 
     def decompose(self, fn: CalculusFunction):
@@ -712,16 +731,30 @@ class CalculusContext:
         return system, lift, at_pair, Expansion(self.bundle, self.spectral, L.critical)
 
     def apply(self, fn: CalculusFunction) -> np.ndarray:
-        """The operator the function maps to, through the compiled maps.
+        """The operator the function maps to: ``apply_many([fn])[0]``."""
+        return self.apply_many([fn])[0]
+
+    def apply_many(self, fns) -> np.ndarray:
+        """The operators m functions map to, an ``m x n x n`` stack, through
+        the compiled maps in one pass: one LU solve with m right-hand sides,
+        the remainders and their tests row by row, one product for every
+        expansion and one for every ``sum_g sol_g S_g``.
 
         Jets at nonreal pairs outside the support set cannot influence the
-        result and are zeroed before decomposing.
+        result and are zeroed before decomposing. Every function gets every
+        check of the compiled maps; the ideal tests of all of them run
+        before the certificates, and the first function failing a test
+        raises its error.
         """
-        self._check_owns(fn)
+        for fn in fns:
+            self._check_owns(fn)
         system, lift, at_pair, expansion = self._compiled
-        x = self._zero_off_support(fn).coords
-        sol = system.coefficients(x[self.layout.grid_index])
-        out = expansion(*self._weights(x, lift @ sol))
+        L = self.layout
+        x = np.array([fn.coords for fn in fns]).reshape(-1, L.size)
+        if L.pairs_off.size:
+            x[:, L.pairs_off] = 0.0
+        sol = system.coefficients(x[:, L.grid_index].T).T
+        out = expansion(*self._weights(x, sol @ lift.T))
         out += (sol @ at_pair).reshape(out.shape)
         return out
 
@@ -736,9 +769,7 @@ class CalculusContext:
 
     def riesz_projection(self, at) -> np.ndarray:
         """(unit jet at one point)(N): the idempotent isolating that point."""
-        coords = np.zeros(self.layout.size, dtype=complex)
-        coords[self.layout.unit[self.cs.locate([at])[0]]] = 1.0
-        return self.apply(CalculusFunction(self.cs, coords))
+        return self.apply(self.unit_jet(at))
 
     def spectral_projection(self, region) -> np.ndarray:
         """The lifted-indicator projection for an admissible region."""
@@ -770,8 +801,7 @@ class CalculusContext:
         coords = fn.coords.copy()
         coords[L.off_support] = 0.0
         coords[L.unit[~L.supported]] = 1.0
-        inv_op = self.apply(CalculusFunction(cs, coords).inverse(tol.abs))
-        op = self.apply(fn)
+        inv_op, op = self.apply_many([CalculusFunction(cs, coords).inverse(tol.abs), fn])
         resid = fro(inv_op @ op - np.eye(self.space.n))
         return InvertibilityReport(True, "invertible over the support set", min_mod, resid)
 

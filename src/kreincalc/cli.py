@@ -55,10 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="instance file (JSON)")
-    common.add_argument("--function", help="function file or inline JSON")
-    common.add_argument("--region", help="region file or inline JSON")
     common.add_argument("--output", help="write the result here instead of stdout")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument(
         "--tol-scale", type=float, default=1.0, dest="tol_scale",
         help="multiply every tolerance threshold by this factor",
@@ -69,10 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("inspect", parents=[common], help="validate and summarize an instance")
     sub.add_parser("embed", parents=[common], help="emit the embedding matrices")
     sub.add_parser("spectrum", parents=[common], help="spectra and critical set")
-    sub.add_parser("apply", parents=[common], help="apply a function file to the operator")
-    sub.add_parser("project", parents=[common], help="spectral projection for a region")
+    app = sub.add_parser("apply", parents=[common], help="apply a function file to the operator")
+    app.add_argument("--function", help="function file or inline JSON")
+    proj = sub.add_parser("project", parents=[common], help="spectral projection for a region")
+    proj.add_argument("--region", help="region file or inline JSON")
     sub.add_parser("verify", parents=[common], help="run the full property suite")
     gen = sub.add_parser("generate", parents=[common], help="write a random instance")
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--n", type=int, default=4)
     gen.add_argument("--profile", choices=PROFILES, default="diagonal")
     return parser

@@ -15,12 +15,13 @@ operators over the Krein space is the J-adjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConstructionError, NotInCommutantError, NotPsdError
 from .krein import DefinitizablePair, KreinSpace
-from .tol import Tolerances, fro
+from .tol import Tolerances, fro, fro_each
 
 
 def gram_factor(G, tol: Tolerances, scale_floor: float = 0.0, noise: float = 0.0) -> tuple:
@@ -55,33 +56,69 @@ def gram_factor(G, tol: Tolerances, scale_floor: float = 0.0, noise: float = 0.0
 @dataclass(frozen=True)
 class CoordinateSpace:
     """One Hilbert coordinate space: the factor F (r x n) of a weighted Gram
-    G = F^H F, the injection T = J^{-1} F^H into the Krein space, whose Krein
-    adjoint is T^* = F, and TT = T^* T on the coordinates. T T^* is read as
-    T F. ``dropped`` is the Frobenius norm of G - F^H F, what the rank cut of
-    :func:`gram_factor` left out. For V1 and V2, R is the contraction R_j
-    into V and RR = R_j R_j^* on V; both are None for V itself."""
+    G = F^H F, the injection T = J^{-1} F^H into the Krein space (J its
+    Gram), whose Krein adjoint is T^* = F, and TT = T^* T on the
+    coordinates. ``dropped`` is the Frobenius norm of G - F^H F, what the
+    rank cut of :func:`gram_factor` left out. For V1 and V2, R is the
+    contraction R_j into V and RR = R_j R_j^* on V; both are None for V
+    itself.
+
+    The fixed factors of the transfer maps (T T^*, the left inverse of T,
+    the Frobenius norms the checks scale by and the pseudo-inverse of R) are
+    made on first use and kept; every one is read-only.
+    """
 
     F: np.ndarray
     T: np.ndarray
     TT: np.ndarray
+    J: np.ndarray
     dropped: float = 0.0
     R: np.ndarray = None
     RR: np.ndarray = None
 
     @classmethod
-    def of(cls, F, Jinv, dropped: float = 0.0, R=None) -> "CoordinateSpace":
-        T = Jinv @ F.conj().T
-        TT = F @ T
-        TT.setflags(write=False)
-        RR = None
-        if R is not None:
-            RR = R @ R.conj().T
-            RR.setflags(write=False)
-        return cls(F, T, TT, dropped, R, RR)
+    def of(cls, F, space: KreinSpace, dropped: float = 0.0, R=None) -> "CoordinateSpace":
+        T = space.Jinv @ F.conj().T
+        TT = _read_only(F @ T)
+        RR = None if R is None else _read_only(R @ R.conj().T)
+        return cls(F, T, TT, space.J, dropped, R, RR)
 
     @property
     def dim(self) -> int:
         return self.F.shape[0]
+
+    @cached_property
+    def outer(self) -> np.ndarray:
+        """T T^* = T F on the Krein space."""
+        return _read_only(self.T @ self.F)
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        """(F F^H)^{-1} F J, a left inverse of T, so compress(C) = left C T;
+        F F^H is the diagonal of the squared row norms (see gram_factor)."""
+        return _read_only((self.F @ self.J) / _row_norms2(self.F)[:, None])
+
+    @cached_property
+    def R_pinv(self) -> np.ndarray:
+        """The pseudo-inverse of R, a left inverse: R is injective (the
+        bundle's self-check)."""
+        return _read_only(np.linalg.pinv(self.R))
+
+    @cached_property
+    def outer_norm(self) -> float:
+        return fro(self.outer)
+
+    @cached_property
+    def tt_norm(self) -> float:
+        return fro(self.TT)
+
+    @cached_property
+    def rr_norm(self) -> float:
+        return fro(self.RR)
+
+    @cached_property
+    def t_norm(self) -> float:
+        return fro(self.T)
 
 
 @dataclass(frozen=True)
@@ -116,37 +153,42 @@ class EmbeddingBundle:
     # -- transfer maps -----------------------------------------------------
 
     def _gram_floor(self) -> float:
-        # Grams below this are rounding noise of the construction scale;
-        # a numerically-zero Gram commutes with everything.
+        # Grams and arguments below this are rounding noise of the
+        # construction scale; a numerically-zero Gram commutes with everything
         return max(self.space.tol.spec * self.scale, self.noise)
-
-    def _negligible(self, C) -> bool:
-        # arguments at the noise floor are the zero operator: transferring
-        # them through the rank-cut inverse would only amplify noise
-        return fro(C) <= self._gram_floor()
 
     def compress(self, C, j: int = 0) -> np.ndarray:
         """Solve T_j X = C T_j for the action of C on V_j (V for j = 0).
 
-        Defined on the commutant of T_j T_j^*; membership is checked, then the
-        residual of the solve certifies the result.
+        ``C`` is one operator or a stack of shape ``(..., n, n)``; the result
+        has the same leading shape. Defined on the commutant of T_j T_j^*:
+        membership of every operator is checked, then the residual of the
+        solve certifies it. Operators at the noise floor are the zero
+        operator (transferring them through the rank-cut inverse would only
+        amplify noise) and map to zero unchecked. The first operator of the
+        stack failing a check raises.
         """
         V = self.coords[j]
         C = np.asarray(C, dtype=complex)
-        if self._negligible(C):
-            return np.zeros((V.dim, V.dim), dtype=complex)
+        norms = fro_each(C)
+        floor = self._gram_floor()
+        live = norms > floor
         t = f"T{j or ''}"
-        self._check_commutant(C, V.T @ V.F, f"{t} {t}*", self._gram_floor())
-        X = self._t_solve(V.F, C)
-        self._certify(V.T @ X, C @ V.T, C, f"compression onto V{j or ''}")
+        self._check_commutant(C, norms, live, V.outer, V.outer_norm, f"{t} {t}*", floor)
+        X = V.left @ C @ V.T
+        X[~live] = 0.0
+        self._certify(V.T @ X - C @ V.T, norms, live, f"compression onto V{j or ''}")
         return X
 
     def expand(self, D, j: int = 0) -> np.ndarray:
-        """T_j D T_j^* back on the Krein space (T_j^* = F_j)."""
+        """T_j D T_j^* back on the Krein space (T_j^* = F_j), for one
+        operator or a stack ``(..., r_j, r_j)``."""
         V = self.coords[j]
         D = np.asarray(D, dtype=complex)
         t = f"T{j or ''}"
-        self._check_commutant(D, V.TT, f"{t}* {t}", self._gram_floor())
+        self._check_commutant(
+            D, fro_each(D), True, V.TT, V.tt_norm, f"{t}* {t}", self._gram_floor()
+        )
         return V.T @ D @ V.F
 
     def quotient(self, C) -> np.ndarray:
@@ -160,51 +202,53 @@ class EmbeddingBundle:
         return Q2.conj().T @ np.asarray(C, dtype=complex) @ Q2
 
     def part_from_full(self, D, j: int) -> np.ndarray:
-        """Solve R_j Y = D R_j for the V_j representative of D on V."""
+        """Solve R_j Y = D R_j for the V_j representative of D on V, for one
+        operator or a stack ``(..., r, r)``: Y = R_j^+ D R_j, certified."""
         D = np.asarray(D, dtype=complex)
+        norms = fro_each(D)
         Vj = self.coords[j]
-        self._check_commutant(D, Vj.RR, f"R{j} R{j}*", self.space.tol.spec)
-        R = Vj.R
-        Y = np.linalg.lstsq(R, D @ R, rcond=None)[0]
-        self._certify(R @ Y, D @ R, D, f"restriction to V{j}")
+        self._check_commutant(D, norms, True, Vj.RR, Vj.rr_norm, f"R{j} R{j}*", self.space.tol.spec)
+        DR = D @ Vj.R
+        Y = Vj.R_pinv @ DR
+        self._certify(Vj.R @ Y - DR, norms, True, f"restriction to V{j}")
         return Y
 
     def embed_part(self, Dj, j: int) -> np.ndarray:
         """R_j D_j R_j^* on V."""
         Dj = np.asarray(Dj, dtype=complex)
         R = self.coords[j].R
-        self._check_commutant(Dj, R.conj().T @ R, f"R{j}* R{j}", self.space.tol.spec)
+        S = R.conj().T @ R
+        self._check_commutant(Dj, fro_each(Dj), True, S, fro(S), f"R{j}* R{j}", self.space.tol.spec)
         return R @ Dj @ R.conj().T
 
     # -- internals ---------------------------------------------------------
 
-    def _t_solve(self, F, C):
-        # X = (F F^H)^{-1} F J C J^{-1} F^H; F F^H is the kept-eigenvalue
-        # diagonal because F has orthogonal rows (see gram_factor)
-        J, Jinv = self.space.J, self.space.Jinv
-        rhs = F @ (J @ C @ Jinv) @ F.conj().T
-        return rhs / _row_norms2(F)[:, None]
-
-    def _check_commutant(self, C, S, name, floor):
-        if fro(S) <= floor:
+    def _check_commutant(self, C, norms, live, S, s_norm, name, floor):
+        # the operators of the stack C (Frobenius norms ``norms``) where
+        # ``live`` must commute with S; an S at the floor commutes with all
+        if s_norm <= floor:
             return
-        resid = fro(C @ S - S @ C)
-        bound = self.space.tol.spec * max(fro(C) * fro(S), self.space.tol.abs)
-        if resid > bound:
-            raise NotInCommutantError(
-                f"argument does not commute with {name}: "
-                f"residual {resid:.2e} > {bound:.2e}"
-            )
+        tol = self.space.tol
+        resid = fro_each(C @ S - S @ C)
+        bound = tol.spec * np.maximum(norms * s_norm, tol.abs)
+        _raise_first(live & (resid > bound), resid, bound, f"argument does not commute with {name}")
 
-    def _certify(self, left, right, C, what):
-        resid = fro(left - right)
-        bound = self.space.tol.spec * max(
-            fro(C) * max(fro(self.coords[0].T), 1.0), self.space.tol.abs
+    def _certify(self, diff, norms, live, what):
+        # the residual of each solve, relative to its operator's norm
+        tol = self.space.tol
+        resid = fro_each(diff)
+        bound = tol.spec * np.maximum(norms * max(self.coords[0].t_norm, 1.0), tol.abs)
+        _raise_first(live & (resid > bound), resid, bound, f"{what} failed certification")
+
+
+def _raise_first(bad, resid, bound, what):
+    """Raise for the first operator of a stack where ``bad`` is set."""
+    hit = np.flatnonzero(bad)
+    if hit.size:
+        i = hit[0]
+        raise NotInCommutantError(
+            f"{what}: residual {np.ravel(resid)[i]:.2e} > {np.ravel(bound)[i]:.2e}"
         )
-        if resid > bound:
-            raise NotInCommutantError(
-                f"{what} failed certification: residual {resid:.2e} > {bound:.2e}"
-            )
 
 
 class Expansion:
@@ -264,7 +308,7 @@ class Expansion:
 
         tol = bundle.space.tol
         self._spec, self._abs = tol.spec, tol.abs
-        self._tt_norm = fro(V.TT)
+        self._tt_norm = V.tt_norm
         self._atoms = None
         if self._tt_norm <= bundle._gram_floor():
             return
@@ -293,15 +337,19 @@ class Expansion:
         self._atoms = (crit, C.conj() @ C.T, Y.conj() @ Y.T)
 
     def __call__(self, w, g) -> np.ndarray:
-        """``expand(augmented_integral(data, w, g, critical, RR1, RR2))``;
-        ``w`` and ``g`` are aligned with ``data.centers`` as there."""
+        """``expand(augmented_integral(data, w[i], g[i], critical, RR1, RR2))``
+        for every row i of ``w`` (m x k) and ``g`` (m x k x 2), rows aligned
+        with ``data.centers`` as there: an ``m x n x n`` stack from one
+        ``(m n x r) @ (r x n)`` product. Every row is checked."""
         if self._atoms is not None:
-            self._check(w, g)
-        left = self._TQ * w[self._labels]
+            for wi, gi in zip(w, g):
+                self._check(wi, gi)
+        left = self._TQ * w[:, None, self._labels]
         if self._cols.size:
-            gc = g[self._col_labels]
-            left[:, self._cols] = self._TRQ[0] * gc[:, 0] + self._TRQ[1] * gc[:, 1]
-        return left @ self._QhF
+            gc = g[:, None, self._col_labels]
+            left[:, :, self._cols] = self._TRQ[0] * gc[..., 0] + self._TRQ[1] * gc[..., 1]
+        m, n, r = left.shape
+        return (left.reshape(m * n, r) @ self._QhF).reshape(m, n, n)
 
     def _check(self, w, g):
         crit, comm, gram = self._atoms
@@ -316,6 +364,11 @@ class Expansion:
                 f"argument does not commute with T* T: residual at most {resid:.2e}, "
                 f"not within {bound:.2e}"
             )
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 def _row_norms2(F) -> np.ndarray:
@@ -337,12 +390,12 @@ def build_bundle(pair: DefinitizablePair) -> EmbeddingBundle:
     noise = 1e4 * np.finfo(float).eps * sum(pair.eval_scales)
     F, top, dropped, kernel = gram_factor(G, tol, noise=noise)
     scale = max(top, tol.abs)
-    coords = [CoordinateSpace.of(F, space.Jinv, dropped)]
+    coords = [CoordinateSpace.of(F, space, dropped)]
     d = _row_norms2(F)
     for Gj in (Gp, Gq):
         Fj, _, dropped, _ = gram_factor(Gj, tol, scale_floor=scale, noise=noise)
         Rj = (Fj @ F.conj().T / d).conj().T
-        coords.append(CoordinateSpace.of(Fj, space.Jinv, dropped, Rj))
+        coords.append(CoordinateSpace.of(Fj, space, dropped, Rj))
 
     # ran(T)^perp = ker(T^H) = ker(F J^{-1}) = J ker F
     cokernel = np.linalg.qr(space.J @ kernel)[0]

@@ -25,8 +25,9 @@ PROFILES = ("diagonal", "jordan", "pontryagin")
 
 
 def matrix_to_json(M) -> list:
+    """Rows of ``[re, im]`` pairs of Python floats."""
     M = np.asarray(M, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in M]
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def matrix_from_json(rows, name: str) -> np.ndarray:

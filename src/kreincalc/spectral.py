@@ -19,7 +19,7 @@ from scipy.linalg.lapack import zgees, zheevd
 
 from .cluster import cluster_points, match_points
 from .errors import DomainMismatchError, NotNormalError
-from .tol import DEFAULT_TOL, Tolerances, fro
+from .tol import DEFAULT_TOL, Tolerances, fro, fro_each
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,22 +44,27 @@ class SpectralData:
     @property
     def points(self):
         """``(eigenvalue, projection)`` pairs, built densely on each access."""
-        return tuple((ev, self.projection(i)) for i, ev in enumerate(self.centers))
+        return tuple(zip(self.centers, self.projections()))
 
     def projection(self, i) -> np.ndarray:
         """The orthogonal projection onto eigenvalue ``centers[i]``."""
         V = self.Q[:, self.labels == i]
         return V @ V.conj().T
 
+    def projections(self) -> np.ndarray:
+        """Every cluster's projection as one ``(k, dim, dim)`` stack, entry i
+        that of ``centers[i]``: ``Q`` with the other clusters' columns
+        zeroed, times ``Q^H``."""
+        own = self.labels == np.arange(len(self.centers))[:, None]
+        return (self.Q * own[:, None, :]) @ self.Q.conj().T
+
     def resolution_residual(self):
         """How far the projections are from a resolution of the identity."""
-        points = self.points
-        total = sum((P for _, P in points), np.zeros((self.dim, self.dim), complex))
-        resid = fro(total - np.eye(self.dim))
-        for i, (_, P) in enumerate(points):
-            resid = max(resid, fro(P @ P - P), fro(P - P.conj().T))
-            for j in range(i + 1, len(points)):
-                resid = max(resid, fro(P @ points[j][1]))
+        P = self.projections()
+        resid = fro(P.sum(axis=0) - np.eye(self.dim))
+        i, j = np.triu_indices(len(P), 1)
+        for excess in (P @ P - P, P - P.conj().transpose(0, 2, 1), P[i] @ P[j]):
+            resid = max(resid, float(fro_each(excess).max(initial=0.0)))
         return resid
 
 

@@ -17,7 +17,7 @@ from .bipoly import BiPoly
 from .calculus import CalculusContext, CalculusFunction, Disk, RegionUnion
 from .instances import Instance
 from .spectral import snap_eigenvalues, spectral_integral
-from .tol import fro, norm2
+from .tol import fro, fro_each, norm2
 
 __all__ = ["PropertyResult", "Report", "run_suite"]
 
@@ -90,25 +90,28 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
         slug = re.sub(r"[^a-z0-9]+", "-", name.lower()).strip("-")
         prop("bundle/" + slug, name, resid, thr)
 
-    # test operators N, N*, C1, C2; the context holds the compressions of N
-    tests = [ctx.space.adjoint(pair.N)] + [_random_commuting(ctx, rng) for _ in range(2)]
-    ths = [ctx.theta_n] + [bundle.compress(C) for C in tests]
-    parts = {
-        j: [ctx.theta_parts[j - 1][0]] + [bundle.compress(C, j) for C in tests]
-        for j in (1, 2)
-    }
+    # test operators N, N*, C1, C2; the context holds the compressions of N.
+    # Everything compressed onto V goes in one stack, the tests onto V_j in
+    # one per space.
+    tests = np.stack(
+        [ctx.space.adjoint(pair.N)] + [_random_commuting(ctx, rng) for _ in range(2)]
+    )
+    C1, C2 = tests[1:]
+    _, V1, V2 = bundle.coords
+    more = [pair.A, pair.B, V1.T @ V1.F, V2.T @ V2.F, C1 @ C2, ctx.space.adjoint(C1)]
+    on_v = bundle.compress(np.concatenate([tests, more, np.eye(ctx.space.n)[None]]))
+    ths = np.concatenate([ctx.theta_n[None], on_v[:3]])
+    thA, thB, gram1, gram2, th12, th1_adj, th_eye = on_v[3:]
     ttv = bundle.coords[0].TT
     for j in (1, 2):
         rr, Rj = bundle.coords[j].RR, bundle.coords[j].R
-        worst_inter = worst_comp = 0.0
-        scale = 1.0
-        for th, thj in zip(ths, parts[j]):
-            mid = Rj @ thj @ Rj.conj().T
-            worst_inter = max(
-                worst_inter, fro(th @ rr - mid), fro(mid - rr @ th)
-            )
-            worst_comp = max(worst_comp, fro(thj - bundle.part_from_full(th, j)))
-            scale = max(scale, fro(th), fro(thj))
+        thjs = np.concatenate([ctx.theta_parts[j - 1][0][None], bundle.compress(tests, j)])
+        mid = Rj @ thjs @ Rj.conj().T
+        worst_inter = max(
+            fro_each(ths @ rr - mid).max(), fro_each(mid - rr @ ths).max()
+        )
+        worst_comp = fro_each(thjs - bundle.part_from_full(ths, j)).max()
+        scale = max(1.0, fro_each(ths).max(), fro_each(thjs).max())
         prop(
             f"transfer-intertwine-{j}",
             f"Th(C) R{j}R{j}* = R{j} Th{j}(C) R{j}* = R{j}R{j}* Th(C)",
@@ -122,8 +125,6 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
             tol.rel * scale,
         )
 
-    thA = bundle.compress(pair.A)
-    thB = bundle.compress(pair.B)
     pth = pair.p.of_matrix(thA)
     qth = pair.q.of_matrix(thB)
     total = pth + qth
@@ -131,18 +132,16 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
     prop(
         "definitizer-split-1",
         "p(Th(A)) = R1R1* (p(Th(A)) + q(Th(B)))",
-        fro(pth - bundle.coords[1].RR @ total),
+        fro(pth - V1.RR @ total),
         tol.rel * s,
     )
     prop(
         "definitizer-split-2",
         "q(Th(B)) = R2R2* (p(Th(A)) + q(Th(B)))",
-        fro(qth - bundle.coords[2].RR @ total),
+        fro(qth - V2.RR @ total),
         tol.rel * s,
     )
-    for j in (1, 2):
-        Vj = bundle.coords[j]
-        lhs = bundle.compress(Vj.T @ Vj.F)
+    for j, lhs in ((1, gram1), (2, gram2)):
         prop(
             f"gram-transfer-{j}",
             f"Th(T{j}T{j}*) = R{j}R{j}* T*T",
@@ -150,24 +149,24 @@ def embedding_properties(ctx: CalculusContext, rng) -> list:
             tol.rel * max(1.0, fro(ttv)),
         )
 
-    (C1, C2), (th1, th2) = tests[1:], ths[2:]
+    th1, th2 = ths[2:]
     s12 = max(1.0, fro(th1) * fro(th2))
     prop(
         "transfer-multiplicative",
         "Th(C1 C2) = Th(C1) Th(C2)",
-        fro(bundle.compress(C1 @ C2) - th1 @ th2),
+        fro(th12 - th1 @ th2),
         tol.rel * s12,
     )
     prop(
         "transfer-involutive",
         "Th(C*) = Th(C)^H",
-        fro(bundle.compress(ctx.space.adjoint(C1)) - th1.conj().T),
+        fro(th1_adj - th1.conj().T),
         tol.rel * max(1.0, fro(th1)),
     )
     prop(
         "transfer-unital",
         "Th(I) = I",
-        fro(bundle.compress(np.eye(ctx.space.n)) - np.eye(bundle.dim_v)),
+        fro(th_eye - np.eye(bundle.dim_v)),
         tol.rel,
     )
 
@@ -197,7 +196,8 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
         out.append(PropertyResult(name, anchor, float(resid), float(thr)))
 
     r = bundle.dim_v
-    points = data.points
+    P = data.projections()
+    lams = np.array(data.eigenvalues, dtype=complex)
     prop(
         "measure-resolution",
         "sum E = I, E orthogonal idempotents",
@@ -205,39 +205,31 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
         tol.rel * max(1.0, np.sqrt(r)),
     )
     thN = ctx.theta_n
-    worst = max(
-        (fro(thN @ P - lam * P) for lam, P in points), default=0.0
-    )
     # snapping onto critical points may move an eigenvalue by one radius
     prop(
         "measure-eigen",
         "Th(N) E{z} = z E{z}",
-        worst,
+        fro_each(thN @ P - lams[:, None, None] * P).max(initial=0.0),
         max(tol.spec * max(1.0, fro(thN)), 3 * cs.radius * max(1.0, np.sqrt(r))),
     )
     ttv = bundle.coords[0].TT
-    worst = 0.0
-    for _, P in points:
-        for S in (bundle.coords[1].RR, bundle.coords[2].RR, ttv):
-            worst = max(worst, fro(P @ S - S @ P))
+    S = np.stack([bundle.coords[1].RR, bundle.coords[2].RR, ttv])[None]
     prop(
         "measure-commutant",
         "E{z} commutes with R1R1*, R2R2*, T*T",
-        worst,
+        fro_each(P[:, None] @ S - S @ P[:, None]).max(initial=0.0),
         tol.spec * max(1.0, fro(ttv)),
     )
 
     n1, n2 = (norm2(bundle.coords[j].RR) for j in (1, 2))
-    pq_scale = max(
-        [1.0]
-        + [abs(p(z.real)) + abs(q(z.imag)) for z in data.eigenvalues]
-    )
+    pv, qv = p(lams.real), q(lams.imag)
+    sv = pv + qv
+    pq_scale = max([1.0] + (np.abs(pv) + np.abs(qv)).tolist())
     worst = 0.0
-    for z in data.eigenvalues:
-        pv, qv, sv = p(z.real), q(z.imag), p(z.real) + q(z.imag)
-        worst = max(worst, abs(pv) - n1 * abs(sv), abs(qv) - n2 * abs(sv))
-        if abs(sv) <= tol.spec * pq_scale:
-            worst = max(worst, abs(pv), abs(qv))
+    for pz, qz, sz in zip(pv, qv, sv):
+        worst = max(worst, abs(pz) - n1 * abs(sz), abs(qz) - n2 * abs(sz))
+        if abs(sz) <= tol.spec * pq_scale:
+            worst = max(worst, abs(pz), abs(qz))
     prop(
         "spectral-bounds",
         "|p| <= |R1R1*||p+q|, |q| <= |R2R2*||p+q| on spec(Th(N))",
@@ -245,16 +237,10 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
         tol.spec * pq_scale,
     )
 
-    noncrit_e = np.zeros((r, r), dtype=complex)
-    ratio1 = np.zeros((r, r), dtype=complex)
-    ratio2 = np.zeros((r, r), dtype=complex)
-    for (lam, P), pinned in zip(points, ctx.layout.critical):
-        if pinned:
-            continue
-        noncrit_e += P
-        sv = p(lam.real) + q(lam.imag)
-        ratio1 += (p(lam.real) / sv) * P
-        ratio2 += (q(lam.imag) / sv) * P
+    free = ~ctx.layout.critical
+    noncrit_e = P[free].sum(axis=0)
+    ratio1 = np.tensordot(pv[free] / sv[free], P[free], 1)
+    ratio2 = np.tensordot(qv[free] / sv[free], P[free], 1)
     s = max(1.0, n1 + n2)
     prop(
         "measure-weighted-1",
@@ -269,34 +255,36 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
         tol.spec * s,
     )
 
-    draws = rng.standard_normal((max(len(points), 1), 2))
-    h = draws[: len(points), 0] + 1j * draws[: len(points), 1]
+    k = len(lams)
+    draws = rng.standard_normal((max(k, 1), 2))
+    h = draws[:k, 0] + 1j * draws[:k, 1]
     int_h = spectral_integral(data, h)
     for j, (_, dataj) in enumerate(ctx.theta_parts, start=1):
         dataj, hits = snap_eigenvalues(dataj, data.eigenvalues, cs.radius)
-        # the cluster of V_j pinned to each cluster of V (the last, if several)
-        owner = {i: k for k, i in enumerate(hits)}
-        zero = np.zeros((dataj.dim, dataj.dim), dtype=complex)
-        worst_proj = 0.0
-        for i, (_, P) in enumerate(points):
-            gamma = bundle.part_from_full(P, j)
-            Pj = zero if owner.get(i) is None else dataj.projection(owner[i])
-            worst_proj = max(worst_proj, fro(gamma - Pj))
+        # E_j of the cluster of V_j pinned to each cluster of V (the last, if
+        # several), zero where none is
+        owner = {i: c for c, i in enumerate(hits)}
+        owned = [i for i in range(k) if i in owner]
+        Pj = np.zeros((k, dataj.dim, dataj.dim), dtype=complex)
+        Pj[owned] = dataj.projections()[[owner[i] for i in owned]]
+        # the restrictions of every E{z}, and of int h dE when it is compared
+        transfer = k and None not in hits
+        parts = bundle.part_from_full(np.concatenate([P, int_h[None]]) if transfer else P, j)
         prop(
             f"measure-transfer-{j}",
             f"restriction of E{{z}} to V{j} is E{j}{{z}}",
-            worst_proj,
+            fro_each(parts[:k] - Pj).max(initial=0.0),
             tol.spec,
         )
-        if points and None in hits:
+        if k and not transfer:
             prop(f"integral-transfer-{j}", "restriction of int h dE", 1.0, tol.spec)
-        elif points:
+        elif transfer:
             int_hj = spectral_integral(dataj, h[np.array(hits, dtype=int)])
             hs = max(1.0, float(np.abs(h).max()))
             prop(
                 f"integral-transfer-{j}",
                 f"restriction of (int h dE) to V{j} = int h dE{j}",
-                fro(bundle.part_from_full(int_h, j) - int_hj),
+                fro(parts[k] - int_hj),
                 tol.spec * hs,
             )
             prop(
@@ -336,44 +324,50 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
     def prop(name, anchor, resid, thr):
         out.append(PropertyResult(name, anchor, float(resid), float(thr)))
 
+    # every random draw first, in the order the checks use them, then the
+    # functions applied in one pass
     phi = _random_function(ctx, rng)
     psi = _random_function(ctx, rng)
-    phi_n = ctx.apply(phi)
-    psi_n = ctx.apply(psi)
+    al, be = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
+    s0 = _random_bipoly(rng, 2, 2)
+    alternatives = [(_random_bipoly(rng, 1, 1), _random_bipoly(rng, 1, 1)) for _ in range(5)]
+    off_support = np.flatnonzero(~ctx.layout.supported)
+    vanishing = _with_random_jets(ctx, ctx.zero(), rng, off_support)
+    phi_n, psi_n, lin_n, prod_n, sharp_n, one_n, s0_n, vanishing_n = ctx.apply_many(
+        [phi, psi, al * phi + be * psi, phi * psi, phi.sharp(), ctx.one(), ctx.lift(s0), vanishing]
+    )
     s_ops = (1.0 + fro(phi_n)) * (1.0 + fro(psi_n))
 
-    al, be = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
     prop(
         "calculus-linear",
         "(a phi + b psi)(N) = a phi(N) + b psi(N)",
-        fro(ctx.apply(al * phi + be * psi) - (al * phi_n + be * psi_n)),
+        fro(lin_n - (al * phi_n + be * psi_n)),
         tol.spec * s_ops,
     )
     prop(
         "calculus-multiplicative",
         "(phi psi)(N) = phi(N) psi(N)",
-        fro(ctx.apply(phi * psi) - phi_n @ psi_n),
+        fro(prod_n - phi_n @ psi_n),
         tol.spec * s_ops,
     )
     prop(
         "calculus-involutive",
         "(phi#)(N) = phi(N)*",
-        fro(ctx.apply(phi.sharp()) - ctx.space.adjoint(phi_n)),
+        fro(sharp_n - ctx.space.adjoint(phi_n)),
         tol.spec * s_ops,
     )
     prop(
         "calculus-unital",
         "1(N) = I",
-        fro(ctx.apply(ctx.one()) - np.eye(ctx.space.n)),
+        fro(one_n - np.eye(ctx.space.n)),
         tol.spec,
     )
 
-    s0 = _random_bipoly(rng, 2, 2)
     ref = ctx.polynomial_at_pair(s0)
     prop(
         "polynomial-compatible",
         "s(N) = s(A, B) for polynomial functions",
-        fro(ctx.apply(ctx.lift(s0)) - ref),
+        fro(s0_n - ref),
         tol.spec * max(1.0, fro(ref)),
     )
 
@@ -385,9 +379,7 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
     s = ctx.interpolant(phi2)
     worst = 0.0
     scale = 1.0 + fro(phi_n)
-    for _ in range(5):
-        u = _random_bipoly(rng, 1, 1)
-        v = _random_bipoly(rng, 1, 1)
+    for u, v in alternatives:
         s2 = s + pz * u + qw * v
         alt = ctx.apply_decomposition(s2, *ctx.remainder(phi2, s2))
         worst = max(worst, fro(alt - phi_n))
@@ -399,14 +391,12 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
         tol.spec * scale,
     )
 
-    off_support = np.flatnonzero(~ctx.layout.supported)
-    vanishing = _with_random_jets(ctx, ctx.zero(), rng, off_support)
     anchor = "phi = 0 on sigma_N implies phi(N) = 0"
     if off_support.size:
         prop(
             "support-vanishing",
             anchor,
-            fro(ctx.apply(vanishing)),
+            fro(vanishing_n),
             tol.spec * (1.0 + vanishing.norm()),
         )
     else:
@@ -478,20 +468,23 @@ def _projection_properties(ctx: CalculusContext, prop):
     usable = radius > 10 * margin and points
     if usable:
         disks = [Disk(z, radius) for z in points]
-        projs = [ctx.spectral_projection(d) for d in disks]
-        scale = max(1.0, max(fro(P) for P in projs))
-        worst_idem = max(fro(P @ P - P) for P in projs)
+        regions = disks + [Disk(0.0, max(abs(z) for z in points) + 1.0)]
+        if len(disks) >= 2:
+            regions.append(RegionUnion((disks[0], disks[1])))
+        riesz = [c for c in cs.crit if c.spectral or c.in_sigma_n]
+        ops = ctx.apply_many(
+            [ctx.indicator(d) for d in regions] + [ctx.unit_jet(c.value) for c in riesz]
+        )
+        projs, total = ops[: len(disks)], ops[len(disks)]
+        scale = max(1.0, fro_each(projs).max())
+        worst_idem = fro_each(projs @ projs - projs).max()
         worst_sa = max(fro(ctx.space.adjoint(P) - P) for P in projs)
-        worst_comm = max(fro(P @ pair.N - pair.N @ P) for P in projs)
-        worst_disjoint = 0.0
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                worst_disjoint = max(worst_disjoint, fro(projs[i] @ projs[j]))
-        total = ctx.spectral_projection(Disk(0.0, max(abs(z) for z in points) + 1.0))
+        worst_comm = fro_each(projs @ pair.N - pair.N @ projs).max()
+        i, j = np.triu_indices(len(projs), 1)
+        worst_disjoint = fro_each(projs[i] @ projs[j]).max(initial=0.0)
         resid_total = fro(total - eye)
         if len(disks) >= 2:
-            union = ctx.spectral_projection(RegionUnion((disks[0], disks[1])))
-            resid_add = fro(union - projs[0] - projs[1])
+            resid_add = fro(ops[len(disks) + 1] - projs[0] - projs[1])
         else:
             resid_add = 0.0
         s2 = scale**2
@@ -508,10 +501,7 @@ def _projection_properties(ctx: CalculusContext, prop):
         prop("projection-total", "P(D) = I for D covering everything", resid_total, tol.spec * scale)
 
         worst_local = 0.0
-        for c in cs.crit:
-            if not (c.spectral or c.in_sigma_n):
-                continue
-            P = ctx.riesz_projection(c.value)
+        for c, P in zip(riesz, ops[len(regions):]):
             if fro(P) < 0.5:
                 continue
             U, sv, _ = np.linalg.svd(P)

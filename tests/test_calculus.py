@@ -243,6 +243,8 @@ class TestCachedState:
             _, V1, V2 = ctx.bundle.coords
             cached = [V1.RR, V2.RR, ctx.bundle.coords[0].TT, ctx.spectral.Q, ctx.spectral.labels]
             cached += [ctx.theta_n, *ctx.pair.poly_values]
+            cached += [getattr(V, a) for V in ctx.bundle.coords for a in ("outer", "left")]
+            cached += [V.R_pinv for V in (V1, V2)]
             assert not any(arr.flags.writeable for arr in cached)
 
     def test_mutating_a_result_leaves_the_next_apply_unchanged(
@@ -605,6 +607,17 @@ class TestCompiledApply:
         assert max(sh.size for ctx in ctxs for sh in ctx.layout.shapes) >= 6
         assert any(ctx.bundle.dim_v < ctx.space.n for ctx in ctxs)
         assert any(ctx.layout.critical.any() for ctx in ctxs)
+
+    def test_apply_many_matches_apply(self, zi_ctx, half_pair_ctx, contexts100):
+        rng = np.random.default_rng(67)
+        for ctx in [zi_ctx, half_pair_ctx] + contexts100:
+            fns = [CalculusFunction(ctx.cs, _random_coords(ctx, rng)) for _ in range(3)]
+            fns.append(ctx.one())
+            ops = ctx.apply_many(fns)
+            assert ops.shape == (4, ctx.space.n, ctx.space.n)
+            for op, fn in zip(ops, fns):
+                ref = ctx.apply(fn)
+                assert fro(op - ref) <= 1e-13 * max(1.0, fro(ref))
 
     def test_tampered_tt_fails_certificate_on_first_apply(self, w1_ctx):
         bundle = w1_ctx.bundle

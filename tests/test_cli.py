@@ -39,8 +39,8 @@ def test_one_parser_serves_successive_calls(tmp_path, capsys):
     parser = cli._parser()
     assert cli._parser() is parser
     args = parser.parse_args(["inspect", "--input", str(inst)])
-    assert (args.format, args.output, args.tol_scale, args.seed) == ("text", None, 1.0, 0)
-    assert not hasattr(args, "n") and not hasattr(args, "profile")
+    assert (args.format, args.output, args.tol_scale) == ("text", None, 1.0)
+    assert not any(hasattr(args, a) for a in ("seed", "n", "profile", "function", "region"))
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -146,6 +146,22 @@ def test_unreadable_files_exit_2(tmp_path, capsys, argv):
 def test_malformed_region_exits_2(capsys, region):
     assert run("project", "--input", W1, "--region", region) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--input", W1, "--seed", "1"],
+        ["inspect", "--input", W1, "--function", '{"kind": "nonsense"}'],
+        ["spectrum", "--input", W1, "--region", "x"],
+    ],
+)
+def test_flags_of_other_subcommands_exit_2(capsys, argv):
+    # --seed belongs to generate, --function to apply, --region to project
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_input_errors(capsys):

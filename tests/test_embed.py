@@ -134,6 +134,65 @@ class TestTransfers:
             assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def commuting_operators(pair, rng, count):
+    """Random combinations of I, A, B and AB: members of the commutant."""
+    n = pair.A.shape[0]
+    basis = np.stack([np.eye(n), pair.A, pair.B, pair.A @ pair.B])
+    c = rng.standard_normal((count, 4)) + 1j * rng.standard_normal((count, 4))
+    return np.tensordot(c, basis, 1)
+
+
+def close(a, b):
+    return np.linalg.norm(a - b) <= 1e-13 * max(1.0, np.linalg.norm(b))
+
+
+class TestStacks:
+    """The transfer maps on a stack of operators against one call each."""
+
+    def test_stack_matches_one_call_each(self):
+        rng = np.random.default_rng(64)
+        for seed in range(12):
+            inst = generate(seed, 3 + seed % 6, ("diagonal", "jordan", "pontryagin")[seed % 3])
+            b = build_bundle(inst.pair)
+            C = commuting_operators(inst.pair, rng, 4)
+            for j in (0, 1, 2):
+                X = b.compress(C, j)
+                assert X.shape == (4, b.coords[j].dim, b.coords[j].dim)
+                assert all(close(Xi, b.compress(Ci, j)) for Xi, Ci in zip(X, C))
+                E = b.expand(X, j)
+                assert all(close(Ei, b.expand(Xi, j)) for Ei, Xi in zip(E, X))
+            th = b.compress(C.reshape(2, 2, *C.shape[1:]))
+            assert th.shape[:2] == (2, 2)
+            for j in (1, 2):
+                Y = b.part_from_full(th, j)
+                assert all(
+                    close(Y[k, l], b.part_from_full(th[k, l], j))
+                    for k in range(2) for l in range(2)
+                )
+
+    def test_one_non_commuting_operator_raises_with_its_residual(self, w1_ctx):
+        b = w1_ctx.bundle
+        C = commuting_operators(b.pair, np.random.default_rng(65), 3)
+        C[1] = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(NotInCommutantError) as stacked:
+            b.compress(C)
+        with pytest.raises(NotInCommutantError) as alone:
+            b.compress(C[1])
+        S = b.coords[0].outer
+        resid = np.linalg.norm(C[1] @ S - S @ C[1])
+        assert f"residual {resid:.2e}" in str(stacked.value)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_negligible_operator_maps_to_zero(self, w1_ctx):
+        b = w1_ctx.bundle
+        C = commuting_operators(b.pair, np.random.default_rng(66), 2)
+        # far below the noise floor, and not in the commutant
+        C[1] = 1e-30 * np.array([[0, 1], [0, 0]], dtype=complex)
+        X = b.compress(C)
+        assert np.array_equal(X[1], np.zeros((2, 2)))
+        assert close(X[0], b.compress(C[0]))
+
+
 @pytest.mark.parametrize(
     "j, name", [(0, "T T* = p(A) + q(B)"), (1, "T1 T1* = p(A)"), (2, "T2 T2* = q(B)")]
 )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -26,6 +27,24 @@ class TestMatrixCodec:
     def test_rejects_malformed(self):
         with pytest.raises(ValidationError):
             matrix_from_json([[1.0, 2.0]], "M")
+
+    def test_json_and_digest_match_the_entrywise_encoding(self):
+        def entrywise(M):
+            M = np.asarray(M, dtype=complex)
+            return [[[float(v.real), float(v.imag)] for v in row] for row in M]
+
+        rng = np.random.default_rng(61)
+        M = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        M[0, 1], M[2, 2] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        for X in (M, M.T, M[::2], M.real, np.eye(3)):
+            assert json.dumps(matrix_to_json(X)) == json.dumps(entrywise(X))
+        assert "-0.0" in json.dumps(matrix_to_json(M))
+        inst = generate(8, 5, "jordan")
+        old = dict(inst.to_json(), J=entrywise(inst.space.J), N=entrywise(inst.N))
+        assert json.dumps(inst.to_json(), sort_keys=True) == json.dumps(old, sort_keys=True)
+        assert inst.digest() == hashlib.sha256(
+            json.dumps(old, sort_keys=True).encode()
+        ).hexdigest()[:16]
 
 
 class TestParse:

@@ -319,6 +319,15 @@ class TestFactoredMeasure:
             augmented_integral(self.data, self.h[1:], np.zeros((3, 2)), critical, self.rr1,
                                self.rr2)
 
+    def test_projection_stack_matches_each_projection(self):
+        P = self.data.projections()
+        assert P.shape == (3, 6, 6)
+        for i in range(3):
+            assert np.allclose(P[i], self.data.projection(i), rtol=0, atol=1e-14)
+        empty = diagonalize(np.zeros((0, 0)))
+        assert empty.projections().shape == (0, 0, 0)
+        assert empty.resolution_residual() == 0.0
+
     def test_factors_are_read_only(self):
         assert not self.data.Q.flags.writeable
         assert not self.data.labels.flags.writeable
