@@ -17,16 +17,14 @@ import numpy as np
 
 from .calculus import CalculusContext, function_from_dict, region_from_dict
 from .errors import DomainMismatchError, KreinCalcError
-from .instances import PROFILES, generate, matrix_to_json, parse_instance
+from .instances import PROFILES, generate, load_json, matrix_to_json, parse_instance
 from .suite import run_suite
 
 
 def _load_json_arg(value: str, what: str) -> dict:
     """Inline JSON or a JSON file; unreadable input raises DomainMismatchError."""
     try:
-        if value.lstrip().startswith("{"):
-            return json.loads(value)
-        return json.loads(Path(value).read_text())
+        return load_json(value)
     except (OSError, ValueError) as exc:
         raise DomainMismatchError(f"cannot read a {what} from {value[:80]!r}: {exc}") from exc
 

@@ -4,16 +4,22 @@ Matrices are stored row-major as nested arrays of [re, im] pairs so fixtures
 stay diffable. An instance provides the Gram matrix, either the normal
 operator or its two commuting selfadjoint parts, optional definitizing
 polynomials (searched when absent), and optional tolerance overrides.
+
+Instance, function and region files are read with ``orjson`` (``load_json``);
+instance files are written, and digested, with the standard ``json`` module,
+whose ``sort_keys``/``indent`` output fixes their bytes.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import orjson
 import scipy.linalg
 
 from .bipoly import RealPoly
@@ -35,11 +41,35 @@ def matrix_from_json(rows, name: str) -> np.ndarray:
         M = np.array(
             [[complex(re, im) for re, im in row] for row in rows], dtype=complex
         )
+    except OverflowError as exc:
+        raise ValidationError(f"matrix {name!r} has an entry that is not a finite number") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"matrix {name!r} is not an array of [re, im] pairs") from exc
     if M.ndim != 2:
         raise ValidationError(f"matrix {name!r} must be two-dimensional")
+    if not np.isfinite(M).all():
+        raise ValidationError(f"matrix {name!r} has an entry that is not a finite number")
     return M
+
+
+def load_json(source):
+    """Decode inline JSON text (it starts with ``{``) or the JSON file at a path.
+
+    Raises ``OSError`` when the file cannot be read and ``ValueError`` when
+    the text is not JSON, which includes the ``NaN`` and ``Infinity``
+    literals and numbers beyond the float range.
+    """
+    text = str(source)
+    raw = text if text.lstrip().startswith("{") else Path(source).read_bytes()
+    # The decoded lists and dicts hold no reference cycles, so the collections
+    # their allocation would trigger traverse the heap and free nothing.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return orjson.loads(raw)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass
@@ -82,12 +112,7 @@ def parse_instance(source, tol_scale: float = 1.0) -> Instance:
     supplied polynomials. Missing polynomials trigger the bounded search.
     """
     try:
-        if not isinstance(source, (str, Path)):
-            data = dict(source)
-        elif str(source).lstrip().startswith("{"):
-            data = json.loads(str(source))
-        else:
-            data = json.loads(Path(source).read_text())
+        data = load_json(source) if isinstance(source, (str, Path)) else dict(source)
     except (OSError, TypeError, ValueError) as exc:
         raise ValidationError(f"cannot read an instance from {str(source)[:80]!r}: {exc}") from exc
     if not isinstance(data, dict):
@@ -102,7 +127,7 @@ def parse_instance(source, tol_scale: float = 1.0) -> Instance:
             if not all(v >= 0 and np.isfinite(v) for v in overrides.values()):
                 raise ValueError(f"negative or non-finite value in {overrides}")
             tol = tol.with_overrides(**overrides)
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"'tol' must map tolerance names to numbers >= 0: {exc}") from exc
     if tol_scale != 1.0:
         tol = tol.scaled(tol_scale)
@@ -114,7 +139,7 @@ def parse_instance(source, tol_scale: float = 1.0) -> Instance:
         if any(r is not None and not (r.coeffs.ndim == 1 and np.isfinite(r.coeffs).all())
                for r in (p, q)):
             raise ValueError("nested or non-finite coefficients")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("'p' and 'q' must be lists of finite real coefficients") from exc
 
     if "N" in data:

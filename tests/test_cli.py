@@ -115,6 +115,13 @@ def test_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_entry_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"J": [[[NaN, 0]]], "N": [[[1, 0]]], "p": [1], "q": [1]}')
+    assert run("inspect", "--input", str(bad)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

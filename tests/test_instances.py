@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 
@@ -13,9 +14,9 @@ from kreincalc import (
     generate,
     parse_instance,
 )
-from kreincalc.instances import matrix_from_json, matrix_to_json
+from kreincalc.instances import load_json, matrix_from_json, matrix_to_json
 
-from conftest import instance_matrix
+from conftest import FIXTURES, PROFILES, instance_matrix
 
 
 class TestMatrixCodec:
@@ -112,6 +113,29 @@ class TestParse:
         parse_instance(data)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "name, entry",
+        [
+            ("J", [float("nan"), 0.0]),
+            ("J", [float("inf"), 0.0]),
+            ("J", [10**400, 0]),
+            ("N", [float("nan"), 0.0]),
+            ("N", [1.0, float("-inf")]),
+            ("N", [-(10**400), 0]),
+        ],
+    )
+    def test_non_finite_entries_raise(self, name, entry):
+        data = {"J": [[[1.0, 0.0]]], "N": [[[1.0, 0.0]]], "p": [1.0], "q": [1.0]}
+        data[name] = [[entry]]
+        with pytest.raises(ValidationError, match=f"matrix '{name}' has an entry that is not a finite"):
+            parse_instance(data)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_literals_are_rejected_at_decode(self, literal):
+        text = f'{{"J": [[[{literal}, 0]]], "N": [[[1, 0]]], "p": [1], "q": [1]}}'
+        with pytest.raises(ValidationError, match="cannot read an instance"):
+            parse_instance(text)
+
     def test_tol_overrides(self, w1):
         data = w1.to_json()
         data["tol"] = {"cluster": 1e-5}
@@ -131,6 +155,9 @@ class TestParse:
         {"tol": {"spec": float("nan")}},
         {"p": "abc"},
         {"q": [1.0, None]},
+        {"tol": {"cluster": 10**400}},
+        {"p": [10**400]},
+        {"q": [1.0, -(10**400)]},
     ],
 )
 def test_malformed_instance_fields_raise_validation_error(w1, override):
@@ -138,6 +165,84 @@ def test_malformed_instance_fields_raise_validation_error(w1, override):
     data.update(override)
     with pytest.raises(ValidationError):
         parse_instance(data)
+
+
+def _large_ab_text(seed=128, n=128) -> str:
+    """Commuting Hermitian A, B with full-mantissa complex entries, J = I."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    A, B = (Q @ np.diag(rng.integers(-8, 9, size=n) * 0.5) @ Q.conj().T for _ in "AB")
+    return json.dumps({
+        "label": f"ab-n{n}-seed{seed}",
+        "J": matrix_to_json(np.eye(n)),
+        "A": matrix_to_json(A),
+        "B": matrix_to_json(B),
+        "p": [1.0],
+        "q": [1.0],
+    })
+
+
+def _decode_texts():
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield path.name, path.read_text()
+    for seed in range(50):
+        for profile in PROFILES:
+            inst = generate(seed, 2 + seed % 11, profile)
+            yield inst.label, json.dumps(inst.to_json(), sort_keys=True)
+    yield "ab-n128", _large_ab_text()
+
+
+def _bits(M):
+    return np.ascontiguousarray(M).view(np.int64)
+
+
+class TestDecode:
+    def test_matches_stdlib_json_bit_for_bit(self, tmp_path):
+        path = tmp_path / "inst.json"
+        for label, text in _decode_texts():
+            # the reference decode: stdlib json, then matrix_from_json
+            ref_data = json.loads(text)
+            keys = [k for k in ("J", "N", "A", "B") if k in ref_data]
+            ref = {k: matrix_from_json(ref_data[k], k) for k in keys}
+            path.write_text(text)
+            for source in (text, path, str(path)):
+                data = load_json(source)
+                assert data == ref_data, label
+                for k in keys:
+                    got = matrix_from_json(data[k], k)
+                    assert np.array_equal(_bits(got), _bits(ref[k])), (label, k)
+            want = parse_instance(ref_data)
+            for source in (text, path, load_json(text)):
+                inst = parse_instance(source)
+                for got, exp in zip(
+                    (inst.space.J, inst.pair.A, inst.pair.B), (want.space.J, want.pair.A, want.pair.B)
+                ):
+                    assert np.array_equal(_bits(got), _bits(exp)), label
+                assert inst.pair.p.to_list() == want.pair.p.to_list()
+                assert inst.pair.q.to_list() == want.pair.q.to_list()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("good", [True, False])
+    def test_leaves_the_collector_as_it_found_it(self, tmp_path, w1, enabled, good):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(w1.to_json()) if good else '{"J": [[[1, 0]]')
+        was = gc.isenabled()
+        try:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            if good:
+                parse_instance(path)
+            else:
+                with pytest.raises(ValidationError):
+                    parse_instance(path)
+            assert gc.isenabled() is enabled
+        finally:
+            if was:
+                gc.enable()
+            else:
+                gc.disable()
 
 
 class TestGenerate:
