@@ -46,7 +46,7 @@ from .krein import (
     split_normal,
     verify_definitizing,
 )
-from .spectral import SpectralData, augmented_integral, diagonalize, spectral_integral
+from .spectral import SpectralData, diagonalize, spectral_integral
 from .suite import Report, run_suite
 from .tol import DEFAULT_TOL, Tolerances
 
@@ -86,7 +86,6 @@ __all__ = [
     "Tolerances",
     "ValidationError",
     "ZeroGrid",
-    "augmented_integral",
     "build_bundle",
     "diagonalize",
     "euclidean_reduce",

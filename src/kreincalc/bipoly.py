@@ -326,20 +326,23 @@ def taylor_table(points, degree: int, order: int) -> np.ndarray:
 
 
 def taylor_shift(coeffs, zs, ws, order_z: int, order_w: int) -> np.ndarray:
-    """Shifted coefficients of one polynomial at many points, batched.
+    """Shifted coefficients of one polynomial, or of a stack of them, at
+    many points, batched.
 
-    ``coeffs`` is a dense coefficient matrix (see :meth:`BiPoly.dense`);
-    entry [p, k, l] of the result is the (z^k w^l) coefficient of
-    s(z + zs[p], w + ws[p]) for k <= order_z, l <= order_w, that is
-    ``einsum("pkK,KL,plL->pkl", Tz, coeffs, Tw)`` over the Taylor tables.
+    ``coeffs`` is a dense coefficient matrix (see :meth:`BiPoly.dense`) or a
+    stack ``(..., Dz, Dw)`` of them; entry [..., p, k, l] of the result is
+    the (z^k w^l) coefficient of s(z + zs[p], w + ws[p]) for k <= order_z,
+    l <= order_w, that is ``einsum("pkK,...KL,plL->...pkl", Tz, coeffs, Tw)``
+    over the Taylor tables.
     """
     C = np.asarray(coeffs, dtype=complex)
-    Tz = taylor_table(zs, C.shape[0] - 1, order_z)
-    Tw = taylor_table(ws, C.shape[1] - 1, order_w)
-    # one product for all points, then the small contraction over L by
-    # broadcasting: batched products of tiny matrices cost more
-    left = (Tz.reshape(-1, C.shape[0]) @ C).reshape(len(Tz), order_z + 1, C.shape[1])
-    return (left[:, :, None, :] * Tw[:, None, :, :]).sum(axis=-1)
+    Dz, Dw = C.shape[-2:]
+    Tz = taylor_table(zs, Dz - 1, order_z)
+    Tw = taylor_table(ws, Dw - 1, order_w)
+    # one product for all points and polynomials, then the small contraction
+    # over L by broadcasting: batched products of tiny matrices cost more
+    left = (Tz.reshape(-1, Dz) @ C).reshape(C.shape[:-2] + (len(Tz), order_z + 1, Dw))
+    return (left[..., None, :] * Tw[:, None, :, :]).sum(axis=-1)
 
 
 def jet_gather(shapes):

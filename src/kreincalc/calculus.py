@@ -31,7 +31,7 @@ from .errors import (
 )
 from .jets import A_KIND, B_KIND, Jet, JetShape, convolve, invert
 from .krein import DefinitizablePair
-from .spectral import SpectralData, augmented_integral, diagonalize, snap_eigenvalues
+from .spectral import SpectralData, diagonalize, snap_eigenvalues
 from .tol import fro, norm2
 
 
@@ -458,8 +458,7 @@ class CalculusContext:
     An apply is one LU solve ``sol``, the remainder ``x - LI sol`` and its
     tests, one ``n x r x n`` product and ``sum_g sol_g S_g``;
     :meth:`apply_many` does this for many functions in one pass, and
-    :meth:`apply` is its stack of one. :meth:`decompose` and
-    :meth:`apply_decomposition` are the uncompiled reference path.
+    :meth:`apply` is its stack of one.
     """
 
     def __init__(self, pair: DefinitizablePair, bundle: EmbeddingBundle,
@@ -581,14 +580,14 @@ class CalculusContext:
         Scalar values are s(Re z, Im z); critical points carry the full
         overflow jet of that restriction, nonreal pairs the holomorphic jet.
         """
-        return CalculusFunction(self.cs, self._lift_coords(s))
+        return CalculusFunction(self.cs, self._lift_coords(s.dense()))
 
-    def _lift_coords(self, s: BiPoly) -> np.ndarray:
-        """Coordinates of ``lift(s)``: one batched Taylor shift at every
-        point of the layout."""
+    def _lift_coords(self, coeffs) -> np.ndarray:
+        """Coordinates of the lift of the polynomial with dense coefficients
+        ``coeffs``, or of each of a stack: one batched Taylor shift."""
         L = self.layout
-        index, order_z, order_w = L.gather
-        return taylor_shift(s.dense(), L.point_z, L.point_w, order_z, order_w)[index]
+        (rows, ks, ls), order_z, order_w = L.gather
+        return taylor_shift(coeffs, L.point_z, L.point_w, order_z, order_w)[..., rows, ks, ls]
 
     def delta(self, at, jet: Jet) -> CalculusFunction:
         """The function equal to ``jet`` at one critical/pair point, zero elsewhere."""
@@ -634,41 +633,16 @@ class CalculusContext:
             )
 
     @cached_property
-    def _system(self) -> HermiteSystem:
-        return HermiteSystem(self.cs.grid, self.tol)
-
-    def interpolant(self, fn: CalculusFunction) -> BiPoly:
-        """Low-degree polynomial matching the function's jets on the zero grid.
-
-        Critical points contribute the box part of their jets, zero pairs
-        their whole jet. The grid's interpolation system is built, gated and
-        factored on the first call and kept, so a :class:`ConditioningError`
-        comes from the first interpolant or apply, not from :meth:`build`.
-        """
-        self._check_owns(fn)
-        return self._system.solve(fn.coords[self.layout.grid_index])
-
-    def remainder(self, fn: CalculusFunction, s: BiPoly):
-        """Divide fn - lift(s) off the definitizing pair.
-
-        Returns ``(w, g)`` aligned with the spectral clusters: ``w[i]`` the
-        scalar part at a noncritical eigenvalue, ``g[i]`` the overflow pair
-        at a critical one (see :func:`~kreincalc.spectral.augmented_integral`).
-        Raises when the difference is not in the vanishing-projection ideal.
-        """
-        self._check_owns(fn)
-        return self._weights(fn.coords, self._lift_coords(s))
-
-    @cached_property
     def _vanishing_denominators(self) -> np.ndarray:
         """The noncritical points where p(Re z) + q(Im z) is at zero."""
         return np.flatnonzero(np.abs(self.layout.denom) <= self.tol.abs)
 
     def _weights(self, coords, lifted):
-        """:meth:`remainder` of the coordinates ``coords`` against the
-        coordinates ``lifted`` of a polynomial, or of each row of a stack of
-        them; the ideal test of every row comes first, and the first failing
-        row raises."""
+        """``coords`` minus the coordinates ``lifted`` of a polynomial, or
+        each row of a stack of them, divided off the definitizing pair: the
+        weights ``(w, g)`` :class:`~kreincalc.embed.Expansion` integrates.
+        The ideal test of every row comes first; the first failing row
+        raises."""
         cs, L = self.cs, self.layout
         rho = coords - lifted
         # the lift norm enters the bound: cancellation noise scales with it
@@ -700,10 +674,6 @@ class CalculusContext:
         g[..., L.critical, :] = rho[..., L.overflow] * L.overflow_scale
         return w, g
 
-    def decompose(self, fn: CalculusFunction):
-        s = self.interpolant(fn)
-        return (s, *self.remainder(fn, s))
-
     def polynomial_at_pair(self, s: BiPoly) -> np.ndarray:
         """s(A, B) = sum_k A^k (sum_l c_kl B^l) over monomial powers.
 
@@ -717,15 +687,12 @@ class CalculusContext:
         inner = np.tensordot(C, bpow, axes=(1, 0))
         return apow.transpose(1, 0, 2).reshape(n, -1) @ inner.reshape(-1, n)
 
-    def apply_decomposition(self, s: BiPoly, w, g) -> np.ndarray:
-        """s(A, B) plus the expanded augmented integral of ``(w, g)``."""
-        _, V1, V2 = self.bundle.coords
-        D = augmented_integral(self.spectral, w, g, self.layout.critical, V1.RR, V2.RR)
-        return self.polynomial_at_pair(s) + self.bundle.expand(D)
-
     @cached_property
     def _compiled(self):
-        system, L, pair = self._system, self.layout, self.pair
+        """``(system, lift, at_pair, expansion)``; a gated interpolation
+        system raises :class:`ConditioningError` here, on the first apply."""
+        L, pair = self.layout, self.pair
+        system = HermiteSystem(self.cs.grid, self.tol)
         lift = system.jet_matrix(L.point_z, L.point_w, L.gather)
         at_pair = system.basis_at(pair.A, pair.B).reshape(system.size, pair.A.size)
         return system, lift, at_pair, Expansion(self.bundle, self.spectral, L.critical)
@@ -757,13 +724,6 @@ class CalculusContext:
         out = expansion(*self._weights(x, sol @ lift.T))
         out += (sol @ at_pair).reshape(out.shape)
         return out
-
-    def _zero_off_support(self, fn: CalculusFunction) -> CalculusFunction:
-        if not self.layout.pairs_off.size:
-            return fn
-        coords = fn.coords.copy()
-        coords[self.layout.pairs_off] = 0.0
-        return CalculusFunction(self.cs, coords)
 
     # -- projections and spectra -----------------------------------------
 

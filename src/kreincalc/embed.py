@@ -252,8 +252,10 @@ def _raise_first(bad, resid, bound, what):
 
 
 class Expansion:
-    """``bundle.expand(augmented_integral(data, w, g, critical, RR1, RR2))``
-    as one ``n x r x n`` product per call. The commutant check of
+    """``bundle.expand(D)`` of the augmented integral ``D`` of ``(w, g)``
+    (critical cluster i weights ``RR1``, ``RR2`` on its atom by ``g[i]``,
+    others their projection by ``w[i]``) as one ``n x r x n`` product per
+    call. The commutant check of
     :meth:`EmbeddingBundle.expand` becomes a certificate made once per
     measure, plus an exact per-call bound where critical atoms carry weight.
 
@@ -337,9 +339,9 @@ class Expansion:
         self._atoms = (crit, C.conj() @ C.T, Y.conj() @ Y.T)
 
     def __call__(self, w, g) -> np.ndarray:
-        """``expand(augmented_integral(data, w[i], g[i], critical, RR1, RR2))``
-        for every row i of ``w`` (m x k) and ``g`` (m x k x 2), rows aligned
-        with ``data.centers`` as there: an ``m x n x n`` stack from one
+        """The expanded augmented integral of ``(w[i], g[i])`` for every row
+        i of ``w`` (m x k) and ``g`` (m x k x 2), rows aligned with
+        ``data.centers``: an ``m x n x n`` stack from one
         ``(m n x r) @ (r x n)`` product. Every row is checked."""
         if self._atoms is not None:
             for wi, gi in zip(w, g):

@@ -113,6 +113,17 @@ def poly_eval_scale(space: KreinSpace, a_norm: float, p: RealPoly) -> float:
     return space.norm * total
 
 
+def split_noise(space: KreinSpace, n_norm: float, part_norm: float, p: RealPoly) -> float:
+    """Bound on the rounding noise in J p(X) for a part X of N = A + iB:
+    the split off J^{-1} N^H J moves X by up to ``delta = n eps ||N||_F (1 +
+    ||J|| ||J^{-1}||)``, and J p(X) to first order by ``||J|| sum_k k |c_k|
+    m^(k-1) delta``, ``m = max(||X||_F, delta)``."""
+    delta = space.n * np.finfo(float).eps * n_norm * (1.0 + space.norm * space.inv_norm)
+    m = max(part_norm, delta)
+    slope = sum(k * abs(c) * m ** (k - 1) for k, c in enumerate(p.coeffs) if k)
+    return space.norm * slope * delta
+
+
 def verify_definitizing(
     space: KreinSpace, A, p: RealPoly, scale: float = None, value=None
 ) -> PositivityReport:
@@ -233,14 +244,17 @@ class DefinitizablePair:
             raise NotNormalError(
                 f"parts do not commute: ||AB - BA|| = {comm:.2e}"
             )
+        n_norm = fro(self.N)
         for M, poly, name, s, value in zip(
             (A, B), (self.p, self.q), "pq", self.eval_scales, self.poly_values
         ):
             rep = verify_definitizing(sp, M, poly, s, value)
-            if not rep.accepted:
+            # a part that is zero in exact arithmetic keeps the split's noise
+            threshold = max(rep.threshold, split_noise(sp, n_norm, fro(M), poly))
+            if rep.min_eigenvalue < -threshold:
                 raise NotPsdError(
                     f"polynomial {name} is not definitizing: smallest eigenvalue "
-                    f"{rep.min_eigenvalue:.2e} < -{rep.threshold:.2e}"
+                    f"{rep.min_eigenvalue:.2e} < -{threshold:.2e}"
                 )
 
     def gram_parts(self):

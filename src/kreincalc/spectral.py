@@ -4,9 +4,7 @@ A unitary eigenbasis is clustered into eigenvalues with orthogonal
 eigenprojections (a finite resolution of the identity), over which bounded
 functions integrate as finite sums. The measure is kept factored: the
 eigenbasis ``Q`` and a cluster label per column, so an integral is one
-weighted product ``(Q diag(h)) Q^H`` and no projection is stored. The
-augmented integral additionally weights critical atoms by the two contraction
-Grams.
+weighted product ``(Q diag(h)) Q^H`` and no projection is stored.
 """
 
 from __future__ import annotations
@@ -196,22 +194,3 @@ def spectral_integral(data: SpectralData, h) -> np.ndarray:
     h = _weights(h, (len(data.centers),))
     return (data.Q * h[data.labels]) @ data.Q.conj().T
 
-
-def augmented_integral(data: SpectralData, w, g, critical, rr1, rr2) -> np.ndarray:
-    """Spectral integral with contraction-weighted critical atoms.
-
-    The arrays are aligned with ``data.centers``: eigenvalue i is critical
-    when ``critical[i]``, and then weights ``rr1`` and ``rr2`` on its atom
-    by the pair ``g[i]``; otherwise it weights its projection by ``w[i]``.
-    The critical atoms enter as ``(rr1 Q_c diag(g1) + rr2 Q_c diag(g2)) Q_c^H``
-    over the critical columns ``Q_c`` only.
-    """
-    k = len(data.centers)
-    w, g = _weights(w, (k,)), _weights(g, (k, 2))
-    Q, labels = data.Q, data.labels
-    left = Q * w[labels]
-    cols = np.asarray(critical, dtype=bool)[labels]
-    if cols.any():
-        Qc, lc = Q[:, cols], labels[cols]
-        left[:, cols] = rr1 @ (Qc * g[lc, 0]) + rr2 @ (Qc * g[lc, 1])
-    return left @ Q.conj().T

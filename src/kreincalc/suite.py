@@ -330,7 +330,10 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
     psi = _random_function(ctx, rng)
     al, be = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
     s0 = _random_bipoly(rng, 2, 2)
-    alternatives = [(_random_bipoly(rng, 1, 1), _random_bipoly(rng, 1, 1)) for _ in range(5)]
+    # the coefficients of (u_i, v_i) for 5 alternative interpolants, in the
+    # order of 10 calls _random_bipoly(rng, 1, 1): axes (i, u/v, re/im, k, l)
+    draws = rng.standard_normal((5, 2, 2, 2, 2))
+    alternatives = draws[:, :, 0] + 1j * draws[:, :, 1]
     off_support = np.flatnonzero(~ctx.layout.supported)
     vanishing = _with_random_jets(ctx, ctx.zero(), rng, off_support)
     phi_n, psi_n, lin_n, prod_n, sharp_n, one_n, s0_n, vanishing_n = ctx.apply_many(
@@ -371,19 +374,7 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
         tol.spec * max(1.0, fro(ref)),
     )
 
-    pz = BiPoly.from_univariate(pair.p, "z")
-    qw = BiPoly.from_univariate(pair.q, "w")
-    # each alternative decomposition, through the uncompiled reference
-    # path, against the compiled apply
-    phi2 = ctx._zero_off_support(phi)
-    s = ctx.interpolant(phi2)
-    worst = 0.0
-    scale = 1.0 + fro(phi_n)
-    for u, v in alternatives:
-        s2 = s + pz * u + qw * v
-        alt = ctx.apply_decomposition(s2, *ctx.remainder(phi2, s2))
-        worst = max(worst, fro(alt - phi_n))
-        scale = max(scale, 1.0 + fro(ctx.polynomial_at_pair(s2)))
+    worst, scale = _welldef(ctx, phi, phi_n, alternatives)
     prop(
         "calculus-welldef",
         "phi(N) independent of the interpolant choice",
@@ -449,6 +440,36 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
             tol.spec * max(1.0, lam0 + fro(pair.N)) ** 2,
         )
     return out
+
+
+def _welldef(ctx: CalculusContext, phi, phi_n, alternatives):
+    """``(residual, scale)`` of phi(N) from the interpolants ``s + h_i``
+    against ``phi_n``, in one stacked pass: ``s`` the compiled interpolant of
+    phi with its off-support pair jets zeroed as in ``apply_many``, ``h_i =
+    p(z) u_i + q(w) v_i`` with the bidegree-(1, 1) coefficients of ``u_i``,
+    ``v_i`` in ``alternatives[i]``. The weights and expansion of an apply
+    must take ``lift(h_i)`` to ``h_i(A, B)``."""
+    pair, L = ctx.pair, ctx.layout
+    system, lift, at_pair, expansion = ctx._compiled
+    x = phi.coords.copy()
+    x[L.pairs_off] = 0.0
+    sol = system.coefficients(x[L.grid_index])
+    # z^(j + k) w^l takes p_j u_kl, and z^k w^(j + l) takes q_j v_kl
+    pc, qc = pair.p.coeffs, pair.q.coeffs
+    m = len(alternatives)
+    h = np.zeros((m, max(pc.size + 1, 2), max(qc.size + 1, 2)), dtype=complex)
+    for k in (0, 1):
+        h[:, k:k + pc.size, :2] += pc[:, None] * alternatives[:, 0, k, None, :]
+        h[:, :2, k:k + qc.size] += alternatives[:, 1, :, k, None] * qc
+    w, g = ctx._weights(x, sol @ lift.T + ctx._lift_coords(h))
+    # the monomials z^k w^l at (A, B) in (k, l) order
+    n = ctx.space.n
+    monomials = np.stack([np.eye(n), pair.B, pair.A, pair.A @ pair.B])
+    u_at, v_at = (np.tensordot(alternatives[:, i].reshape(m, 4), monomials, 1) for i in (0, 1))
+    p_at, q_at = pair.poly_values
+    values = (sol @ at_pair).reshape(n, n) + p_at @ u_at + q_at @ v_at
+    worst = fro_each(expansion(w, g) + values - phi_n).max()
+    return worst, max(1.0 + fro(phi_n), 1.0 + fro_each(values).max())
 
 
 def _projection_properties(ctx: CalculusContext, prop):

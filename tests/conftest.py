@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kreincalc import (
     CalculusContext,
@@ -21,6 +22,39 @@ def assert_same_set(got, expected, atol):
     """Every point of each list lies within ``atol`` of the other list."""
     dist = np.abs(np.asarray(got)[:, None] - np.asarray(expected)[None, :])
     assert dist.min(axis=1).max() <= atol and dist.min(axis=0).max() <= atol
+
+
+def lattice_pair(seed, n, quadratics=()):
+    """A Pontryagin-signature pair of dimension n: distinct points of the
+    half-step lattice on [-4, 4]^2, conjugated by a J-unitary exp(K), with
+    p = (z - a)^k prod ((z - c)^2 + d^2) and q alike vanishing at the
+    J-negative slot (a, b); k = 2 without quadratic factors, 1 with them,
+    the slot then sitting below and left of every other point."""
+    rng = np.random.default_rng(seed)
+    grid = np.arange(-8, 9) * 0.5
+    spectrum = rng.choice((grid[:, None] + 1j * grid[None, :]).ravel(), n, replace=False)
+    if quadratics:
+        rest = spectrum[:-1]
+        spectrum[-1] = complex(rest.real.min(), rest.imag.min()) - 0.5 - 0.5j
+    signs = np.ones(n)
+    signs[-1] = -1.0
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    skew = (M - M.conj().T) / 2.0
+    U = scipy.linalg.expm(signs[:, None] * skew * (0.4 / max(1.0, np.linalg.norm(skew, 2))))
+    Uinv = np.linalg.inv(U)
+    polys = []
+    for root in (spectrum[-1].real, spectrum[-1].imag):
+        poly = RealPoly([-root, 1.0])
+        if not quadratics:
+            poly = poly * poly
+        for c, d in quadratics:
+            poly = poly * RealPoly([c * c + d * d, -2.0 * c, 1.0])
+        polys.append(poly)
+    A = U @ np.diag(spectrum.real) @ Uinv
+    B = U @ np.diag(spectrum.imag) @ Uinv
+    pair = DefinitizablePair(KreinSpace(np.diag(signs)), A, B, *polys)
+    pair.validate()
+    return pair, spectrum
 
 
 def instance_matrix(count=100):

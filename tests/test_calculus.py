@@ -31,8 +31,9 @@ from kreincalc.cluster import cluster_points, match_points
 from kreincalc.jets import A_KIND
 from kreincalc.tol import fro
 
+from calculus_reference import decompose, interpolant, reference_apply, remainder
 from cluster_reference import match_point
-from conftest import assert_same_set
+from conftest import assert_same_set, lattice_pair
 
 Z = BiPoly.variable("z")
 W = BiPoly.variable("w")
@@ -166,13 +167,13 @@ class TestFunctionAlgebra:
 class TestDecomposition:
     def test_interpolant_round_trip(self, w1_ctx):
         s0 = BiPoly({(0, 0): 1.5 + 1j})  # admissible: deg < (1, 1)
-        s = w1_ctx.interpolant(w1_ctx.lift(s0))
+        s = interpolant(w1_ctx, w1_ctx.lift(s0))
         assert abs(s.coeff(0, 0) - (1.5 + 1j)) <= 1e-12
 
     def test_w2_interpolant(self, w2_ctx):
         coeffs = [0.3, -1.0, 2.5, 1j]
         fn = w2_ctx.delta(0.0, Jet(w2_ctx.cs.crit[0].shape, coeffs))
-        s = w2_ctx.interpolant(fn)
+        s = interpolant(w2_ctx, fn)
         assert abs(s.coeff(0, 0) - 0.3) <= 1e-12
         assert abs(s.coeff(1, 0) - (-1.0)) <= 1e-12
         assert s.degree_z <= 1 and s.degree_w == 0
@@ -181,18 +182,18 @@ class TestDecomposition:
         fn = w2_ctx.delta(
             0.0, Jet.from_entries(w2_ctx.cs.crit[0].shape, {(2, 0): 3.0, (0, 1): -1j})
         )
-        s = w2_ctx.interpolant(fn)
+        s = interpolant(w2_ctx, fn)
         assert not s or s.max_abs_coeff() <= 1e-13
 
     def test_remainder_of_lift_vanishes(self, w1_ctx):
         s0 = BiPoly({(1, 0): 1.0, (0, 1): -2.0})
-        w, g = w1_ctx.remainder(w1_ctx.lift(s0), s0)
+        w, g = remainder(w1_ctx, w1_ctx.lift(s0), s0)
         assert w.shape == (2,) and np.abs(w).max() <= 1e-10
         assert not w1_ctx.layout.critical.any() and not g.any()
 
     def test_w1_disk_remainder_values(self, w1_ctx):
         fn = w1_ctx.indicator(Disk(1 + 2j, 1.0))
-        s, w, g = w1_ctx.decompose(fn)
+        s, w, g = decompose(w1_ctx, fn)
         centers = w1_ctx.spectral.centers
         assert not s or s.max_abs_coeff() <= 1e-13
         assert w[centers.index(1 + 2j)] == pytest.approx(0.5)
@@ -202,7 +203,7 @@ class TestDecomposition:
     def test_not_in_ideal(self, w2_ctx):
         one = w2_ctx.one()
         with pytest.raises(NotInIdealError):
-            w2_ctx.remainder(one, BiPoly())
+            remainder(w2_ctx, one, BiPoly())
 
 
 class TestApply:
@@ -583,12 +584,6 @@ def test_malformed_function_files_raise_domain_mismatch(w1_ctx, data):
         function_from_dict(w1_ctx, data)
 
 
-def reference_apply(ctx, fn):
-    """The uncompiled path: interpolant, remainder, s(A, B) over monomial
-    powers and the public, checked expand."""
-    return ctx.apply_decomposition(*ctx.decompose(ctx._zero_off_support(fn)))
-
-
 class TestCompiledApply:
     """The compiled apply against the reference path."""
 
@@ -645,40 +640,7 @@ class TestCompiledApply:
         with pytest.raises(DomainMismatchError, match="behaves critically"):
             ctx.apply(ctx.one())
         with pytest.raises(DomainMismatchError, match="behaves critically"):
-            ctx.remainder(ctx.one(), BiPoly.constant(1.0))
-
-
-def lattice_pair(seed, n, quadratics=()):
-    """A Pontryagin-signature pair of dimension n: distinct points of the
-    half-step lattice on [-4, 4]^2, conjugated by a J-unitary exp(K), with
-    p = (z - a)^k prod ((z - c)^2 + d^2) and q alike vanishing at the
-    J-negative slot (a, b); k = 2 without quadratic factors, 1 with them,
-    the slot then sitting below and left of every other point."""
-    rng = np.random.default_rng(seed)
-    grid = np.arange(-8, 9) * 0.5
-    spectrum = rng.choice((grid[:, None] + 1j * grid[None, :]).ravel(), n, replace=False)
-    if quadratics:
-        rest = spectrum[:-1]
-        spectrum[-1] = complex(rest.real.min(), rest.imag.min()) - 0.5 - 0.5j
-    signs = np.ones(n)
-    signs[-1] = -1.0
-    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    skew = (M - M.conj().T) / 2.0
-    U = scipy.linalg.expm(signs[:, None] * skew * (0.4 / max(1.0, np.linalg.norm(skew, 2))))
-    Uinv = np.linalg.inv(U)
-    polys = []
-    for root in (spectrum[-1].real, spectrum[-1].imag):
-        poly = RealPoly([-root, 1.0])
-        if not quadratics:
-            poly = poly * poly
-        for c, d in quadratics:
-            poly = poly * RealPoly([c * c + d * d, -2.0 * c, 1.0])
-        polys.append(poly)
-    A = U @ np.diag(spectrum.real) @ Uinv
-    B = U @ np.diag(spectrum.imag) @ Uinv
-    pair = DefinitizablePair(KreinSpace(np.diag(signs)), A, B, *polys)
-    pair.validate()
-    return pair, spectrum
+            remainder(ctx, ctx.one(), BiPoly.constant(1.0))
 
 
 @pytest.mark.slow

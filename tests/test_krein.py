@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kreincalc import (
     DefinitizablePair,
@@ -15,7 +16,7 @@ from kreincalc import (
     split_normal,
     verify_definitizing,
 )
-from kreincalc.krein import poly_eval_scale
+from kreincalc.krein import poly_eval_scale, split_noise
 from kreincalc.tol import fro
 
 J2 = np.diag([1.0, -1.0]).astype(complex)
@@ -200,11 +201,47 @@ class TestDefinitizablePair:
                 space, N, p=RealPoly([0, 1]), q=RealPoly([-3, 1])
             )
 
+    def test_accepts_a_part_that_is_zero_in_exact_arithmetic(self):
+        # N = A is J-selfadjoint, so B = 0 and q = z is definitizing; the
+        # split leaves rounding noise in B far above the evaluation scale
+        # ||J|| ||B|| of q, and the split-noise floor absorbs it
+        for seed in range(10):
+            space, N = conjugated_diagonal(seed, [1.0, 2.0, 3.0, -1.0])
+            pair = DefinitizablePair.from_normal(
+                space, N, p=RealPoly([4, -4, 1]), q=RealPoly([0, 1])
+            )
+            rep = verify_definitizing(space, pair.B, pair.q)
+            floor = split_noise(space, fro(pair.N), fro(pair.B), pair.q)
+            assert -rep.min_eigenvalue <= 0.1 * floor, seed
+            if seed == 0:
+                assert not rep.accepted and rep.min_eigenvalue < 0.0
+
+    def test_split_noise_floor_rejects_what_is_not_noise(self):
+        space, N = conjugated_diagonal(0, [1.0, 2.0, 3.0, -1.0])
+        with pytest.raises(NotPsdError, match="-1.00e"):
+            DefinitizablePair.from_normal(space, N, p=RealPoly([4, -4, 1]), q=RealPoly([1]))
+        # B has the eigenvalue -1e-3 on a J-positive slot: q = z is not definitizing
+        space, N = conjugated_diagonal(0, [1.0, 2.0, 3.0 - 1e-3j, -1.0])
+        with pytest.raises(NotPsdError):
+            DefinitizablePair.from_normal(space, N, p=RealPoly([4, -4, 1]), q=RealPoly([0, 1]))
+
     def test_gram_parts_are_hermitian_psd(self, w1):
         Gp, Gq, G = w1.pair.gram_parts()
         for M in (Gp, Gq, G):
             assert np.allclose(M, M.conj().T)
             assert np.min(np.linalg.eigvalsh(M)) >= -1e-12
+
+
+def conjugated_diagonal(seed, values, strength=0.4):
+    """(space, N): J = diag(1, -1, 1, ...) and diag(values) conjugated by
+    the J-unitary exp(J^{-1} K) for a random skew-Hermitian K."""
+    n = len(values)
+    J = np.diag([1.0, -1.0] + [1.0] * (n - 2)).astype(complex)
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    skew = (M - M.conj().T) / 2.0
+    U = scipy.linalg.expm(np.linalg.solve(J, skew) * (strength / max(1.0, np.linalg.norm(skew, 2))))
+    return KreinSpace(J), U @ np.diag(values) @ np.linalg.inv(U)
 
 
 def test_eval_scale_bounds_the_definitizer_norm(instances100, w1, w2):

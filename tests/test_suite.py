@@ -4,10 +4,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kreincalc import NotPsdError, generate, parse_instance, run_suite
+from kreincalc import CalculusContext, Instance, NotPsdError, generate, parse_instance, run_suite
 from kreincalc.embed import EmbeddingBundle
 
-from conftest import PROFILES
+from conftest import PROFILES, lattice_pair
+
+WELLDEF = "calculus/calculus-welldef"
+
+
+def welldef(report):
+    return next(p for p in report.properties if p.name == WELLDEF)
 
 
 def test_w1_all_pass_tightly(w1):
@@ -76,3 +82,36 @@ def test_suite_compresses_n_once_per_space(monkeypatch):
         counts[0] -= sum(np.array_equal(X, inst.N) for X in (inst.pair.A, inst.pair.B))
         once = 1 + np.array_equal(inst.space.adjoint(inst.N), inst.N)
         assert counts == {0: once, 1: once, 2: once}, i
+
+
+def test_welldef_catches_a_wrong_remainder(monkeypatch):
+    """Remainder weights off by a factor 1 + 1e-3 make phi(N) depend on the
+    interpolant: the alternatives s + p u + q v no longer reproduce
+    p(A) u(A, B) + q(B) v(A, B)."""
+    weights = CalculusContext._weights
+
+    def planted(ctx, coords, lifted):
+        w, g = weights(ctx, coords, lifted)
+        return w * (1 + 1e-3), g * (1 + 1e-3)
+
+    monkeypatch.setattr(CalculusContext, "_weights", planted)
+    caught = sum(
+        not welldef(run_suite(generate(i, 2 + i % 11, PROFILES[i % 3]))).passed
+        for i in range(60)
+    )
+    assert caught >= 57
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_welldef_with_nonreal_zero_pairs(seed):
+    """p and q each carry positive quadratic factors, so the zero grid has
+    nonreal pairs, which the generator never makes: the box jets of every
+    p u + q v vanish there, and the welldef check must see no more than
+    rounding."""
+    pair, _ = lattice_pair(seed, 12, ((0.25, 0.5), (-1.75, 1.0)))
+    inst = Instance("lattice", pair.space, pair)
+    report = run_suite(inst)
+    assert report.passed
+    prop = welldef(report)
+    assert prop.residual <= 1e-3 * prop.threshold
+    assert CalculusContext.build(pair).cs.zi

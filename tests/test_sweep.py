@@ -13,6 +13,8 @@ import pytest
 from kreincalc import CalculusContext, CalculusFunction, KreinCalcError, generate, run_suite
 from kreincalc.tol import fro
 
+from calculus_reference import reference_apply
+
 PROFILES = ("diagonal", "jordan", "pontryagin")
 
 
@@ -33,8 +35,9 @@ def test_suite_passes_on_1000_generated_instances():
 
 @pytest.mark.slow
 def test_compiled_apply_matches_reference_on_300_seeds():
-    """apply against interpolant + remainder + s(A, B) over monomial powers
-    + the checked expand, to 1e-10 relative, on a random function and 1."""
+    """apply against the reference path of calculus_reference
+    (interpolant + remainder + s(A, B) over monomial powers + the checked
+    expand), to 1e-10 relative, on a random function and 1."""
     failing = []
     for i in range(300):
         ctx = CalculusContext.build(generate(i, 2 + i % 11, PROFILES[i % 3]).pair)
@@ -42,7 +45,7 @@ def test_compiled_apply_matches_reference_on_300_seeds():
         size = ctx.layout.size
         coords = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         for fn in (CalculusFunction(ctx.cs, coords), ctx.one()):
-            ref = ctx.apply_decomposition(*ctx.decompose(ctx._zero_off_support(fn)))
+            ref = reference_apply(ctx, fn)
             rel = fro(ctx.apply(fn) - ref) / max(1.0, fro(ref))
             if not rel <= 1e-10:
                 failing.append((i, rel))
