@@ -11,13 +11,15 @@ shifted coefficients of a dense coefficient matrix at many points at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg.lapack import dgeev, dgels, dgesdd
 
-from .cluster import cluster_points, match_points
 from .errors import ConditioningError, DegenerateInputError, ShapeMismatchError
 from .jets import B_KIND, Jet, JetShape
 from .tol import DEFAULT_TOL, Tolerances
@@ -67,36 +69,30 @@ class RealPoly:
             out = out @ M + c * np.eye(n)
         return out
 
-    def zeros(self, tol: Tolerances = DEFAULT_TOL):
-        """All complex zeros with multiplicities, conjugate-paired.
+    def zeros(self):
+        """All complex zeros with multiplicities, sorted by (real, imag).
 
-        Companion-matrix roots clustered by single linkage; a cluster's
-        multiplicity is its size, centroids near the real axis snap onto it,
-        and nonreal clusters are symmetrized into exact conjugate pairs.
-        Fragments of a k-fold zero scatter like ``noise**(1/k)``, beyond the
-        flat radius for every k >= 2, and are merged by multiplicity (see
-        :func:`_merge_by_multiplicity`): zeros closer than the scatter radius
-        of their joint multiplicity are read as one multiple zero, so ``1``
-        and ``1 + 1e-6`` come back as a double zero at ``1 + 5e-7``.
+        The k-fold zeros are the simple zeros of the k-th :func:`square_free`
+        factor, the eigenvalues of its real companion matrix: real ones have
+        imaginary part exactly 0.0, nonreal ones come in exact conjugate
+        pairs. Newton steps on ``p^(k-1)``, where they are simple, polish
+        them. Zeros read as one only when ``p`` cannot tell them apart: ``1``
+        and ``1 + 1e-6`` are two simple zeros.
         """
         if self.is_zero():
             raise DegenerateInputError("zero polynomial has no zero set")
-        if self.degree == 0:
-            return []
-        roots = npoly.polyroots(self.coeffs)
-        scale = 1.0 + float(np.max(np.abs(roots)))
-        radius = tol.cluster_radius(np.max(np.abs(roots)))
-        # snap roots within the flat radius of the axis; a perturbed real
-        # double root scatters further (about sqrt(noise) * scale), and its
-        # conjugate fragments are joined by the k = 2 multiplicity merge
-        roots = np.where(np.abs(roots.imag) <= radius, roots.real + 0j, roots)
-        centers, labels = cluster_points(roots, radius)
-        clusters = list(zip(centers.tolist(), np.bincount(labels).tolist()))
-        clusters = _merge_by_multiplicity(clusters, scale)
-        clusters = [
-            (c.real + 0j, m) if abs(c.imag) <= radius else (c, m) for c, m in clusters
-        ]
-        return _symmetrize_conjugates(clusters, radius)
+        derivs = [self.coeffs[::-1].tolist()]  # descending coefficients of p^(j)
+        for j in range(self.degree, 0, -1):
+            derivs.append([c * (j - i) for i, c in enumerate(derivs[-1][:-1])])
+        out = []
+        for k, w in square_free(self.coeffs):
+            eig = dgeev(npoly.polycompanion(w), compute_vl=0, compute_vr=0)
+            for z in [float(x) if y == 0 else complex(x, y) for x, y in zip(*eig[:2]) if y >= 0]:
+                for _ in range(3):
+                    f, df = [reduce(lambda a, c: a * z + c, d, 0.0) for d in derivs[k - 1:k + 1]]
+                    z -= f / df if df else 0.0
+                out += [(complex(z), k)] if isinstance(z, float) else [(z, k), (z.conjugate(), k)]
+        return sorted(out, key=lambda zm: (zm[0].real, zm[0].imag))
 
     def to_list(self):
         return [float(c) for c in self.coeffs]
@@ -105,56 +101,55 @@ class RealPoly:
         return f"RealPoly({self.to_list()})"
 
 
-def _merge_by_multiplicity(clusters, scale):
-    """Merge cluster fragments of multiple roots.
+# Sylvester singular values at or below GCD_THETA times the largest read as zero
+GCD_THETA = 100 * np.finfo(float).eps
 
-    A k-fold zero computed in floating point scatters like noise**(1/k), beyond
-    the flat clustering radius for every k >= 2: a real double zero typically
-    comes back as a conjugate pair about sqrt(noise) * scale off the axis. For
-    each hypothesis k (largest first, down to k = 2) clusters within the
-    scatter radius ``2 * noise**(1/k) * scale`` are grouped and merged only
-    when the group holds at least k roots. Zeros closer than that radius are
-    therefore read as one k-fold zero; simple zeros further apart than the
-    k = 2 radius stay apart.
+
+def _convolution(f, cols) -> np.ndarray:
+    """The matrix of ``g -> f g`` on polynomials g with ``cols`` coefficients."""
+    out = np.zeros((f.size + cols - 1, cols))
+    for j in range(cols):
+        out[j:j + f.size, j] = f
+    return out
+
+
+def _quotient(f, g) -> np.ndarray:
+    """f / g for a divisor g of f, by least squares."""
+    cols = f.size - g.size + 1
+    return dgels(_convolution(g, cols), f)[1][:cols]
+
+
+def sylvester_spectrum(a, b) -> np.ndarray:
+    """Singular values of the Sylvester matrix ``[C(a) | C(b)]`` over the largest."""
+    S = np.hstack([_convolution(a, b.size - 1), _convolution(b, a.size - 1)])
+    s = dgesdd(S, compute_uv=0)[1]
+    return s / s[0]
+
+
+def square_free(p) -> list:
+    """``(k, w_k)`` for each k where ``w_k``, the product of the k-fold
+    zeros' factors, is not constant (Zeng, Math. Comp. 74, 2005).
+
+    The chain ``u_0 = p``, ``u_k = gcd(u_{k-1}, u_{k-1}')`` has cofactors
+    ``v_k = u_{k-1} / u_k`` and ``w_k = v_k / v_{k+1}``. For unit-norm ``u``
+    and ``u'``, the GCD degree d is the number of :func:`sylvester_spectrum`
+    values at or below :data:`GCD_THETA`, and ``v = u / gcd`` is the head of
+    the null vector of ``[C(u') | -C(u)]``, as ``u' v - u (u' / gcd) = 0``.
     """
-    noise = 1e3 * np.finfo(float).eps
-    total = sum(m for _, m in clusters)
-    out = list(clusters)
-    for k in range(total, 1, -1):
-        radius = 2.0 * noise ** (1.0 / k) * scale
-        centers, labels = cluster_points([c for c, _ in out], radius)
-        if len(centers) == len(out):
-            continue
-        merged = []
-        for g, size in enumerate(np.bincount(labels)):
-            members = [out[i] for i in np.flatnonzero(labels == g)]
-            mult = sum(m for _, m in members)
-            if size > 1 and mult >= k:
-                merged.append((sum(c * m for c, m in members) / mult, mult))
-            else:
-                merged.extend(members)
-        out = merged
-    return out
-
-
-def _symmetrize_conjugates(clusters, radius):
-    """Pin the partner of each upper half-plane zero onto its conjugate: the
-    closest lower zero within ``2 * radius``, of the same multiplicity and
-    claimed by no other upper zero."""
-    out = list(clusters)
-    upper = [i for i, (c, _) in enumerate(out) if c.imag > 0]
-    lower = [j for j, (c, _) in enumerate(out) if c.imag < 0]
-    hits = match_points(
-        [np.conj(out[i][0]) for i in upper], [out[j][0] for j in lower], 2 * radius
-    )
-    for i, hit in zip(upper, hits):
-        c, m = out[i]
-        if hit is None or out[lower[hit]][1] != m or hits.count(hit) > 1:
-            raise ConditioningError(
-                f"no conjugate partner for zero {c:.6g} (multiplicity {m})"
-            )
-        out[lower[hit]] = (np.conj(c), m)
-    return out
+    u, cofactors = np.asarray(p, dtype=float), []
+    while u.size > 1:
+        n, a = u.size - 1, u / math.sqrt(u.dot(u))
+        b = a[1:] * np.arange(1, a.size)
+        b /= math.sqrt(b.dot(b))
+        d = min(int(np.count_nonzero(sylvester_spectrum(a, b) <= GCD_THETA)), n - 1)
+        if d == 0:
+            cofactors.append(a)
+            break
+        S = np.hstack([_convolution(b, n - d + 1), -_convolution(a, n - d)])
+        cofactors.append(dgesdd(S, full_matrices=0)[2][-1, : n - d + 1])
+        u = _quotient(a, cofactors[-1])
+    factors = map(_quotient, cofactors, cofactors[1:] + [np.ones(1)])
+    return [(k, w) for k, w in enumerate(factors, 1) if w.size > 1]
 
 
 class BiPoly:
@@ -424,8 +419,8 @@ class ZeroGrid:
     b_zeros: tuple
 
     @classmethod
-    def from_polys(cls, a: RealPoly, b: RealPoly, tol: Tolerances = DEFAULT_TOL):
-        return cls(tuple(a.zeros(tol)), tuple(b.zeros(tol)))
+    def from_polys(cls, a: RealPoly, b: RealPoly):
+        return cls(tuple(a.zeros()), tuple(b.zeros()))
 
     @property
     def real_a(self):
@@ -558,11 +553,13 @@ class HermiteSystem:
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
         # LAPACK getrs called directly: scipy.linalg.lu_solve's validation
-        # costs more than the solve of a grid system
-        sol, info = self._getrs(*self._lu, (rhs.T * self._row_scale).T)
-        if info:
-            raise np.linalg.LinAlgError(f"interpolation solve failed (getrs info {info})")
-        return sol
+        # costs more than the solve of a grid system. One call per column:
+        # a column's solution then does not depend on the columns beside it
+        scaled = (rhs.T * self._row_scale).reshape(-1, self.size)
+        cols = [self._getrs(*self._lu, col) for col in scaled]
+        if any(info for _, info in cols):
+            raise np.linalg.LinAlgError("interpolation solve failed in getrs")
+        return np.array([sol for sol, _ in cols]).T.reshape(rhs.shape)
 
     def solve(self, rhs) -> BiPoly:
         """The polynomial whose grid jets have the coefficients ``rhs``.

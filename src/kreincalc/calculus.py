@@ -487,7 +487,7 @@ class CalculusContext:
         theta_n.setflags(write=False)
         data = diagonalize(theta_n, tol)
 
-        grid = ZeroGrid.from_polys(pair.p, pair.q, tol)
+        grid = ZeroGrid.from_polys(pair.p, pair.q)
         crit_pairs = [
             (x, mx, y, my) for x, mx in grid.real_a for y, my in grid.real_b
         ]
@@ -703,9 +703,10 @@ class CalculusContext:
 
     def apply_many(self, fns) -> np.ndarray:
         """The operators m functions map to, an ``m x n x n`` stack, through
-        the compiled maps in one pass: one LU solve with m right-hand sides,
-        the remainders and their tests row by row, one product for every
-        expansion and one for every ``sum_g sol_g S_g``.
+        the compiled maps in one pass: an LU solve, the remainder and its
+        tests, the expansion and ``sum_g sol_g S_g`` for each function, with
+        the same products as a single :meth:`apply`, so ``apply_many(fns)[i]``
+        equals ``apply(fns[i])`` to the bit.
 
         Jets at nonreal pairs outside the support set cannot influence the
         result and are zeroed before decomposing. Every function gets every
@@ -720,8 +721,10 @@ class CalculusContext:
         x = np.array([fn.coords for fn in fns]).reshape(-1, L.size)
         if L.pairs_off.size:
             x[:, L.pairs_off] = 0.0
-        sol = system.coefficients(x[:, L.grid_index].T).T
-        out = expansion(*self._weights(x, sol @ lift.T))
+        # one product per function on a contiguous row, as for a single
+        # apply, so each operator is the same to the bit in any batch
+        sol = np.ascontiguousarray(system.coefficients(x[:, L.grid_index].T).T)[:, None]
+        out = expansion(*self._weights(x, (sol @ lift.T)[:, 0]))
         out += (sol @ at_pair).reshape(out.shape)
         return out
 

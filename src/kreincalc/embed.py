@@ -341,8 +341,9 @@ class Expansion:
     def __call__(self, w, g) -> np.ndarray:
         """The expanded augmented integral of ``(w[i], g[i])`` for every row
         i of ``w`` (m x k) and ``g`` (m x k x 2), rows aligned with
-        ``data.centers``: an ``m x n x n`` stack from one
-        ``(m n x r) @ (r x n)`` product. Every row is checked."""
+        ``data.centers``: an ``m x n x n`` stack of ``(n x r) @ (r x n)``
+        products, one per row, so a row's result does not depend on the
+        rows beside it. Every row is checked."""
         if self._atoms is not None:
             for wi, gi in zip(w, g):
                 self._check(wi, gi)
@@ -350,8 +351,7 @@ class Expansion:
         if self._cols.size:
             gc = g[:, None, self._col_labels]
             left[:, :, self._cols] = self._TRQ[0] * gc[..., 0] + self._TRQ[1] * gc[..., 1]
-        m, n, r = left.shape
-        return (left.reshape(m * n, r) @ self._QhF).reshape(m, n, n)
+        return left @ self._QhF
 
     def _check(self, w, g):
         crit, comm, gram = self._atoms

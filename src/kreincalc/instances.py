@@ -162,8 +162,9 @@ def parse_instance(source, tol_scale: float = 1.0) -> Instance:
                     "from the matching part of A + iB"
                 )
     searched = tuple(name for name, poly in zip("pq", (p, q)) if poly is None)
-    p = search_definitizing(space, A) if p is None else p
-    q = search_definitizing(space, B) if q is None else q
+    n_norm = fro(N)
+    p = search_definitizing(space, A, n_norm=n_norm) if p is None else p
+    q = search_definitizing(space, B, n_norm=n_norm) if q is None else q
     pair = DefinitizablePair(space, A, B, p, q, label)
     pair.validate()
     return Instance(label, space, pair, searched)

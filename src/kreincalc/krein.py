@@ -125,7 +125,8 @@ def split_noise(space: KreinSpace, n_norm: float, part_norm: float, p: RealPoly)
 
 
 def verify_definitizing(
-    space: KreinSpace, A, p: RealPoly, scale: float = None, value=None
+    space: KreinSpace, A, p: RealPoly, scale: float = None, value=None,
+    n_norm: float = None,
 ) -> PositivityReport:
     """Check [p(A)x, x] >= 0 by the smallest eigenvalue of sym(J p(A)).
 
@@ -136,7 +137,10 @@ def verify_definitizing(
     still passes. ``scale`` must bound ||J p(A)||_2 from above, as
     :func:`poly_eval_scale` does by the triangle inequality (its default), so
     the norm of the product itself needs no decomposition. ``value`` is
-    p(A) when the caller has evaluated it already.
+    p(A) when the caller has evaluated it already. When ``A`` is a part of
+    a normal N with ``||N||_F = n_norm``, the threshold is floored at
+    :func:`split_noise`: a part that is zero in exact arithmetic keeps the
+    split's noise.
     """
     A = np.asarray(A, dtype=complex)
     if scale is None:
@@ -144,16 +148,22 @@ def verify_definitizing(
     H = space.J @ (p.of_matrix(A) if value is None else value)
     H = (H + H.conj().T) / 2.0
     threshold = space.tol.spec * max(scale, space.tol.abs)
+    if n_norm is not None:
+        threshold = max(threshold, split_noise(space, n_norm, fro(A), p))
     min_eig = float(np.linalg.eigvalsh(H)[0]) if H.size else 0.0
     return PositivityReport(min_eig >= -threshold, min_eig, threshold)
 
 
-def search_definitizing(space: KreinSpace, A, max_degree: int = 6) -> RealPoly:
+def search_definitizing(
+    space: KreinSpace, A, max_degree: int = 6, n_norm: float = None
+) -> RealPoly:
     """Lowest-degree definitizing polynomial from a bounded candidate family.
 
     Candidates are +-prod (z - c_i)^{e_i} over the real parts of A's clustered
-    eigenvalues, total degree 0..max_degree, tried in degree order. The family
-    is deliberately small; exhaustion asks the caller to supply a polynomial.
+    eigenvalues, total degree 0..max_degree, tried in degree order, each
+    tested by :func:`verify_definitizing` with ``n_norm`` as
+    :meth:`DefinitizablePair.validate` tests it. The family is deliberately
+    small; exhaustion asks the caller to supply a polynomial.
     """
     A = np.asarray(A, dtype=complex)
     ev = np.linalg.eigvals(A)
@@ -171,7 +181,7 @@ def search_definitizing(space: KreinSpace, A, max_degree: int = 6) -> RealPoly:
             for sign in (1.0, -1.0):
                 cand = sign * base
                 if verify_definitizing(
-                    space, A, cand, poly_eval_scale(space, a_norm, cand)
+                    space, A, cand, poly_eval_scale(space, a_norm, cand), n_norm=n_norm
                 ).accepted:
                     return cand
     raise SearchFailedError(
@@ -207,10 +217,11 @@ class DefinitizablePair:
         label: str = "",
     ) -> "DefinitizablePair":
         A, B = split_normal(space, N)
+        n_norm = fro(N)
         if p is None:
-            p = search_definitizing(space, A, max_degree)
+            p = search_definitizing(space, A, max_degree, n_norm)
         if q is None:
-            q = search_definitizing(space, B, max_degree)
+            q = search_definitizing(space, B, max_degree, n_norm)
         pair = cls(space, A, B, p, q, label)
         pair.validate()
         return pair
@@ -248,13 +259,11 @@ class DefinitizablePair:
         for M, poly, name, s, value in zip(
             (A, B), (self.p, self.q), "pq", self.eval_scales, self.poly_values
         ):
-            rep = verify_definitizing(sp, M, poly, s, value)
-            # a part that is zero in exact arithmetic keeps the split's noise
-            threshold = max(rep.threshold, split_noise(sp, n_norm, fro(M), poly))
-            if rep.min_eigenvalue < -threshold:
+            rep = verify_definitizing(sp, M, poly, s, value, n_norm)
+            if not rep.accepted:
                 raise NotPsdError(
                     f"polynomial {name} is not definitizing: smallest eigenvalue "
-                    f"{rep.min_eigenvalue:.2e} < -{threshold:.2e}"
+                    f"{rep.min_eigenvalue:.2e} < -{rep.threshold:.2e}"
                 )
 
     def gram_parts(self):

@@ -21,8 +21,10 @@ class Tolerances:
                  split at real-part gaps above 100 max(eps ||M||_F, c /
                  ||M||_F) / rel, c the self-commutator), and
                  the remainder's vanishing-projection test
-    ``cluster``  base factor for zero/eigenvalue clustering; the effective
-                 radius is cluster * (1 + largest magnitude in play)
+    ``cluster``  base factor for eigenvalue clustering and point matching;
+                 the effective radius is cluster * (1 + largest magnitude in
+                 play). Zeros of polynomials are decided without it, by the
+                 rank decisions of ``RealPoly.zeros``
     ``rank``     relative eigenvalue cut for rank-revealing factorizations
     ``spec``     relative slack of checks on computed factors: PSD,
                  commutant membership, eigenprojection identities

@@ -16,7 +16,8 @@ from kreincalc import (
     grid_jets,
     interpolate_jets,
 )
-from kreincalc.bipoly import jets_at, taylor_shift
+from kreincalc import bipoly
+from kreincalc.bipoly import GCD_THETA, jets_at, sylvester_spectrum, taylor_shift
 from kreincalc.jets import A_KIND, B_KIND
 
 
@@ -71,6 +72,45 @@ class TestRealPoly:
         assert np.allclose(p.of_matrix(A), np.eye(2) + 2 * A)
 
 
+LATTICE = [0.5 * k for k in range(-8, 9)]
+
+
+def generator_family():
+    """Every polynomial the instance generator attaches, with its zeros:
+    prod (z - r)^2 over at most two distinct lattice points, times 1, z or
+    z^2."""
+    roots = [()] + [(r,) for r in LATTICE] + list(combinations(LATTICE, 2))
+    for rs in roots:
+        for extra in range(3):
+            if not rs and not extra:
+                continue
+            p, mult = RealPoly([1.0]), Counter()
+            for r in rs:
+                p = p * RealPoly([-r, 1.0]) * RealPoly([-r, 1.0])
+                mult[r] += 2
+            for _ in range(extra):
+                p = p * RealPoly([0.0, 1.0])
+                mult[0.0] += 1
+            yield p, list(mult.items())
+
+
+def quadratic_family(draws=40):
+    """(z - r)^2 prod_{i <= k} ((z - c_i)^2 + d_i^2) with its zeros, for k =
+    1, 2 and ``draws`` draws per lattice point r: distinct centres c_i
+    between lattice points, d_i in {0.5, 0.75, 1}."""
+    centres = np.array(LATTICE[:-1]) + 0.25
+    for i, r in enumerate(LATTICE):
+        for k in (1, 2):
+            rng = np.random.default_rng([i, k])
+            for _ in range(draws):
+                p, mult = RealPoly([-r, 1.0]) * RealPoly([-r, 1.0]), [(r, 2)]
+                cs = rng.choice(centres, size=k, replace=False)
+                for c, d in zip(cs, rng.choice([0.5, 0.75, 1.0], size=k)):
+                    p = p * RealPoly([c * c + d * d, -2.0 * c, 1.0])
+                    mult += [(complex(c, d), 1), (complex(c, -d), 1)]
+                yield p, mult
+
+
 class TestZeros:
     def test_monomial(self):
         assert zeros_match(RealPoly([0, 1]).zeros(), [(0, 1)])
@@ -123,29 +163,27 @@ class TestZeros:
         p = RealPoly([1, 0, 1]) * RealPoly([1, 0, 1]) * RealPoly([1, 0, 1])
         assert zeros_match(p.zeros(), [(1j, 3), (-1j, 3)])
 
-    def test_generator_family_exact_multiplicities(self):
-        # every polynomial the instance generator attaches: prod (z - r)^2
-        # over at most two distinct lattice points, times 1, z or z^2
-        lattice = [0.5 * k for k in range(-8, 9)]
-        roots = [()] + [(r,) for r in lattice] + list(combinations(lattice, 2))
-        misread = []
-        count = 0
-        for rs in roots:
-            for extra in range(3):
-                if not rs and not extra:
-                    continue
-                p, mult = RealPoly([1.0]), Counter()
-                for r in rs:
-                    p = p * RealPoly([-r, 1.0]) * RealPoly([-r, 1.0])
-                    mult[r] += 2
-                for _ in range(extra):
-                    p = p * RealPoly([0.0, 1.0])
-                    mult[0.0] += 1
-                count += 1
-                if not zeros_match(p.zeros(), list(mult.items())):
-                    misread.append((rs, extra))
-        assert count == 461
+    @pytest.mark.parametrize(
+        "family, count",
+        [(generator_family, 461), (quadratic_family, 1360)],
+        ids=["generator", "quadratic"],
+    )
+    def test_generator_family_exact_multiplicities(self, family, count, monkeypatch):
+        spectra = []
+
+        def recording(a, b):
+            spectra.append(sylvester_spectrum(a, b))
+            return spectra[-1]
+
+        monkeypatch.setattr(bipoly, "sylvester_spectrum", recording)
+        polys = list(family())
+        misread = [mult for p, mult in polys if not zeros_match(p.zeros(), mult)]
+        assert len(polys) == count
         assert misread == []
+        # every rank decision of the GCD chains clears GCD_THETA by 10x
+        s = np.concatenate(spectra)
+        assert s[s <= GCD_THETA].max(initial=0.0) <= GCD_THETA / 10
+        assert s[s > GCD_THETA].min() >= 10 * GCD_THETA
 
     def test_close_simple_zeros_stay_apart(self):
         p = RealPoly([-1e-3, 1.0]) * RealPoly([1e-3, 1.0]) * RealPoly([0, 1.0])

@@ -614,6 +614,17 @@ class TestCompiledApply:
                 ref = ctx.apply(fn)
                 assert fro(op - ref) <= 1e-13 * max(1.0, fro(ref))
 
+    def test_apply_many_is_batch_invariant(self, zi_ctx, half_pair_ctx, contexts100):
+        # each operator of a batch is, to the bit, the one a single apply
+        # returns: phi(N) = s(A, B) + T D T* cancels two parts far larger
+        # than the result, so batched rounding would show
+        rng = np.random.default_rng(68)
+        for ctx in [zi_ctx, half_pair_ctx] + contexts100:
+            fns = [CalculusFunction(ctx.cs, _random_coords(ctx, rng)) for _ in range(3)]
+            fns.append(ctx.one())
+            for op, fn in zip(ctx.apply_many(fns), fns):
+                assert np.array_equal(op, ctx.apply(fn))
+
     def test_tampered_tt_fails_certificate_on_first_apply(self, w1_ctx):
         bundle = w1_ctx.bundle
         V = bundle.coords[0]

@@ -12,10 +12,13 @@ from kreincalc import (
     ValidationError,
     build_bundle,
     generate,
+    parse_instance,
+    run_suite,
     search_definitizing,
     split_normal,
     verify_definitizing,
 )
+from kreincalc.instances import matrix_to_json
 from kreincalc.krein import poly_eval_scale, split_noise
 from kreincalc.tol import fro
 
@@ -224,6 +227,19 @@ class TestDefinitizablePair:
         space, N = conjugated_diagonal(0, [1.0, 2.0, 3.0 - 1e-3j, -1.0])
         with pytest.raises(NotPsdError):
             DefinitizablePair.from_normal(space, N, p=RealPoly([4, -4, 1]), q=RealPoly([0, 1]))
+
+    def test_search_takes_the_split_noise_floor(self):
+        # with q omitted the search tests its candidates as validate does,
+        # so on B = 0 it finds q = z - c, c rounding noise, not (z - c)^2
+        for seed in range(10):
+            space, N = conjugated_diagonal(seed, [1.0, 2.0, 3.0, -1.0])
+            pair = DefinitizablePair.from_normal(space, N, p=RealPoly([4, -4, 1]))
+            assert pair.q.degree == 1 and abs(pair.q.coeffs[0]) <= 1e-15, seed
+            inst = parse_instance(
+                {"J": matrix_to_json(space.J), "N": matrix_to_json(N), "p": [4, -4, 1]}
+            )
+            assert inst.searched == ("q",) and inst.pair.q.degree == 1, seed
+            assert run_suite(inst).passed, seed
 
     def test_gram_parts_are_hermitian_psd(self, w1):
         Gp, Gq, G = w1.pair.gram_parts()

@@ -7,7 +7,7 @@ import pytest
 from kreincalc import CalculusContext, Instance, NotPsdError, generate, parse_instance, run_suite
 from kreincalc.embed import EmbeddingBundle
 
-from conftest import PROFILES, lattice_pair
+from conftest import FIXTURES, PROFILES, lattice_pair
 
 WELLDEF = "calculus/calculus-welldef"
 
@@ -26,6 +26,19 @@ def test_w2_exercises_zero_dimensional_path(w2, w2_ctx):
     assert w2_ctx.bundle.dim_v == 0
     report = run_suite(w2)
     assert report.passed
+
+
+def test_real_double_zero_times_quadratics():
+    # q = (z + 3.5)^2 times two positive quadratics: its double zero once
+    # came back as a nonreal pair at +-2.7e-6 i, the critical point at
+    # -4.5 - 3.5i was lost and 1(N) missed I by 1.10 with no error raised
+    inst = parse_instance(FIXTURES / "double_zero_quadratics.json")
+    ctx = CalculusContext.build(inst.pair)
+    [crit] = ctx.cs.crit
+    assert abs(crit.value - (-4.5 - 3.5j)) <= 1e-9
+    assert (crit.shape.m, crit.shape.n) == (2, 2)
+    assert np.linalg.norm(ctx.apply(ctx.one()) - np.eye(inst.space.n)) <= 1e-8
+    assert run_suite(inst).passed
 
 
 def test_corrupted_instance_rejected_before_suite(w1):
