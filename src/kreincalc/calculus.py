@@ -12,7 +12,7 @@ weighted critical atoms, and transports the result back to the Krein space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .bipoly import (
     BiPoly, HermiteSystem, RealPoly, ZeroGrid, jet_gather, matrix_powers, taylor_shift
 )
-from .cluster import cluster_points, distinct_points, match_points
+from .cluster import distinct_points, match_points
 from .embed import EmbeddingBundle, Expansion, build_bundle
 from .errors import (
     BoundaryError,
@@ -235,7 +235,7 @@ class CriticalSet:
         """The sigma_N point set: spectrum plus surviving critical/zi points,
         the first of any points within the cluster radius standing for them."""
         pts = list(self.noncritical)
-        pts += [c.value for c in self.crit if c.spectral or c.in_sigma_n]
+        pts += [c.value for c in self.crit if c.in_sigma_n]
         pts += [pt.location for pt in self.zi if pt.in_support]
         out = [pts[i] for i in distinct_points(pts, self.radius)]
         return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
@@ -275,7 +275,7 @@ class Layout:
         self.unit = self.offsets[:-1] + np.array([sh.position(0, 0) for sh in shapes], int)
         # jets over sigma_N: critical points in the spectrum, supported pairs
         self.supported = np.array(
-            [c.spectral or c.in_sigma_n for c in cs.crit] + [pt.in_support for pt in cs.zi],
+            [c.in_sigma_n for c in cs.crit] + [pt.in_support for pt in cs.zi],
             dtype=bool,
         )
         # sharp reads each pair's jet off its conjugate partner
@@ -440,25 +440,35 @@ class InvertibilityReport:
 # -- the calculus -----------------------------------------------------------
 
 
+def idempotent_ranks(E) -> np.ndarray:
+    """The rank of every idempotent of a stack ``(..., n, n)``: its trace,
+    rounded to an integer."""
+    return np.rint(np.trace(E, axis1=-2, axis2=-1).real).astype(int)
+
+
 class CalculusContext:
     """Everything needed to evaluate functions of one definitizable operator.
 
     Built once per instance: the embedding bundle, the transferred operator
     ``theta_n`` = Th(N) and its spectral data (eigenvalues snapped onto
     matching critical points), the zero grid of the definitizing pair, and the
-    resulting domain with its coordinate layout. The spectrum of N is that of
-    Th(N) together with that of N on the quotient C^n / ran T
-    (:meth:`~kreincalc.embed.EmbeddingBundle.quotient`), so no eigenvalue
-    problem of the non-normal N is solved. ``phi -> phi(N)`` is linear, so
-    the first :meth:`apply` compiles fixed maps and keeps them: the gated,
-    factored interpolation system, the lift ``LI`` of its basis onto the
-    coordinates, the basis ``S_g`` at ``(A, B)`` and the expansion of the
-    spectral integral with its commutant certificate
-    (:class:`~kreincalc.embed.Expansion`).
-    An apply is one LU solve ``sol``, the remainder ``x - LI sol`` and its
-    tests, one ``n x r x n`` product and ``sum_g sol_g S_g``;
+    resulting domain with its coordinate layout. ``phi -> phi(N)`` is linear,
+    so the build compiles fixed maps and keeps them: the gated, factored
+    interpolation system, the lift ``LI`` of its basis onto the coordinates,
+    the basis ``S_g`` at ``(A, B)`` and the expansion of the spectral
+    integral with its commutant certificate
+    (:class:`~kreincalc.embed.Expansion`); an error of these maps raises at
+    build. An apply is one LU solve ``sol``, the remainder ``x - LI sol`` and
+    its tests, one ``n x r x n`` product and ``sum_g sol_g S_g``;
     :meth:`apply_many` does this for many functions in one pass, and
     :meth:`apply` is its stack of one.
+
+    No eigenvalue problem of the non-normal N is solved. The build applies
+    the unit jet of every critical point and zero pair with every jet in the
+    support: the rounded trace of each Riesz idempotent ``(unit jet)(N)``,
+    the algebraic multiplicity of the jet's point in sigma(N), decides which
+    critical points lie in sigma(N) and which zero pairs in the support.
+    ``riesz`` keeps the idempotents of the supported jets, in layout order.
     """
 
     def __init__(self, pair: DefinitizablePair, bundle: EmbeddingBundle,
@@ -469,6 +479,7 @@ class CalculusContext:
         self.cs = cs
         self.layout = cs.layout
         self.theta_n = theta_n
+        self.riesz = None  # the supported jets' Riesz idempotents, kept by build
 
     @cached_property
     def theta_parts(self) -> tuple:
@@ -497,62 +508,48 @@ class CalculusContext:
         mags += [norm2(N)]
         radius = tol.cluster_radius(max(mags, default=0.0))
 
-        # ran T is N-invariant (N T = T Th(N)), so sigma(N) is spec(Th(N))
-        # together with the spectrum of N on the quotient C^n / ran T
-        quotient = np.linalg.eigvals(bundle.quotient(N))
-        centers, _ = cluster_points(np.concatenate([data.eigenvalues, quotient]), radius)
-        sigma_n = tuple(
-            c if hit is None else crit_values[hit]
-            for c, hit in zip(centers.tolist(), match_points(centers, crit_values, radius))
-        )
-
         data, pinned = snap_eigenvalues(data, crit_values, radius)
         noncrit = tuple(ev for ev, hit in zip(data.eigenvalues, pinned) if hit is None)
         crit = tuple(
-            CritPoint(
-                value=v,
-                shape=JetShape(mx, my, A_KIND),
-                spectral=i in pinned,
-                in_sigma_n=hit is not None,
-            )
-            for i, (v, (x, mx, y, my), hit) in enumerate(zip(
-                crit_values, crit_pairs, match_points(crit_values, sigma_n, radius)
-            ))
+            CritPoint(v, JetShape(mx, my, A_KIND), spectral=i in pinned, in_sigma_n=True)
+            for i, (v, (_, mx, _, my)) in enumerate(zip(crit_values, crit_pairs))
         )
 
         cross = grid.cross()
         zw = np.array([(za, zb) for (za, _), (zb, _) in cross], dtype=complex).reshape(-1, 2)
         partners = match_points(zw.conj(), zw, radius)
-        # a pair is in the support when its location xi + i*eta and that of
-        # its conjugate pair both lie in sigma(N)
-        both = np.concatenate([zw, zw.conj()])
-        hits = match_points(both[:, 0] + 1j * both[:, 1], sigma_n, radius)
         zi = []
         for i, ((za, ma), (zb, mb)) in enumerate(cross):
             if partners[i] is None:
                 raise DomainMismatchError(
                     f"nonreal zero pair {(za, zb)} lacks its conjugate partner"
                 )
-            zi.append(
-                ZiPoint(
-                    zw=(za, zb),
-                    shape=JetShape(ma, mb, B_KIND),
-                    partner=partners[i],
-                    in_support=hits[i] is not None and hits[len(cross) + i] is not None,
-                )
-            )
+            zi.append(ZiPoint(zw=(za, zb), shape=JetShape(ma, mb, B_KIND),
+                              partner=partners[i], in_support=True))
 
-        cs = CriticalSet(
-            grid=grid,
-            pinned=pinned,
-            noncritical=noncrit,
-            crit=crit,
-            zi=tuple(zi),
-            radius=radius,
-            p=pair.p,
-            q=pair.q,
-        )
-        return cls(pair, bundle, data, cs, theta_n)
+        # with every jet supported, apply the unit jets: E_j = (unit jet j)(N)
+        # is the Riesz idempotent of jet j, and its trace the algebraic
+        # multiplicity of its point in sigma(N)
+        cs = CriticalSet(grid, pinned, noncrit, crit, tuple(zi), radius, pair.p, pair.q)
+        ctx = cls(pair, bundle, data, cs, theta_n)
+        L = cs.layout
+        units = np.zeros((L.unit.size, L.size), dtype=complex)
+        units[np.arange(L.unit.size), L.unit] = 1.0
+        riesz = ctx.apply_many([CalculusFunction(cs, u) for u in units])
+        rank = idempotent_ranks(riesz)
+        # a point is in sigma(N) when its idempotent has rank >= 1; a zero
+        # pair is in the support when it and its conjugate partner both are
+        crit = tuple(replace(c, in_sigma_n=bool(m >= 1)) for c, m in zip(crit, rank))
+        ranked = rank[len(crit):]
+        zi = tuple(replace(pt, in_support=bool(ranked[i] >= 1 and ranked[pt.partner] >= 1))
+                   for i, pt in enumerate(zi))
+        # the compiled maps depend on the grid, the gather and L.critical
+        # alone, which the support flags leave as they are: ctx keeps them
+        ctx.cs = replace(cs, crit=crit, zi=zi)
+        ctx.layout = ctx.cs.layout
+        ctx.riesz = riesz[ctx.layout.supported]
+        ctx.riesz.setflags(write=False)
+        return ctx
 
     @property
     def space(self):
@@ -690,7 +687,8 @@ class CalculusContext:
     @cached_property
     def _compiled(self):
         """``(system, lift, at_pair, expansion)``; a gated interpolation
-        system raises :class:`ConditioningError` here, on the first apply."""
+        system raises :class:`ConditioningError` here, on the first apply,
+        which :meth:`build` makes."""
         L, pair = self.layout, self.pair
         system = HermiteSystem(self.cs.grid, self.tol)
         lift = system.jet_matrix(L.point_z, L.point_w, L.gather)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipoly import BiPoly
-from .calculus import CalculusContext, CalculusFunction, Disk, RegionUnion
+from .calculus import CalculusContext, CalculusFunction, Disk, RegionUnion, idempotent_ranks
 from .instances import Instance
 from .spectral import snap_eigenvalues, spectral_integral
 from .tol import fro, fro_each, norm2
@@ -334,11 +334,18 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
     # order of 10 calls _random_bipoly(rng, 1, 1): axes (i, u/v, re/im, k, l)
     draws = rng.standard_normal((5, 2, 2, 2, 2))
     alternatives = draws[:, :, 0] + 1j * draws[:, :, 1]
-    off_support = np.flatnonzero(~ctx.layout.supported)
+    L = ctx.layout
+    off_support = np.flatnonzero(~L.supported)
     vanishing = _with_random_jets(ctx, ctx.zero(), rng, off_support)
-    phi_n, psi_n, lin_n, prod_n, sharp_n, one_n, s0_n, vanishing_n = ctx.apply_many(
+    # the projections onto the noncritical values join the build's Riesz
+    # idempotents of the supported jets: one idempotent per support point,
+    # whose ranks must add up to n
+    values = [CalculusFunction(cs, row) for row in np.eye(L.nvalues, L.size)]
+    ops = ctx.apply_many(
         [phi, psi, al * phi + be * psi, phi * psi, phi.sharp(), ctx.one(), ctx.lift(s0), vanishing]
+        + values
     )
+    phi_n, psi_n, lin_n, prod_n, sharp_n, one_n, s0_n, vanishing_n = ops[:8]
     s_ops = (1.0 + fro(phi_n)) * (1.0 + fro(psi_n))
 
     prop(
@@ -393,30 +400,22 @@ def calculus_properties(ctx: CalculusContext, rng) -> list:
     else:
         prop("support-vanishing", anchor + " (no off-support points)", 0.0, tol.spec)
 
-    direct = np.linalg.eigvals(pair.N)
-    formula = ctx.spectrum()
-    worst = 0.0
-    for z in direct:
-        worst = max(worst, min((abs(z - f) for f in formula), default=abs(z)))
-    for f in formula:
-        worst = max(worst, min((abs(z - f) for z in direct), default=abs(f)))
+    E = np.concatenate([ops[8:], ctx.riesz])
+    # the point of each idempotent, and phi's leading value there
+    jets_at = np.array([*cs.crit_values, *(pt.location for pt in cs.zi)], dtype=complex)
+    at = np.r_[cs.noncritical, jets_at[L.supported]]
+    leading = np.r_[phi.values, phi.coords[L.unit[L.supported]]]
     prop(
         "spectrum-formula",
-        "sigma(N) = spec(Th(N)) + surviving critical and pair points",
-        worst,
-        tol.spec * (1.0 + max((abs(z) for z in formula), default=0.0)),
+        "ranks of E_c add to n, (N - c)^rank E_c = 0",
+        _nilpotent_certificate(pair.N, E, at, ctx.space.n),
+        tol.spec,
     )
-
-    layout = ctx.layout
-    values = list(phi.values) + list(phi.coords[layout.unit[layout.supported]])
-    worst = 0.0
-    for lam in np.linalg.eigvals(phi_n):
-        worst = max(worst, min((abs(lam - v) for v in values), default=abs(lam)))
     prop(
         "spectrum-inclusion",
-        "sigma(phi(N)) inside closure of phi's leading values",
-        worst,
-        tol.spec * (1.0 + fro(phi_n)),
+        "(phi(N) - phi(c))^rank E_c = 0",
+        _nilpotent_certificate(phi_n, E, leading, ctx.space.n),
+        tol.spec,
     )
 
     _projection_properties(ctx, prop)
@@ -472,6 +471,25 @@ def _welldef(ctx: CalculusContext, phi, phi_n, alternatives):
     return worst, max(1.0 + fro(phi_n), 1.0 + fro_each(values).max())
 
 
+def _nilpotent_certificate(X, E, centres, total=None) -> float:
+    """The residual certifying that ``X - c`` is nilpotent on ``ran E`` for
+    the idempotents ``E`` of a stack, ``c`` the centre of each: the worst
+    ``||D E||_F / (max(1, ||D||_F) max(1, ||E||_F))`` with ``D = (X - c)^m``,
+    ``m`` the rank of ``E``. Jordan structure cannot break it, and with ranks
+    adding up to n it certifies the spectrum of X as the centres. Each
+    idempotent of rank 0 adds 1, and ranks adding up to other than ``total``
+    add the difference, so either fails any threshold below 1."""
+    ranks = idempotent_ranks(E)
+    worst = float(np.count_nonzero(ranks < 1))
+    if total is not None:
+        worst += abs(total - ranks.sum())
+    eye = np.eye(X.shape[-1])
+    for Ei, m, c in zip(E, ranks, centres):
+        D = np.linalg.matrix_power(X - c * eye, max(int(m), 0))
+        worst = max(worst, fro(D @ Ei) / (max(1.0, fro(D)) * max(1.0, fro(Ei))))
+    return worst
+
+
 def _projection_properties(ctx: CalculusContext, prop):
     pair, cs, tol = ctx.pair, ctx.cs, ctx.tol
     points = list(cs.support_values())
@@ -492,10 +510,7 @@ def _projection_properties(ctx: CalculusContext, prop):
         regions = disks + [Disk(0.0, max(abs(z) for z in points) + 1.0)]
         if len(disks) >= 2:
             regions.append(RegionUnion((disks[0], disks[1])))
-        riesz = [c for c in cs.crit if c.spectral or c.in_sigma_n]
-        ops = ctx.apply_many(
-            [ctx.indicator(d) for d in regions] + [ctx.unit_jet(c.value) for c in riesz]
-        )
+        ops = ctx.apply_many([ctx.indicator(d) for d in regions])
         projs, total = ops[: len(disks)], ops[len(disks)]
         scale = max(1.0, fro_each(projs).max())
         worst_idem = fro_each(projs @ projs - projs).max()
@@ -521,20 +536,12 @@ def _projection_properties(ctx: CalculusContext, prop):
         prop("projection-additive", "P(D1 u D2) = P(D1) + P(D2)", resid_add, tol.spec * s2)
         prop("projection-total", "P(D) = I for D covering everything", resid_total, tol.spec * scale)
 
-        worst_local = 0.0
-        for c, P in zip(riesz, ops[len(regions):]):
-            if fro(P) < 0.5:
-                continue
-            U, sv, _ = np.linalg.svd(P)
-            basis = U[:, sv > 0.5]
-            comp = basis.conj().T @ pair.N @ basis
-            for mu in np.linalg.eigvals(comp):
-                worst_local = max(worst_local, abs(mu - c.value))
+        crit = np.flatnonzero(ctx.layout.supported[: len(cs.crit)])
         prop(
             "riesz-localized",
-            "N restricted to ran (e delta_z)(N) has spectrum {z}",
-            worst_local,
-            3 * cs.radius,
+            "(N - c)^rank E_c = 0 at critical c",
+            _nilpotent_certificate(pair.N, ctx.riesz[: crit.size], np.array(cs.crit_values)[crit]),
+            tol.spec,
         )
     else:
         prop(

@@ -38,9 +38,7 @@ def lattice_pair(seed, n, quadratics=()):
         spectrum[-1] = complex(rest.real.min(), rest.imag.min()) - 0.5 - 0.5j
     signs = np.ones(n)
     signs[-1] = -1.0
-    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    skew = (M - M.conj().T) / 2.0
-    U = scipy.linalg.expm(signs[:, None] * skew * (0.4 / max(1.0, np.linalg.norm(skew, 2))))
+    U = j_unitary(np.diag(signs), rng, 0.4)
     Uinv = np.linalg.inv(U)
     polys = []
     for root in (spectrum[-1].real, spectrum[-1].imag):
@@ -55,6 +53,40 @@ def lattice_pair(seed, n, quadratics=()):
     pair = DefinitizablePair(KreinSpace(np.diag(signs)), A, B, *polys)
     pair.validate()
     return pair, spectrum
+
+
+def j_unitary(J, rng, strength):
+    """exp(strength J^-1 S / max(1, ||S||_2)), S the skew-Hermitian part of
+    a complex Gaussian matrix drawn from ``rng``: a J-unitary, U^H J U = J."""
+    n = len(J)
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    skew = (M - M.conj().T) / 2.0
+    return scipy.linalg.expm(
+        np.linalg.solve(J, skew) * (strength / max(1.0, np.linalg.norm(skew, 2)))
+    )
+
+
+def jordan_pair(k, strength, seed):
+    """A nilpotent k-cell under the flip Gram, direct-summed with J-positive
+    slots at 1.5 + 1i and 2.5 + 2i and conjugated by ``j_unitary`` at the
+    given strength, with p = z^k and q = z. The critical point 0 lies in
+    sigma(N) with algebraic multiplicity k; eigvals(N) scatters there by
+    about eps^(1/k)."""
+    n = k + 2
+    J = np.zeros((n, n))
+    J[:k, :k] = np.eye(k)[::-1]
+    J[k:, k:] = np.eye(2)
+    A = np.zeros((n, n))
+    A[:k, :k] = np.eye(k, k=1)
+    A[k:, k:] = np.diag([1.5, 2.5])
+    B = np.diag([0.0] * k + [1.0, 2.0])
+    U = j_unitary(J, np.random.default_rng(seed), strength)
+    Uinv = np.linalg.inv(U)
+    pair = DefinitizablePair(
+        KreinSpace(J), U @ A @ Uinv, U @ B @ Uinv, RealPoly([0.0] * k + [1.0]), RealPoly([0, 1])
+    )
+    pair.validate()
+    return pair
 
 
 def instance_matrix(count=100):

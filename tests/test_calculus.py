@@ -14,6 +14,7 @@ from kreincalc import (
     DefinitizablePair,
     Disk,
     DomainMismatchError,
+    Instance,
     Jet,
     JetShape,
     NotInCommutantError,
@@ -26,6 +27,7 @@ from kreincalc import (
     ShapeMismatchError,
     diagonalize,
     function_from_dict,
+    run_suite,
 )
 from kreincalc.cluster import cluster_points, match_points
 from kreincalc.jets import A_KIND
@@ -33,7 +35,7 @@ from kreincalc.tol import fro
 
 from calculus_reference import decompose, interpolant, reference_apply, remainder
 from cluster_reference import match_point
-from conftest import assert_same_set, lattice_pair
+from conftest import assert_same_set, jordan_pair, lattice_pair
 
 Z = BiPoly.variable("z")
 W = BiPoly.variable("w")
@@ -263,16 +265,17 @@ class TestCachedState:
             poly[...] = -7.0
             assert np.array_equal(ctx.polynomial_at_pair(s), expected)
 
-    def test_conditioning_gate_runs_on_first_apply_not_build(self):
-        # p = z(z - 1) gives the centered grid {-1/2, 1/2} x {0}: condition 2
+    def test_conditioning_gate_runs_at_build(self):
+        # p = z(z - 1) gives the centered grid {-1/2, 1/2} x {0}: condition 2.
+        # The build applies the unit jets to decide membership in sigma(N),
+        # so the gate of the interpolation system raises there
         J = np.diag([1.0, -1.0]).astype(complex)
         N = np.diag([0.0, 1.0]).astype(complex)
         p, q = RealPoly([0, -1, 1]), RealPoly([0, 1])
         strict = KreinSpace(J, DEFAULT_TOL.with_overrides(cond=1.5))
-        ctx = CalculusContext.build(DefinitizablePair.from_normal(strict, N, p=p, q=q))
         for _ in range(2):
-            with pytest.raises(ConditioningError):
-                ctx.apply(ctx.one())
+            with pytest.raises(ConditioningError, match="condition number 2.00e"):
+                CalculusContext.build(DefinitizablePair.from_normal(strict, N, p=p, q=q))
         ctx = CalculusContext.build(DefinitizablePair.from_normal(KreinSpace(J), N, p=p, q=q))
         assert np.allclose(ctx.apply(ctx.one()), np.eye(2), atol=1e-12)
 
@@ -641,25 +644,39 @@ class TestCompiledApply:
 
     def test_vanishing_denominator_raises(self):
         # 5e-7 lies beyond the cluster radius 2e-7 of the critical point 0,
-        # where p + q = 1e-6 * 5e-7 is below tol.abs
+        # where p + q = 1e-6 * 5e-7 is below tol.abs; the build's apply of
+        # the unit jets divides off p + q and raises
         J = np.eye(2, dtype=complex)
         N = np.diag([5e-7, 1.0]).astype(complex)
         pair = DefinitizablePair.from_normal(
             KreinSpace(J), N, p=RealPoly([0, 1e-6]), q=RealPoly([0, 1])
         )
-        ctx = CalculusContext.build(pair)
         with pytest.raises(DomainMismatchError, match="behaves critically"):
-            ctx.apply(ctx.one())
-        with pytest.raises(DomainMismatchError, match="behaves critically"):
-            remainder(ctx, ctx.one(), BiPoly.constant(1.0))
+            CalculusContext.build(pair)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("strength", [0.4, 1.0])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_scrambled_jordan_cell_stays_in_sigma(k, strength, seed):
+    """The critical point 0 of a scrambled nilpotent k-cell lies in sigma(N):
+    its Riesz idempotent has rank k. For k >= 3, eigvals(N) scatters there
+    beyond the cluster radius, so no eigenvalue match can decide this."""
+    pair = jordan_pair(k, strength, seed)
+    ctx = CalculusContext.build(pair)
+    assert ctx.cs.crit[ctx.cs.locate([0.0])[0]].in_sigma_n
+    assert len(ctx.spectrum()) == 3
+    assert run_suite(Instance("jordan", pair.space, pair)).passed
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("n", [48, 96])
 @pytest.mark.parametrize("quadratics", [(), ((0.25, 0.5), (-1.75, 1.0))])
 def test_large_lattice_build_matches_eigvals_and_schur(n, quadratics):
-    """sigma(N) from spec(Th(N)) and the quotient, against clustering
-    eigvals(N); the transferred spectrum against scipy's Schur form."""
+    """Membership in sigma(N) from the ranks of the build's Riesz
+    idempotents, against clustering eigvals(N), which is accurate here: the
+    lattice spectrum is simple. The transferred spectrum against scipy's
+    Schur form."""
     for seed in range(3):
         pair, spectrum = lattice_pair(seed, n, quadratics)
         ctx = CalculusContext.build(pair)
