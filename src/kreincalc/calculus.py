@@ -11,6 +11,7 @@ weighted critical atoms, and transports the result back to the Krein space.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -32,7 +33,7 @@ from .errors import (
 from .jets import A_KIND, B_KIND, Jet, JetShape, convolve, invert
 from .krein import DefinitizablePair
 from .spectral import SpectralData, diagonalize, snap_eigenvalues
-from .tol import fro, norm2
+from .tol import fro
 
 
 # -- regions ----------------------------------------------------------------
@@ -273,20 +274,12 @@ class Layout:
         self.offsets = self.nvalues + np.concatenate([[0], np.cumsum(sizes)]).astype(int)
         self.size = int(self.offsets[-1])
         self.unit = self.offsets[:-1] + np.array([sh.position(0, 0) for sh in shapes], int)
-        # jets over sigma_N: critical points in the spectrum, supported pairs
-        self.supported = np.array(
-            [c.in_sigma_n for c in cs.crit] + [pt.in_support for pt in cs.zi],
-            dtype=bool,
-        )
+        self.reset_support(cs)
         # sharp reads each pair's jet off its conjugate partner
         identity = np.arange(self.size)
         self.partner = identity.copy()
         for i, pt in enumerate(cs.zi):
             self.partner[self.segment(ncrit + i)] = identity[self.segment(ncrit + pt.partner)]
-        # the entries of the jets off sigma_N; those of zero pairs cannot
-        # influence an applied function
-        self.off_support = self.nvalues + np.flatnonzero(np.repeat(~self.supported, sizes))
-        self.pairs_off = self.off_support[self.off_support >= self.offsets[ncrit]]
         # the entries the interpolant matches and the remainder must cancel:
         # the box of a critical jet (a prefix of it), all of a zero-pair jet
         box = [np.arange(start, start + sh.box().size) for sh, start in zip(shapes, self.offsets)]
@@ -322,10 +315,23 @@ class Layout:
             [math.factorial(c.shape.m) / p.deriv(c.shape.m)(c.value.real),
              math.factorial(c.shape.n) / q.deriv(c.shape.n)(c.value.imag)] for _, c in over
         ]).reshape(-1, 2)
-        for arr in (self.offsets, self.unit, self.supported, self.partner, self.off_support,
-                    self.pairs_off, self.ideal, self.grid_index, self.noncritical,
-                    self.point_z, self.point_w, *self.gather[0], self.denom, self.value_clusters,
-                    self.critical, self.overflow, self.overflow_scale):
+        for arr in (self.offsets, self.unit, self.partner, self.ideal, self.grid_index,
+                    self.noncritical, self.point_z, self.point_w, *self.gather[0], self.denom,
+                    self.value_clusters, self.critical, self.overflow, self.overflow_scale):
+            arr.setflags(write=False)
+
+    def reset_support(self, cs: CriticalSet):
+        """Take the support arrays from the flags of ``cs``, a critical set
+        that differs from this layout's in those flags alone."""
+        # jets over sigma_N: critical points in the spectrum, supported pairs
+        sup = [c.in_sigma_n for c in cs.crit] + [pt.in_support for pt in cs.zi]
+        self.supported = np.array(sup, dtype=bool)
+        # the entries of the jets off sigma_N; those of zero pairs cannot
+        # influence an applied function
+        sizes = np.diff(self.offsets)
+        off = self.off_support = self.nvalues + np.flatnonzero(np.repeat(~self.supported, sizes))
+        self.pairs_off = off[off >= self.offsets[len(cs.crit)]]
+        for arr in (self.supported, off, self.pairs_off):
             arr.setflags(write=False)
 
     def segment(self, j: int) -> slice:
@@ -446,6 +452,10 @@ def idempotent_ranks(E) -> np.ndarray:
     return np.rint(np.trace(E, axis1=-2, axis2=-1).real).astype(int)
 
 
+# region boundaries must clear critical spectral points by this many radii
+BOUNDARY_FACTOR = 10
+
+
 class CalculusContext:
     """Everything needed to evaluate functions of one definitizable operator.
 
@@ -492,9 +502,8 @@ class CalculusContext:
     @classmethod
     def build(cls, pair: DefinitizablePair) -> "CalculusContext":
         tol = pair.space.tol
-        N = pair.N
         bundle = build_bundle(pair)
-        theta_n = bundle.compress(N)
+        theta_n = bundle.compress(pair.N)
         theta_n.setflags(write=False)
         data = diagonalize(theta_n, tol)
 
@@ -504,9 +513,9 @@ class CalculusContext:
         ]
         crit_values = [complex(x, y) for x, _, y, _ in crit_pairs]
 
-        mags = [abs(v) for v in data.eigenvalues] + [abs(v) for v in crit_values]
-        mags += [norm2(N)]
-        radius = tol.cluster_radius(max(mags, default=0.0))
+        # the one radius of point identity; Th(N) is normal, so the largest
+        # modulus of its eigenvalues is its spectral norm
+        radius = tol.cluster_radius(max(map(abs, [*data.eigenvalues, *crit_values]), default=0.0))
 
         data, pinned = snap_eigenvalues(data, crit_values, radius)
         noncrit = tuple(ev for ev, hit in zip(data.eigenvalues, pinned) if hit is None)
@@ -515,22 +524,18 @@ class CalculusContext:
             for i, (v, (_, mx, _, my)) in enumerate(zip(crit_values, crit_pairs))
         )
 
+        # RealPoly.zeros lists every nonreal zero with its exact conjugate, so
+        # a pair's conjugate partner is the pair of conjugates, bit for bit
         cross = grid.cross()
-        zw = np.array([(za, zb) for (za, _), (zb, _) in cross], dtype=complex).reshape(-1, 2)
-        partners = match_points(zw.conj(), zw, radius)
-        zi = []
-        for i, ((za, ma), (zb, mb)) in enumerate(cross):
-            if partners[i] is None:
-                raise DomainMismatchError(
-                    f"nonreal zero pair {(za, zb)} lacks its conjugate partner"
-                )
-            zi.append(ZiPoint(zw=(za, zb), shape=JetShape(ma, mb, B_KIND),
-                              partner=partners[i], in_support=True))
+        index = {(za, zb): i for i, ((za, _), (zb, _)) in enumerate(cross)}
+        zi = tuple(ZiPoint(zw=(za, zb), shape=JetShape(ma, mb, B_KIND),
+                           partner=index[za.conjugate(), zb.conjugate()], in_support=True)
+                   for (za, ma), (zb, mb) in cross)
 
         # with every jet supported, apply the unit jets: E_j = (unit jet j)(N)
         # is the Riesz idempotent of jet j, and its trace the algebraic
         # multiplicity of its point in sigma(N)
-        cs = CriticalSet(grid, pinned, noncrit, crit, tuple(zi), radius, pair.p, pair.q)
+        cs = CriticalSet(grid, pinned, noncrit, crit, zi, radius, pair.p, pair.q)
         ctx = cls(pair, bundle, data, cs, theta_n)
         L = cs.layout
         units = np.zeros((L.unit.size, L.size), dtype=complex)
@@ -544,9 +549,11 @@ class CalculusContext:
         zi = tuple(replace(pt, in_support=bool(ranked[i] >= 1 and ranked[pt.partner] >= 1))
                    for i, pt in enumerate(zi))
         # the compiled maps depend on the grid, the gather and L.critical
-        # alone, which the support flags leave as they are: ctx keeps them
+        # alone, which the support flags leave as they are: ctx keeps them,
+        # and the new set's cached layout is a copy of L with the new flags
         ctx.cs = replace(cs, crit=crit, zi=zi)
-        ctx.layout = ctx.cs.layout
+        ctx.layout = ctx.cs.__dict__["layout"] = copy.copy(L)
+        ctx.layout.reset_support(ctx.cs)
         ctx.riesz = riesz[ctx.layout.supported]
         ctx.riesz.setflags(write=False)
         return ctx
@@ -602,12 +609,13 @@ class CalculusContext:
     def indicator(self, region) -> CalculusFunction:
         """The lifted characteristic function of a disk/rectangle region.
 
-        Critical points in the spectrum must stay clear of the boundary. A
-        nonreal pair takes the unit jet when the pair's canonical
-        representative lies in the region, so conjugate partners always agree.
+        Critical points in the spectrum must stay clear of the boundary by
+        ``BOUNDARY_FACTOR`` radii of the critical set. A nonreal pair takes
+        the unit jet when the pair's canonical representative lies in the
+        region, so conjugate partners always agree.
         """
         cs, L = self.cs, self.layout
-        margin = self.tol.boundary_margin(max((abs(c.value) for c in cs.crit), default=0.0))
+        margin = BOUNDARY_FACTOR * cs.radius
         for c in cs.crit:
             if c.in_sigma_n and region.boundary_distance(c.value) <= margin:
                 raise BoundaryError(

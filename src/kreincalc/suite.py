@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipoly import BiPoly
-from .calculus import CalculusContext, CalculusFunction, Disk, RegionUnion, idempotent_ranks
+from .calculus import (
+    BOUNDARY_FACTOR, CalculusContext, CalculusFunction, Disk, RegionUnion, idempotent_ranks
+)
 from .instances import Instance
 from .spectral import snap_eigenvalues, spectral_integral
 from .tol import fro, fro_each, norm2
@@ -493,7 +495,7 @@ def _nilpotent_certificate(X, E, centres, total=None) -> float:
 def _projection_properties(ctx: CalculusContext, prop):
     pair, cs, tol = ctx.pair, ctx.cs, ctx.tol
     points = list(cs.support_values())
-    margin = tol.boundary_margin(max((abs(z) for z in points), default=0.0))
+    margin = BOUNDARY_FACTOR * cs.radius
     if len(points) >= 2:
         gap = min(
             abs(a - b) for i, a in enumerate(points) for b in points[i + 1:]

@@ -22,15 +22,15 @@ class Tolerances:
                  ||M||_F) / rel, c the self-commutator), and
                  the remainder's vanishing-projection test
     ``cluster``  base factor for eigenvalue clustering and point matching;
-                 the effective radius is cluster * (1 + largest magnitude in
-                 play). Zeros of polynomials are decided without it, by the
-                 rank decisions of ``RealPoly.zeros``
+                 a calculus context's one radius is cluster * (1 + the largest
+                 magnitude among the eigenvalues of Th(N) and the critical
+                 values). Zeros of polynomials and their conjugate partners
+                 are decided without it, by the rank decisions of
+                 ``RealPoly.zeros`` and exact comparison
     ``rank``     relative eigenvalue cut for rank-revealing factorizations
     ``spec``     relative slack of checks on computed factors: PSD,
                  commutant membership, eigenprojection identities
     ``cond``     largest acceptable condition number for interpolation solves
-    ``boundary_factor``  region boundaries must clear critical spectral points
-                 by boundary_factor * cluster radius
     """
 
     abs: float = 1e-12
@@ -39,31 +39,20 @@ class Tolerances:
     rank: float = 1e-10
     spec: float = 1e-8
     cond: float = 1e12
-    boundary_factor: float = 10.0
 
     def scaled(self, factor: float) -> "Tolerances":
         """All thresholds multiplied by ``factor`` (cond divided); a factor
         that is not finite and positive raises :class:`ValidationError`."""
         if not (np.isfinite(factor) and factor > 0):
             raise ValidationError(f"tolerance scale must be finite and positive, got {factor}")
-        kw = {}
-        for f in fields(self):
-            if f.name == "cond":
-                kw[f.name] = self.cond / factor
-            elif f.name == "boundary_factor":
-                kw[f.name] = self.boundary_factor
-            else:
-                kw[f.name] = getattr(self, f.name) * factor
-        return replace(self, **kw)
+        kw = {f.name: getattr(self, f.name) * factor for f in fields(self) if f.name != "cond"}
+        return replace(self, cond=self.cond / factor, **kw)
 
     def with_overrides(self, **kw) -> "Tolerances":
         return replace(self, **kw)
 
     def cluster_radius(self, magnitude: float) -> float:
         return self.cluster * (1.0 + float(magnitude))
-
-    def boundary_margin(self, magnitude: float) -> float:
-        return self.boundary_factor * self.cluster_radius(magnitude)
 
 
 DEFAULT_TOL = Tolerances()

@@ -164,11 +164,11 @@ class TestZeros:
         assert zeros_match(p.zeros(), [(1j, 3), (-1j, 3)])
 
     @pytest.mark.parametrize(
-        "family, count",
-        [(generator_family, 461), (quadratic_family, 1360)],
+        "family, count, nonreal",
+        [(generator_family, 461, 0), (quadratic_family, 1360, 4080)],
         ids=["generator", "quadratic"],
     )
-    def test_generator_family_exact_multiplicities(self, family, count, monkeypatch):
+    def test_generator_family_exact_multiplicities(self, family, count, nonreal, monkeypatch):
         spectra = []
 
         def recording(a, b):
@@ -177,9 +177,15 @@ class TestZeros:
 
         monkeypatch.setattr(bipoly, "sylvester_spectrum", recording)
         polys = list(family())
-        misread = [mult for p, mult in polys if not zeros_match(p.zeros(), mult)]
+        zeros = [p.zeros() for p, _ in polys]
+        misread = [mult for zs, (_, mult) in zip(zeros, polys) if not zeros_match(zs, mult)]
         assert len(polys) == count
         assert misread == []
+        # every nonreal zero has its conjugate, bit for bit, at the same
+        # multiplicity: the calculus pairs them up by exact lookup
+        found = [(z, m, zs) for zs in zeros for z, m in zs if z.imag != 0.0]
+        assert len(found) == nonreal
+        assert [(z, m) for z, m, zs in found if (z.conjugate(), m) not in zs] == []
         # every rank decision of the GCD chains clears GCD_THETA by 10x
         s = np.concatenate(spectra)
         assert s[s <= GCD_THETA].max(initial=0.0) <= GCD_THETA / 10

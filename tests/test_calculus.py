@@ -29,6 +29,7 @@ from kreincalc import (
     function_from_dict,
     run_suite,
 )
+from kreincalc.calculus import Layout
 from kreincalc.cluster import cluster_points, match_points
 from kreincalc.jets import A_KIND
 from kreincalc.tol import fro
@@ -65,16 +66,27 @@ class TestCriticalSet:
         assert not cs.crit[0].spectral and cs.crit[0].in_sigma_n
         assert cs.support_values() == (0j,)
 
-    def test_zi_instance(self, zi_ctx):
-        cs = zi_ctx.cs
-        assert cs.crit == ()
-        points = {pt.zw for pt in cs.zi}
-        assert points == {(1j, 0j), (-1j, 0j)}
-        assert all(pt.in_support for pt in cs.zi)
-        # conjugate-pair partners point at each other
+    @pytest.mark.parametrize("case", ["rotation", "lattice"])
+    def test_zi_instance(self, case, zi_ctx):
+        if case == "rotation":
+            ctx = zi_ctx
+        else:  # p and q: a real zero and two positive quadratics each
+            ctx = CalculusContext.build(lattice_pair(0, 8, ((-3.75, 1.0), (-3.25, 0.75)))[0])
+        cs = ctx.cs
+        # a pair's conjugate partner holds its exact conjugates, and partners
+        # point at each other
         for i, pt in enumerate(cs.zi):
+            za, zb = pt.zw
+            assert cs.zi[pt.partner].zw == (za.conjugate(), zb.conjugate())
             assert cs.zi[pt.partner].partner == i
-        assert zi_ctx.bundle.dim_v == 0
+        if case == "rotation":
+            assert cs.crit == ()
+            assert {pt.zw for pt in cs.zi} == {(1j, 0j), (-1j, 0j)}
+            assert all(pt.in_support for pt in cs.zi)
+            assert ctx.bundle.dim_v == 0
+        else:
+            assert len(cs.zi) == 24  # the 5 x 5 grid less its real pair
+            assert not any(pt.in_support for pt in cs.zi)
 
     def test_half_pair_instance(self, half_pair_ctx):
         cs = half_pair_ctx.cs
@@ -264,6 +276,40 @@ class TestCachedState:
             expected = poly.copy()
             poly[...] = -7.0
             assert np.array_equal(ctx.polynomial_at_pair(s), expected)
+
+    def test_build_makes_one_layout(self, monkeypatch, w1_ctx, zi_ctx, half_pair_ctx):
+        """build resets the support arrays of its first layout instead of
+        making a second, and the result equals a fresh one array by array."""
+        made = []
+        init = Layout.__init__
+
+        def counting(self, cs):
+            made.append(cs)
+            init(self, cs)
+
+        def same(a, b):
+            if isinstance(a, np.ndarray):
+                return (a.dtype == b.dtype and np.array_equal(a, b)
+                        and not a.flags.writeable)
+            if isinstance(a, tuple):
+                return len(a) == len(b) and all(map(same, a, b))
+            return a == b
+
+        monkeypatch.setattr(Layout, "__init__", counting)
+        lattice, _ = lattice_pair(0, 8, ((-3.75, 1.0), (-3.25, 0.75)))
+        contexts = []
+        for pair in (w1_ctx.pair, zi_ctx.pair, half_pair_ctx.pair, lattice):
+            made.clear()
+            ctx = CalculusContext.build(pair)
+            assert len(made) == 1
+            assert ctx.layout is ctx.cs.layout
+            fresh = Layout(ctx.cs)
+            assert vars(ctx.layout).keys() == vars(fresh).keys()
+            for name, value in vars(fresh).items():
+                assert same(getattr(ctx.layout, name), value), name
+            contexts.append(ctx)
+        # the support arrays were reset: some jets are off sigma_N
+        assert not all(ctx.layout.supported.all() for ctx in contexts)
 
     def test_conditioning_gate_runs_at_build(self):
         # p = z(z - 1) gives the centered grid {-1/2, 1/2} x {0}: condition 2.

@@ -158,6 +158,7 @@ class TestParse:
         {"tol": {"cluster": 10**400}},
         {"p": [10**400]},
         {"q": [1.0, -(10**400)]},
+        {"tol": {"boundary_factor": 10}},
     ],
 )
 def test_malformed_instance_fields_raise_validation_error(w1, override):

@@ -1,6 +1,8 @@
+from dataclasses import fields
+
 import numpy as np
 
-from kreincalc.tol import fro, fro_each
+from kreincalc.tol import DEFAULT_TOL, fro, fro_each
 
 
 def test_fro_is_numpy_frobenius_norm_exactly():
@@ -24,3 +26,13 @@ def test_fro_each_norms_every_matrix_of_a_stack():
         assert np.allclose(fro_each(X), expected, rtol=1e-15, atol=0)
     assert fro_each(np.zeros((0, 2, 2))).shape == (0,)
     assert np.array_equal(fro_each(np.zeros((3, 0, 0))), np.zeros(3))
+
+
+def test_scaled_multiplies_every_field_but_cond_which_it_divides():
+    for factor in (0.01, 0.5, 10.0):
+        scaled = DEFAULT_TOL.scaled(factor)
+        for f in fields(DEFAULT_TOL):
+            base = getattr(DEFAULT_TOL, f.name)
+            expected = base / factor if f.name == "cond" else base * factor
+            assert getattr(scaled, f.name) == expected, f.name
+    assert len(fields(DEFAULT_TOL)) == 6
