@@ -62,11 +62,19 @@ class RealPoly:
     __rmul__ = __mul__
 
     def of_matrix(self, M: np.ndarray) -> np.ndarray:
-        """Evaluate at a square matrix by Horner's rule."""
-        n = M.shape[0]
-        out = np.eye(n, dtype=complex) * self.coeffs[-1]
-        for c in self.coeffs[-2::-1]:
-            out = out @ M + c * np.eye(n)
+        """Evaluate at a square matrix by Horner's rule.
+
+        The first step ``(c_d I) M`` is taken as ``c_d M``: the product with
+        the identity adds only exact zeros.
+        """
+        M = np.asarray(M, dtype=complex)
+        c = self.coeffs
+        if c.size == 1:
+            return np.eye(M.shape[0], dtype=complex) * c[0]
+        eye = np.eye(M.shape[0])
+        out = c[-1] * M + c[-2] * eye
+        for ck in c[-3::-1]:
+            out = out @ M + ck * eye
         return out
 
     def zeros(self):
@@ -603,15 +611,21 @@ class HermiteSystem:
             matrix_powers((M - mu * np.eye(d)) / rho, deg)
             for M, (mu, rho, deg) in zip((A, B), self._centre)
         )
-        return (Pa[:, None] @ Pb[None, :]).reshape(self.size, d, d)
+        # the products with a zeroth power, the identity, are the other factor
+        out = np.empty((len(Pa), len(Pb), d, d), dtype=complex)
+        out[0] = Pb
+        out[1:, 0] = Pa[1:]
+        out[1:, 1:] = Pa[1:, None] @ Pb[None, 1:]
+        return out.reshape(self.size, d, d)
 
 
 def matrix_powers(M, count: int) -> np.ndarray:
-    """M^0 .. M^(count - 1) of a square matrix, stacked."""
-    pows = [np.eye(M.shape[0], dtype=complex)]
+    """M^0 .. M^(count - 1) of a square matrix, stacked; M^1 is M itself,
+    not a product with the identity."""
+    pows = [np.eye(M.shape[0], dtype=complex), M]
     while len(pows) < count:
         pows.append(pows[-1] @ M)
-    return np.array(pows)
+    return np.array(pows[:max(count, 1)], dtype=complex)
 
 
 def interpolate_jets(targets, grid: ZeroGrid, tol: Tolerances = DEFAULT_TOL) -> BiPoly:

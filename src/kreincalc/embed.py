@@ -24,8 +24,9 @@ from .krein import DefinitizablePair, KreinSpace
 from .tol import Tolerances, fro, fro_each
 
 
-def gram_factor(G, tol: Tolerances, scale_floor: float = 0.0, noise: float = 0.0) -> tuple:
-    """Factor a PSD matrix as G = F^H F with eigen-scaled orthogonal rows.
+def gram_factor(eig, tol: Tolerances, scale_floor: float = 0.0, noise: float = 0.0) -> tuple:
+    """Factor a PSD matrix G = F^H F with eigen-scaled orthogonal rows, from
+    its eigendecomposition ``eig = (evals, vecs)``, the ``eigh`` of G.
 
     F has rank(G) rows, built from the eigenpairs kept above the rank cut
     (relative to the largest eigenvalue, floored at ``scale_floor`` and at the
@@ -35,9 +36,7 @@ def gram_factor(G, tol: Tolerances, scale_floor: float = 0.0, noise: float = 0.0
     and ``dropped`` the Frobenius norm of the eigenvalues below the cut, that
     is of G - F^H F. Raises when G is indefinite beyond tolerance.
     """
-    G = np.asarray(G, dtype=complex)
-    G = (G + G.conj().T) / 2.0
-    evals, vecs = np.linalg.eigh(G)
+    evals, vecs = eig
     top = float(evals[-1]) if evals.size else 0.0
     neg_bound = max(tol.spec * max(top, scale_floor, tol.abs), noise)
     if evals.size and evals[0] < -neg_bound:
@@ -372,16 +371,21 @@ def build_bundle(pair: DefinitizablePair) -> EmbeddingBundle:
     because ker F = ker F_j intersected over j. F F^H is the diagonal of the
     squared row norms of F. The scale of the construction is the top
     eigenvalue of J (p(A) + q(B)), PSD up to rounding, so its spectral norm.
+    Only that Gram is decomposed here: J p(A) and J q(B) come with the
+    eigendecompositions the pair's validation made
+    (:attr:`~kreincalc.krein.DefinitizablePair.definitizing_grams`), which the
+    pair then drops.
     """
     space, tol = pair.space, pair.space.tol
-    Gp, Gq, G = pair.gram_parts()
+    (Gp, *eig_p), (Gq, *eig_q) = pair.definitizing_grams
+    pair.drop_grams()
     noise = 1e4 * np.finfo(float).eps * sum(pair.eval_scales)
-    F, top, dropped = gram_factor(G, tol, noise=noise)
+    F, top, dropped = gram_factor(np.linalg.eigh(Gp + Gq), tol, noise=noise)
     scale = max(top, tol.abs)
     coords = [CoordinateSpace.of(F, space, dropped)]
     d = _row_norms2(F)
-    for Gj in (Gp, Gq):
-        Fj, _, dropped = gram_factor(Gj, tol, scale_floor=scale, noise=noise)
+    for eig in (eig_p, eig_q):
+        Fj, _, dropped = gram_factor(eig, tol, scale_floor=scale, noise=noise)
         Rj = (Fj @ F.conj().T / d).conj().T
         coords.append(CoordinateSpace.of(Fj, space, dropped, Rj))
 

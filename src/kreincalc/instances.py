@@ -7,7 +7,13 @@ polynomials (searched when absent), and optional tolerance overrides.
 
 Instance, function and region files are read with ``orjson`` (``load_json``);
 instance files are written, and digested, with the standard ``json`` module,
-whose ``sort_keys``/``indent`` output fixes their bytes.
+whose ``sort_keys``/``indent`` output fixes their bytes. A matrix is packed
+from its decoded lists by one ``struct`` call (``matrix_from_json``), with the
+entrywise ``complex(re, im)`` decode behind it for every input the packed
+path refuses, so each malformed input keeps its message. ``parse_instance``
+keeps the cyclic collector paused from the read until the matrices are
+converted and the decoded lists freed: they hold no reference cycles, and a
+collection would traverse them for nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +21,11 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import struct
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,19 +47,68 @@ def matrix_to_json(M) -> list:
 
 
 def matrix_from_json(rows, name: str) -> np.ndarray:
-    try:
-        M = np.array(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-        )
-    except OverflowError as exc:
-        raise ValidationError(f"matrix {name!r} has an entry that is not a finite number") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"matrix {name!r} is not an array of [re, im] pairs") from exc
+    """The complex matrix of rows of ``[re, im]`` pairs of real numbers.
+
+    A list of equal rows of pairs packs into the matrix with one
+    ``struct.pack_into`` call. ``struct`` takes only real numbers (not
+    ``str``, ``bytes``, ``None`` or ``complex``), and every warning it would
+    raise is an error here, so a numpy complex scalar is not packed as its
+    real part. Whatever the packed path refuses goes through the entrywise
+    ``complex(re, im)`` decode, which yields the same matrix or raises
+    :class:`ValidationError` with the message for the fault.
+    """
+    M = _packed_matrix(rows)
+    if M is None:
+        try:
+            M = np.array(
+                [[complex(re, im) for re, im in row] for row in rows], dtype=complex
+            )
+        except OverflowError as exc:
+            raise ValidationError(f"matrix {name!r} has an entry that is not a finite number") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"matrix {name!r} is not an array of [re, im] pairs") from exc
     if M.ndim != 2:
         raise ValidationError(f"matrix {name!r} must be two-dimensional")
     if not np.isfinite(M).all():
         raise ValidationError(f"matrix {name!r} has an entry that is not a finite number")
     return M
+
+
+def _packed_matrix(rows):
+    """:func:`matrix_from_json` in one C call, or None for input that is not
+    a list of equal rows of pairs or holds an entry ``struct`` refuses."""
+    if not isinstance(rows, list):
+        return None
+    try:
+        widths = set(map(len, rows))
+        pairs = set(map(len, chain.from_iterable(rows)))
+    except TypeError:
+        return None
+    if len(widths) != 1 or pairs != {2}:
+        return None
+    M = np.empty((len(rows), widths.pop()), dtype=complex)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            struct.pack_into(
+                f"{2 * M.size}d", M, 0, *chain.from_iterable(chain.from_iterable(rows))
+            )
+    except struct.error:
+        return None
+    return M
+
+
+@contextmanager
+def _collector_paused():
+    # Decoded lists and dicts hold no reference cycles, so the collections
+    # their allocation would trigger traverse the heap and free nothing.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_json(source):
@@ -61,15 +120,8 @@ def load_json(source):
     """
     text = str(source)
     raw = text if text.lstrip().startswith("{") else Path(source).read_bytes()
-    # The decoded lists and dicts hold no reference cycles, so the collections
-    # their allocation would trigger traverse the heap and free nothing.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         return orjson.loads(raw)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 @dataclass
@@ -103,14 +155,9 @@ class Instance:
         Path(path).write_text(json.dumps(self.to_json(), sort_keys=True, indent=1))
 
 
-def parse_instance(source, tol_scale: float = 1.0) -> Instance:
-    """Load and validate an instance from a path, JSON string, or dict.
-
-    Validation order matches the failure messages callers branch on: Gram
-    shape and Hermitianity, normality of N (or of A + iB, whose given parts
-    must be its J-selfadjoint parts), then the definitizing property of the
-    supplied polynomials. Missing polynomials trigger the bounded search.
-    """
+def _decode_instance(source, tol_scale):
+    """The Krein space, label, polynomials (None when absent) and given
+    matrices of an instance, validated in :func:`parse_instance`'s order."""
     try:
         data = load_json(source) if isinstance(source, (str, Path)) else dict(source)
     except (OSError, TypeError, ValueError) as exc:
@@ -150,13 +197,28 @@ def parse_instance(source, tol_scale: float = 1.0) -> Instance:
         raise ValidationError("instance needs either 'N' or both 'A' and 'B'")
     if any(M.shape != (space.n, space.n) for M in given.values()):
         raise ValidationError(f"{', '.join(given)} and Gram J disagree in size")
+    return space, label, p, q, given
+
+
+def parse_instance(source, tol_scale: float = 1.0) -> Instance:
+    """Load and validate an instance from a path, JSON string, or dict.
+
+    Validation order matches the failure messages callers branch on: Gram
+    shape and Hermitianity, normality of N (or of A + iB, whose given parts
+    must be its J-selfadjoint parts), then the definitizing property of the
+    supplied polynomials. Missing polynomials trigger the bounded search.
+    """
+    # the decoded lists die with _decode_instance's frame, before the
+    # collector resumes, so their allocations trigger no collection
+    with _collector_paused():
+        space, label, p, q, given = _decode_instance(source, tol_scale)
 
     N = given["N"] if "N" in given else given["A"] + 1j * given["B"]
     A, B = split_normal(space, N)
     for name, part in zip("AB", (A, B)):
         if name in given:
             resid = fro(given[name] - part)
-            if resid > tol.rel * (1.0 + fro(given[name])):
+            if resid > space.tol.rel * (1.0 + fro(given[name])):
                 raise ValidationError(
                     f"'{name}' is not J-selfadjoint: it differs by {resid:.2e} "
                     "from the matching part of A + iB"

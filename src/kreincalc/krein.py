@@ -124,33 +124,46 @@ def split_noise(space: KreinSpace, n_norm: float, part_norm: float, p: RealPoly)
     return space.norm * slope * delta
 
 
+def definitizing_gram(space: KreinSpace, value) -> tuple:
+    """sym(J p(A)) for ``value = p(A)``, with its ``eigh`` eigendecomposition:
+    ``(G, evals, vecs)``, eigenvalues ascending.
+
+    J p(A) is Hermitian in exact arithmetic for selfadjoint A; rounding breaks
+    the symmetry, so the product is symmetrized before it is decomposed.
+    """
+    G = space.J @ value
+    G = (G + G.conj().T) / 2.0
+    return (G, *np.linalg.eigh(G))
+
+
 def verify_definitizing(
-    space: KreinSpace, A, p: RealPoly, scale: float = None, value=None,
+    space: KreinSpace, A, p: RealPoly, scale: float = None, evals=None,
     n_norm: float = None,
 ) -> PositivityReport:
     """Check [p(A)x, x] >= 0 by the smallest eigenvalue of sym(J p(A)).
 
-    J p(A) is Hermitian in exact arithmetic for selfadjoint A; rounding breaks
-    the symmetry, so the product is symmetrized before the eigenvalue test.
-    Negativity is tolerated relative to ``scale``, the evaluation scale of
-    J p(A), so a product that is mathematically zero but computed as noise
-    still passes. ``scale`` must bound ||J p(A)||_2 from above, as
-    :func:`poly_eval_scale` does by the triangle inequality (its default), so
-    the norm of the product itself needs no decomposition. ``value`` is
-    p(A) when the caller has evaluated it already. When ``A`` is a part of
-    a normal N with ``||N||_F = n_norm``, the threshold is floored at
-    :func:`split_noise`: a part that is zero in exact arithmetic keeps the
-    split's noise.
+    The eigenvalues come from :func:`definitizing_gram`, or are ``evals``
+    when the caller has decomposed sym(J p(A)) already, as
+    :attr:`DefinitizablePair.definitizing_grams` does; either way one
+    ``eigh`` decides, so the bounded search and :meth:`~DefinitizablePair.validate`
+    read the same number. Negativity is tolerated relative to ``scale``, the
+    evaluation scale of J p(A), so a product that is mathematically zero but
+    computed as noise still passes. ``scale`` must bound ||J p(A)||_2 from
+    above, as :func:`poly_eval_scale` does by the triangle inequality (its
+    default), so the norm of the product itself needs no decomposition. When
+    ``A`` is a part of a normal N with ``||N||_F = n_norm``, the threshold is
+    floored at :func:`split_noise`: a part that is zero in exact arithmetic
+    keeps the split's noise.
     """
     A = np.asarray(A, dtype=complex)
     if scale is None:
         scale = poly_eval_scale(space, norm2(A), p)
-    H = space.J @ (p.of_matrix(A) if value is None else value)
-    H = (H + H.conj().T) / 2.0
+    if evals is None:
+        evals = definitizing_gram(space, p.of_matrix(A))[1]
     threshold = space.tol.spec * max(scale, space.tol.abs)
     if n_norm is not None:
         threshold = max(threshold, split_noise(space, n_norm, fro(A), p))
-    min_eig = float(np.linalg.eigvalsh(H)[0]) if H.size else 0.0
+    min_eig = float(evals[0]) if evals.size else 0.0
     return PositivityReport(min_eig >= -threshold, min_eig, threshold)
 
 
@@ -242,6 +255,18 @@ class DefinitizablePair:
             value.setflags(write=False)
         return values
 
+    @cached_property
+    def definitizing_grams(self) -> tuple:
+        """:func:`definitizing_gram` of p(A) and of q(B), each decomposed
+        once: :meth:`validate` reads their smallest eigenvalues and
+        :func:`~kreincalc.embed.build_bundle` factors them, then drops them
+        (:meth:`drop_grams`)."""
+        return tuple(definitizing_gram(self.space, value) for value in self.poly_values)
+
+    def drop_grams(self):
+        """Forget :attr:`definitizing_grams`; the next access decomposes anew."""
+        self.__dict__.pop("definitizing_grams", None)
+
     def validate(self):
         """Raise unless all structural invariants hold at tolerance."""
         sp, A, B = self.space, self.A, self.B
@@ -256,21 +281,12 @@ class DefinitizablePair:
                 f"parts do not commute: ||AB - BA|| = {comm:.2e}"
             )
         n_norm = fro(self.N)
-        for M, poly, name, s, value in zip(
-            (A, B), (self.p, self.q), "pq", self.eval_scales, self.poly_values
+        for M, poly, name, s, (_, evals, _) in zip(
+            (A, B), (self.p, self.q), "pq", self.eval_scales, self.definitizing_grams
         ):
-            rep = verify_definitizing(sp, M, poly, s, value, n_norm)
+            rep = verify_definitizing(sp, M, poly, s, evals, n_norm)
             if not rep.accepted:
                 raise NotPsdError(
                     f"polynomial {name} is not definitizing: smallest eigenvalue "
                     f"{rep.min_eigenvalue:.2e} < -{rep.threshold:.2e}"
                 )
-
-    def gram_parts(self):
-        """The PSD matrices J p(A), J q(B) and their sum, symmetrized."""
-        pA, qB = self.poly_values
-        Gp = self.space.J @ pA
-        Gq = self.space.J @ qB
-        Gp = (Gp + Gp.conj().T) / 2.0
-        Gq = (Gq + Gq.conj().T) / 2.0
-        return Gp, Gq, Gp + Gq

@@ -72,6 +72,42 @@ class TestRealPoly:
         assert np.allclose(p.of_matrix(A), np.eye(2) + 2 * A)
 
 
+def test_identity_products_are_skipped_exactly():
+    # of_matrix, matrix_powers and basis_at skip their products with the
+    # identity; those add only exact zeros, so the results keep every bit
+    rng = np.random.default_rng(19)
+    n = 128
+    A, B = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in "AB")
+    eye = np.eye(n, dtype=complex)
+
+    def bits(M):
+        return np.ascontiguousarray(M).view(np.int64)
+
+    def powers(M, count):
+        pows = [eye]
+        while len(pows) < count:
+            pows.append(pows[-1] @ M)
+        return np.array(pows)
+
+    for coeffs in ([0.75], [0.5, -1.25], [-2.0, 0.25, 1.5, -0.75]):
+        p = RealPoly(coeffs)
+        want = eye * p.coeffs[-1]
+        for c in p.coeffs[-2::-1]:
+            want = want @ A + c * np.eye(n)
+        assert np.array_equal(bits(p.of_matrix(A)), bits(want)), coeffs
+    for count in (1, 2, 4):
+        assert np.array_equal(bits(bipoly.matrix_powers(A, count)), bits(powers(A, count)))
+
+    a = RealPoly([2, 1]) * RealPoly([-1, 1]) * RealPoly([-1, 1])
+    system = bipoly.HermiteSystem(ZeroGrid.from_polys(a, RealPoly([0, 1]) * RealPoly([-3, 1])))
+    Pa, Pb = (
+        powers((M - mu * np.eye(n)) / rho, deg)
+        for M, (mu, rho, deg) in zip((A, B), system._centre)
+    )
+    want = (Pa[:, None] @ Pb[None, :]).reshape(system.size, n, n)
+    assert np.array_equal(bits(system.basis_at(A, B)), bits(want))
+
+
 LATTICE = [0.5 * k for k in range(-8, 9)]
 
 

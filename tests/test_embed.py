@@ -1,9 +1,12 @@
 import dataclasses
+import importlib.util
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from kreincalc import (
+    CalculusContext,
     DefinitizablePair,
     KreinSpace,
     NotInCommutantError,
@@ -12,32 +15,37 @@ from kreincalc import (
     build_bundle,
     gram_factor,
     generate,
+    parse_instance,
 )
 from kreincalc.embed import verify_bundle
 from kreincalc.tol import DEFAULT_TOL
 
+from conftest import FIXTURES
+
+BENCH = FIXTURES.parents[1] / "bench"
+
 
 class TestGramFactor:
     def test_zero_gram(self):
-        F, *_ = gram_factor(np.zeros((3, 3)), DEFAULT_TOL)
+        F, *_ = gram_factor(np.linalg.eigh(np.zeros((3, 3))), DEFAULT_TOL)
         assert F.shape == (0, 3)
 
     def test_full_rank(self):
         G = np.diag([2.0, 1.0]).astype(complex)
-        F, *_ = gram_factor(G, DEFAULT_TOL)
+        F, *_ = gram_factor(np.linalg.eigh(G), DEFAULT_TOL)
         assert F.shape == (2, 2)
         assert np.allclose(F.conj().T @ F, G)
         # descending eigenvalue order
         assert abs(F[0, 0]) == pytest.approx(np.sqrt(2.0))
 
     def test_rank_deficient(self):
-        F, *_ = gram_factor(np.diag([1.0, 0.0]), DEFAULT_TOL)
+        F, *_ = gram_factor(np.linalg.eigh(np.diag([1.0, 0.0])), DEFAULT_TOL)
         assert F.shape == (1, 2)
         assert np.allclose(F.conj().T @ F, np.diag([1.0, 0.0]))
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPsdError):
-            gram_factor(np.diag([1.0, -0.5]), DEFAULT_TOL)
+            gram_factor(np.linalg.eigh(np.diag([1.0, -0.5])), DEFAULT_TOL)
 
     def test_random_psd_factors(self):
         rng = np.random.default_rng(30)
@@ -45,8 +53,29 @@ class TestGramFactor:
             n = rng.integers(1, 7)
             M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             G = M @ M.conj().T
-            F, *_ = gram_factor(G, DEFAULT_TOL)
+            F, *_ = gram_factor(np.linalg.eigh(G), DEFAULT_TOL)
             assert np.allclose(F.conj().T @ F, G, atol=1e-10 * np.linalg.norm(G))
+
+
+def test_each_definitizing_gram_is_decomposed_once(monkeypatch):
+    # validate reads the smallest eigenvalues off the eigh that build_bundle
+    # factors: parse + build decompose J p(A), J q(B) and their sum once each
+    spec = importlib.util.spec_from_file_location("recipe", BENCH / "recipe.py")
+    recipe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recipe)
+    calls = Counter()
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for source in (FIXTURES / "w1.json", recipe.instance(3, 24, 2)[0]):
+        calls.clear()
+        inst = parse_instance(source)
+        ctx = CalculusContext.build(inst.pair)
+        assert (calls["eigh"], calls["eigvalsh"]) == (3, 0), source
+        assert "definitizing_grams" not in vars(ctx.pair)
 
 
 class TestBundleW1:

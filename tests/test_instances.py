@@ -29,6 +29,72 @@ class TestMatrixCodec:
         with pytest.raises(ValidationError):
             matrix_from_json([[1.0, 2.0]], "M")
 
+    @staticmethod
+    def _entrywise(rows, name):
+        """The reference decode: one ``complex(re, im)`` per entry."""
+        try:
+            M = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+        except OverflowError as exc:
+            raise ValidationError(f"matrix {name!r} has an entry that is not a finite number") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"matrix {name!r} is not an array of [re, im] pairs") from exc
+        if M.ndim != 2:
+            raise ValidationError(f"matrix {name!r} must be two-dimensional")
+        if not np.isfinite(M).all():
+            raise ValidationError(f"matrix {name!r} has an entry that is not a finite number")
+        return M
+
+    @staticmethod
+    def _outcome(decode, rows):
+        try:
+            return "ok", _bits(decode(rows, "M")).tolist()
+        except ValidationError as exc:
+            return "error", str(exc)
+
+    def test_packed_decode_matches_the_entrywise_reference(self):
+        rng = np.random.default_rng(62)
+        square = rng.standard_normal((5, 5, 2)).tolist()
+        accepted = [
+            square,
+            rng.standard_normal((3, 7, 2)).tolist(),
+            [[[-0.0, 0.0], [0.0, -0.0]], [[5e-324, -5e-324], [1.7e308, -1.7e308]]],
+            [[[1, -2], [3, 0]], [[True, False], [2**60 + 1, -(2**53 + 1)]]],
+            # numpy scalars reach the decode in dict sources
+            [[[np.float64(0.1), np.float32(0.1)], [np.int64(-3), np.bool_(True)]]],
+            [[[np.float16(0.1), 0.5], [np.complex128(1 + 2j), 0.5]]],
+            [[[1 + 2j, 0.5]]],
+            [[[1.5, 0.0]]],
+            [[]],
+        ]
+        rejected = [
+            [[["1.0", 0.0]]],
+            [[[b"1", 0.0]]],
+            [[[None, 0.0]]],
+            [[[1.0, "0"]]],
+            [[[[1.0, 2.0], [3.0, 4.0]]]],
+            [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]],
+            [[[1.0], [2.0, 0.0]]],
+            [[[1.0, 2.0, 3.0]]],
+            [[[10**400, 0.0]]],
+            [[[0.0, -(10**400)]]],
+            [[[float("nan"), 0.0]]],
+            [[[0.0, float("inf")]]],
+            [[[1.0, 0.0]], "ab"],
+            [1.0, 2.0],
+            [],
+            None,
+            "[[1, 0]]",
+        ]
+        for rows in accepted + rejected:
+            want = self._outcome(self._entrywise, rows)
+            assert self._outcome(matrix_from_json, rows) == want, rows
+        for rows in accepted:
+            assert self._outcome(matrix_from_json, rows)[0] == "ok", rows
+        for rows in rejected:
+            assert self._outcome(matrix_from_json, rows)[0] == "error", rows
+        M = matrix_from_json(square, "M")
+        assert M.flags.writeable and M.flags.c_contiguous and M.shape == (5, 5)
+
     def test_json_and_digest_match_the_entrywise_encoding(self):
         def entrywise(M):
             M = np.asarray(M, dtype=complex)
@@ -79,8 +145,11 @@ class TestParse:
     def test_non_definitizing_candidate(self, w1):
         data = w1.to_json()
         data["q"] = [-3.0, 1.0]
-        with pytest.raises(NotPsdError):
+        with pytest.raises(NotPsdError) as info:
             parse_instance(data)
+        assert str(info.value) == (
+            "polynomial q is not definitizing: smallest eigenvalue -1.00e+00 < -6.00e-08"
+        )
 
     def test_missing_operator(self):
         with pytest.raises(ValidationError):
@@ -221,6 +290,28 @@ class TestDecode:
                     assert np.array_equal(_bits(got), _bits(exp)), label
                 assert inst.pair.p.to_list() == want.pair.p.to_list()
                 assert inst.pair.q.to_list() == want.pair.q.to_list()
+
+    def test_a_large_parse_runs_no_collection(self):
+        # the decoded lists are freed before the collector resumes, so their
+        # allocation count does not trigger a collection that frees nothing
+        text = _large_ab_text()
+        collections = []
+
+        def record(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            parse_instance(text)
+        finally:
+            gc.callbacks.remove(record)
+            if not was:
+                gc.disable()
+        assert collections == []
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("good", [True, False])

@@ -242,8 +242,8 @@ class TestDefinitizablePair:
             assert run_suite(inst).passed, seed
 
     def test_gram_parts_are_hermitian_psd(self, w1):
-        Gp, Gq, G = w1.pair.gram_parts()
-        for M in (Gp, Gq, G):
+        (Gp, *_), (Gq, *_) = w1.pair.definitizing_grams
+        for M in (Gp, Gq, Gp + Gq):
             assert np.allclose(M, M.conj().T)
             assert np.min(np.linalg.eigvalsh(M)) >= -1e-12
 
