@@ -17,8 +17,8 @@ from kreincalc import (
     generate,
     parse_instance,
 )
-from kreincalc.embed import verify_bundle
-from kreincalc.tol import DEFAULT_TOL
+from kreincalc.embed import CoordinateSpace, verify_bundle
+from kreincalc.tol import DEFAULT_TOL, fro
 
 from conftest import FIXTURES
 
@@ -57,12 +57,18 @@ class TestGramFactor:
             assert np.allclose(F.conj().T @ F, G, atol=1e-10 * np.linalg.norm(G))
 
 
-def test_each_definitizing_gram_is_decomposed_once(monkeypatch):
-    # validate reads the smallest eigenvalues off the eigh that build_bundle
-    # factors: parse + build decompose J p(A), J q(B) and their sum once each
+def load_recipe():
+    """The benchmark's instance recipe, loaded by path from ``bench/``."""
     spec = importlib.util.spec_from_file_location("recipe", BENCH / "recipe.py")
     recipe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(recipe)
+    return recipe
+
+
+def test_each_definitizing_gram_is_decomposed_once(monkeypatch):
+    # validate reads the smallest eigenvalues off the eigh that build_bundle
+    # factors: parse + build decompose J p(A), J q(B) and their sum once each
+    recipe = load_recipe()
     calls = Counter()
     for name in ("eigh", "eigvalsh"):
         def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
@@ -243,6 +249,129 @@ def test_gram_entries_allow_what_the_rank_cut_drops():
     assert [V.dim for V in b.coords] == [1, 1, 0]
     resid, bound = next((r, t) for n, r, t in b.report if n == "T T* = p(A) + q(B)")
     assert 4e-9 < resid <= bound
+
+
+BUNDLE_ENTRIES = [
+    "T T* = p(A) + q(B)",
+    "T1 T1* = p(A)",
+    "T2 T2* = q(B)",
+    "R1 R1* + R2 R2* = I",
+    "T1 = T R1",
+    "||R1|| <= 1",
+    "R1 injective",
+    "[R1 R1*, T* T] = 0",
+    "[R1* R1, T1* T1] = 0",
+    "T2 = T R2",
+    "||R2|| <= 1",
+    "R2 injective",
+    "[R2 R2*, T* T] = 0",
+    "[R2* R2, T2* T2] = 0",
+]
+
+
+def test_bundle_check_decomposes_no_matrix(monkeypatch):
+    # the norm and injectivity of R_j are certified from the partition and
+    # T_j = T R_j residuals: building the bundle takes no SVD
+    pair = parse_instance(load_recipe().instance(3, 24)[0]).pair
+    calls = Counter()
+
+    def counted(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    b = build_bundle(pair)
+    assert calls["svd"] == 0
+    assert [name for name, *_ in b.report] == BUNDLE_ENTRIES
+
+
+class TestCertifiedEntries:
+    """Each entry certified from other residuals fails on a w1 bundle whose
+    V1 breaks the invariant it stands for."""
+
+    @staticmethod
+    def failing(b, V1):
+        report = verify_bundle(dataclasses.replace(b, coords=(b.coords[0], V1, b.coords[2])))
+        return {name for name, resid, bound in report if resid > bound}
+
+    @pytest.mark.parametrize("keep_f1", [False, True])
+    def test_a_dropped_column_is_not_injective(self, w1_ctx, keep_f1):
+        # F1 = R1^H F keeps T1 = T R1 exact, so F1 loses the rank too; a
+        # kept F1 is still injective, and only the T1 = T R1 residual the
+        # bound subtracts can tell
+        b = w1_ctx.bundle
+        R1 = b.coords[1].R.copy()
+        R1[:, 0] = 0.0
+        F1 = b.coords[1].F if keep_f1 else R1.conj().T @ b.coords[0].F
+        V1 = CoordinateSpace.of(F1, b.space, 0.0, R1)
+        assert "R1 injective" in self.failing(b, V1)
+
+    def test_a_scaled_contraction_is_not_a_contraction(self, w1_ctx):
+        b = w1_ctx.bundle
+        V1 = b.coords[1]
+        V1 = CoordinateSpace.of(V1.F, b.space, V1.dropped, 1.01 * V1.R)
+        assert {"R1 R1* + R2 R2* = I", "||R1|| <= 1"} <= self.failing(b, V1)
+
+    def test_a_non_commuting_contraction(self, w1_ctx):
+        # R1 is perturbed by a Hermitian 2x2 block that commutes neither with
+        # T* T = diag(2, -1) nor, through R1* R1, with T1* T1
+        b = w1_ctx.bundle
+        V1 = b.coords[1]
+        R1 = V1.R + 1e-3 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        V1 = CoordinateSpace.of(V1.F, b.space, V1.dropped, R1)
+        assert {"[R1 R1*, T* T] = 0", "[R1* R1, T1* T1] = 0"} <= self.failing(b, V1)
+
+    def test_a_non_commuting_rr_perturbation(self, w1_ctx):
+        # a Hermitian perturbation of the stored R1 R1* alone: the measured
+        # commutator with T* T fails, and the certificate derived from it is
+        # inconclusive, so [R1* R1, T1* T1] is measured from R1 and passes
+        b = w1_ctx.bundle
+        V1 = b.coords[1]
+        V1 = dataclasses.replace(V1, RR=V1.RR + 1e-3 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        failing = self.failing(b, V1)
+        assert "[R1 R1*, T* T] = 0" in failing
+        assert "[R1* R1, T1* T1] = 0" not in failing
+
+
+def certificate_instances():
+    recipe = load_recipe()
+    for seed in range(60):
+        for profile in ("diagonal", "jordan", "pontryagin"):
+            yield generate(seed, 2 + seed % 11, profile)
+    for seed in range(5):
+        yield parse_instance(recipe.instance(seed, 24, 2)[0])
+
+
+def test_certified_entries_bound_what_they_replace():
+    # each certified residual against the quantity it stands for, measured
+    # here the way the report used to: an SVD of R_j, and the commutators
+    # with two products each
+    eps = np.finfo(float).eps
+    for inst in certificate_instances():
+        b = build_bundle(inst.pair)
+        report = {name: (resid, bound) for name, resid, bound in b.report}
+        V, r = b.coords[0], b.dim_v
+        e = report["R1 R1* + R2 R2* = I"][0]
+        f_norm = np.linalg.norm(V.F, axis=1).max(initial=0.0)
+        for j in (1, 2):
+            Vj = b.coords[j]
+            R, TTj = Vj.R, Vj.TT
+            sv = np.linalg.svd(R, compute_uv=False) if R.size else np.zeros(0)
+            # ||R_j|| - 1 <= e / 2, up to the rounding of the stored R_j R_j^*
+            rounding = eps * Vj.dim * (r + np.sqrt(r) * e)
+            assert sv.max(initial=0.0) - 1.0 <= report[f"||R{j}|| <= 1"][0] + rounding / 2
+            if sv.size:
+                res = report[f"T{j} = T R{j}"][0]
+                # the lower bound on sigma_min(R_j), up to rounding, and far
+                # above the rank cut
+                low = (np.linalg.norm(Vj.F, axis=1).min() - b.space.norm * res) / f_norm
+                assert 1e6 * b.space.tol.rank < low <= sv[-1] * (1 + 1e-12), inst.label
+            resid, bound = report[f"[R{j} R{j}*, T* T] = 0"]
+            assert abs(resid - fro(Vj.RR @ V.TT - V.TT @ Vj.RR)) <= 1e-6 * bound
+            resid, bound = report[f"[R{j}* R{j}, T{j}* T{j}] = 0"]
+            RhR = R.conj().T @ R
+            assert fro(RhR @ TTj - TTj @ RhR) <= resid <= bound, inst.label
 
 
 class TestInvariantsOnRandomInstances:
