@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .bipoly import (
-    BiPoly, HermiteSystem, RealPoly, ZeroGrid, jet_gather, matrix_powers, taylor_shift
+    BiPoly, HermiteSystem, RealPoly, ZeroGrid, jet_gather, matrix_powers, taylor_table
 )
 from .cluster import distinct_points, match_points
 from .embed import EmbeddingBundle, Expansion, build_bundle
@@ -490,6 +490,7 @@ class CalculusContext:
         self.layout = cs.layout
         self.theta_n = theta_n
         self.riesz = None  # the supported jets' Riesz idempotents, kept by build
+        self._lifts = {}  # coefficient shape -> its compiled lift (_lift_matrix)
 
     @cached_property
     def theta_parts(self) -> tuple:
@@ -588,10 +589,28 @@ class CalculusContext:
 
     def _lift_coords(self, coeffs) -> np.ndarray:
         """Coordinates of the lift of the polynomial with dense coefficients
-        ``coeffs``, or of each of a stack: one batched Taylor shift."""
-        L = self.layout
-        (rows, ks, ls), order_z, order_w = L.gather
-        return taylor_shift(coeffs, L.point_z, L.point_w, order_z, order_w)[..., rows, ks, ls]
+        ``coeffs``, or of each of a stack: one product with the compiled
+        lift of the coefficient shape."""
+        coeffs = np.asarray(coeffs, dtype=complex)
+        shape = coeffs.shape[-2:]
+        return coeffs.reshape(coeffs.shape[:-2] + (-1,)) @ self._lift_matrix(shape)
+
+    def _lift_matrix(self, shape) -> np.ndarray:
+        """The lift is linear: row ``K * Dw + L`` of this read-only matrix
+        holds the coordinates of z^K w^L for coefficient shape ``(Dz, Dw)``.
+        Coordinate e, the ``(k, l)`` entry of a jet at ``(z, w)``, takes the
+        product of the Taylor coefficients k of z^K and l of w^L there; the
+        matrix is made on the first lift of its shape."""
+        M = self._lifts.get(shape)
+        if M is None:
+            L = self.layout
+            (rows, ks, ls), order_z, order_w = L.gather
+            Tz = taylor_table(L.point_z, shape[0] - 1, order_z)[rows, ks]
+            Tw = taylor_table(L.point_w, shape[1] - 1, order_w)[rows, ls]
+            M = np.ascontiguousarray((Tz[:, :, None] * Tw[:, None, :]).reshape(rows.size, -1).T)
+            M.setflags(write=False)
+            self._lifts[shape] = M
+        return M
 
     def delta(self, at, jet: Jet) -> CalculusFunction:
         """The function equal to ``jet`` at one critical/pair point, zero elsewhere."""
@@ -602,8 +621,11 @@ class CalculusContext:
 
     def unit_jet(self, at) -> CalculusFunction:
         """The unit jet at one critical point or zero pair, zero elsewhere."""
+        return self._unit_jet(self.cs.locate([at])[0])
+
+    def _unit_jet(self, j: int) -> CalculusFunction:
         coords = np.zeros(self.layout.size, dtype=complex)
-        coords[self.layout.unit[self.cs.locate([at])[0]]] = 1.0
+        coords[self.layout.unit[j]] = 1.0
         return CalculusFunction(self.cs, coords)
 
     def indicator(self, region) -> CalculusFunction:
@@ -737,8 +759,14 @@ class CalculusContext:
     # -- projections and spectra -----------------------------------------
 
     def riesz_projection(self, at) -> np.ndarray:
-        """(unit jet at one point)(N): the idempotent isolating that point."""
-        return self.apply(self.unit_jet(at))
+        """(unit jet at one point)(N): the idempotent isolating that point. A
+        jet in the support returns a copy of the idempotent the build kept,
+        the same to the bit, as ``apply_many`` is batch-invariant."""
+        j = self.cs.locate([at])[0]
+        L = self.layout
+        if self.riesz is not None and L.supported[j]:
+            return self.riesz[np.count_nonzero(L.supported[:j])].copy()
+        return self.apply(self._unit_jet(j))
 
     def spectral_projection(self, region) -> np.ndarray:
         """The lifted-indicator projection for an admissible region."""
@@ -775,11 +803,39 @@ class CalculusContext:
         return InvertibilityReport(True, "invertible over the support set", min_mod, resid)
 
 
+def _jet_entries(d: dict) -> tuple:
+    """The shape of a jet in file form and its entries ``{position: value}``
+    in that shape's order; of entries at one index the last wins. An index
+    outside the shape raises :class:`ShapeMismatchError`."""
+    shape = JetShape(int(d["m"]), int(d["n"]), str(d["kind"]))
+    entries = {(int(k), int(l)): complex(re, im) for k, l, re, im in d["entries"]}
+    return shape, {shape.position(k, l): v for (k, l), v in entries.items()}
+
+
 def _table_rows(data: dict):
     values = [(_complex(row["z"]), _complex(row["value"])) for row in data.get("values", [])]
-    jets = [(_complex(row["z"]), Jet.from_dict(row["jet"])) for row in data.get("crit", [])]
-    jets += [(_zero_pair(row["zw"]), Jet.from_dict(row["jet"])) for row in data.get("zi", [])]
+    jets = [(_complex(row["z"]), *_jet_entries(row["jet"])) for row in data.get("crit", [])]
+    jets += [(_zero_pair(row["zw"]), *_jet_entries(row["jet"])) for row in data.get("zi", [])]
     return values, jets
+
+
+def _table_function(ctx: CalculusContext, values, jets) -> CalculusFunction:
+    """The function with the ``(z, value)`` and ``(at, shape, entries)``
+    rows of a table, zero elsewhere. Each entry goes straight to its
+    coordinate; a later row for the same jet replaces its whole segment."""
+    cs, L = ctx.cs, ctx.layout
+    coords = np.zeros(L.size, dtype=complex)
+    zs = np.array([z for z, _ in values], dtype=complex)
+    for (z, value), i in zip(values, match_points(zs, cs.noncritical, cs.radius)):
+        if i is None:
+            raise DomainMismatchError(f"{z} is not a noncritical spectral point")
+        coords[i] = value
+    where = cs.locate([at for at, _, _ in jets], [shape for _, shape, _ in jets])
+    for j, entries in dict(zip(where, [entries for _, _, entries in jets])).items():
+        start = L.offsets[j]
+        for pos, value in entries.items():
+            coords[start + pos] = value
+    return CalculusFunction(cs, coords)
 
 
 def function_from_dict(ctx: CalculusContext, data: dict) -> CalculusFunction:
@@ -799,18 +855,7 @@ def function_from_dict(ctx: CalculusContext, data: dict) -> CalculusFunction:
         return ctx.indicator(region_from_dict(data.get("region")))
     if kind == "delta":
         at = _read("delta point", _point, data.get("at"))
-        return ctx.delta(at, _read("jet", Jet.from_dict, data.get("jet")))
+        return _table_function(ctx, [], [(at, *_read("jet", _jet_entries, data.get("jet")))])
     if kind == "table":
-        cs, L = ctx.cs, ctx.layout
-        values, jets = _read("table", _table_rows, data)
-        coords = np.zeros(L.size, dtype=complex)
-        zs = np.array([z for z, _ in values], dtype=complex)
-        for (z, value), idx in zip(values, match_points(zs, cs.noncritical, cs.radius)):
-            if idx is None:
-                raise DomainMismatchError(f"{z} is not a noncritical spectral point")
-            coords[idx] = value
-        where = cs.locate([at for at, _ in jets], [jet.shape for _, jet in jets])
-        for (_, jet), j in zip(jets, where):
-            coords[L.segment(j)] = jet.coeffs
-        return CalculusFunction(cs, coords)
+        return _table_function(ctx, *_read("table", _table_rows, data))
     raise DomainMismatchError(f"unknown function kind {kind!r}")

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .calculus import CalculusContext, function_from_dict, region_from_dict
 from .errors import DomainMismatchError, KreinCalcError
@@ -29,10 +29,15 @@ def _load_json_arg(value: str, what: str) -> dict:
         raise DomainMismatchError(f"cannot read a {what} from {value[:80]!r}: {exc}") from exc
 
 
+_JSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+
+
 def _emit(payload, args, text_renderer=None):
-    """Write ``payload`` as JSON, or as ``text_renderer()`` under --format text."""
+    """Write ``payload`` as JSON with sorted keys and a two-space indent, or
+    as ``text_renderer()`` under --format text. A non-finite float is
+    written as ``null``."""
     if args.format == "json" or text_renderer is None:
-        text = json.dumps(payload, indent=1, sort_keys=True)
+        text = orjson.dumps(payload, option=_JSON_OPTIONS).decode()
     else:
         text = text_renderer()
     if args.output:

@@ -66,7 +66,8 @@ def match_points(values, targets, radius):
         return [None] * len(values)
     dist = np.abs(values[:, None] - targets[None, :])
     if dist.ndim == 3:
-        dist = dist.max(axis=2)
+        # np.maximum, as a reduction over an axis of length 2 costs 20x more
+        dist = np.maximum(dist[..., 0], dist[..., 1])
     backwards = dist[:, ::-1]  # argmin takes the first minimum: here the last target
     last = (dist.shape[1] - 1 - backwards.argmin(axis=1)).tolist()
     hit = (dist.min(axis=1) <= radius).tolist()

@@ -3,13 +3,14 @@
 An interpolating polynomial in monomials, its remainder divided off the
 definitizing pair, ``s(A, B)`` over monomial powers and the checked
 ``EmbeddingBundle.expand`` of a dense augmented integral: the path the
-compiled maps of ``CalculusContext._compiled`` replaced, kept to check them.
+compiled maps of ``CalculusContext._compiled`` and the compiled lift
+replaced, kept to check them.
 """
 
 import numpy as np
 
 from kreincalc import BiPoly, CalculusFunction
-from kreincalc.bipoly import HermiteSystem
+from kreincalc.bipoly import HermiteSystem, taylor_shift
 from kreincalc.spectral import _weights
 
 
@@ -48,7 +49,17 @@ def remainder(ctx, fn, s: BiPoly):
     with the spectral clusters, as :func:`augmented_integral` reads them.
     Raises when the difference is not in the vanishing-projection ideal."""
     ctx._check_owns(fn)
-    return ctx._weights(fn.coords, ctx.lift(s).coords)
+    return ctx._weights(fn.coords, taylor_lift(ctx, s.dense()))
+
+
+def taylor_lift(ctx, coeffs) -> np.ndarray:
+    """Coordinates of the lift of the polynomial with dense coefficients
+    ``coeffs``, or of each of a stack: one batched Taylor shift of the
+    coefficients to the largest jet order, the path the lift compiled per
+    coefficient shape replaced."""
+    L = ctx.layout
+    (rows, ks, ls), order_z, order_w = L.gather
+    return taylor_shift(coeffs, L.point_z, L.point_w, order_z, order_w)[..., rows, ks, ls]
 
 
 def decompose(ctx, fn):

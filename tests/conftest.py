@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,16 @@ from kreincalc import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH = FIXTURES.parents[1] / "bench"
+
+
+def load_recipe():
+    """The benchmark's instance recipe, loaded by path from ``bench/``."""
+    spec = importlib.util.spec_from_file_location("recipe", BENCH / "recipe.py")
+    recipe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recipe)
+    return recipe
+
 
 PROFILES = ("diagonal", "jordan", "pontryagin")
 

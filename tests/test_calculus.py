@@ -29,14 +29,15 @@ from kreincalc import (
     function_from_dict,
     run_suite,
 )
+from kreincalc import bipoly, calculus, parse_instance
 from kreincalc.calculus import Layout
 from kreincalc.cluster import cluster_points, match_points
 from kreincalc.jets import A_KIND
 from kreincalc.tol import fro
 
-from calculus_reference import decompose, interpolant, reference_apply, remainder
+from calculus_reference import decompose, interpolant, reference_apply, remainder, taylor_lift
 from cluster_reference import match_point
-from conftest import assert_same_set, jordan_pair, lattice_pair
+from conftest import FIXTURES, assert_same_set, jordan_pair, lattice_pair, load_recipe
 
 Z = BiPoly.variable("z")
 W = BiPoly.variable("w")
@@ -740,3 +741,147 @@ def test_large_lattice_build_matches_eigvals_and_schur(n, quadratics):
         assert_same_set(cs.support_values(), spectrum, 1e-9)
         schur = np.diag(scipy.linalg.schur(ctx.theta_n, output="complex")[0])
         assert_same_set(diagonalize(ctx.theta_n).centers, schur, 1e-12)
+
+
+@pytest.fixture(scope="module")
+def jordan3_ctx():
+    """A nilpotent 3-cell scrambled by a J-unitary (``tests/fixtures``)."""
+    return CalculusContext.build(parse_instance(FIXTURES / "jordan3_scrambled.json").pair)
+
+
+@pytest.fixture(scope="module")
+def recipe_ctx():
+    """The benchmark recipe's n = 12 instance with 24 zero pairs."""
+    return CalculusContext.build(parse_instance(load_recipe().instance(3, 12, 2)[0]).pair)
+
+
+def _points(ctx):
+    """Every critical point and zero pair, in layout order."""
+    return [c.value for c in ctx.cs.crit] + [pt.zw for pt in ctx.cs.zi]
+
+
+class TestKeptMaps:
+    """The Riesz idempotents kept from build and the lift compiled per
+    coefficient shape, against the paths they replace."""
+
+    def test_riesz_projection_is_the_kept_idempotent(
+        self, w2_ctx, zi_ctx, deep_pair_ctx, jordan3_ctx, recipe_ctx
+    ):
+        for ctx in (w2_ctx, zi_ctx, deep_pair_ctx, jordan3_ctx, recipe_ctx):
+            kept = ctx.riesz.copy()
+            for at in _points(ctx):
+                P = ctx.riesz_projection(at)
+                assert np.array_equal(P, ctx.apply(ctx.unit_jet(at)))
+                assert P.flags.writeable
+                P[...] = 7.0
+            assert np.array_equal(ctx.riesz, kept) and not ctx.riesz.flags.writeable
+        # kept idempotents of zero pairs and of a scrambled Jordan cell are
+        # read, deep_pair_ctx's critical point 0 and the recipe's 24 zero
+        # pairs are applied
+        assert zi_ctx.layout.supported.all()
+        assert list(deep_pair_ctx.layout.supported) == [False, True, True]
+        assert jordan3_ctx.layout.supported[jordan3_ctx.cs.locate([0.0])[0]]
+        assert len(recipe_ctx.cs.zi) == 24
+
+    def test_riesz_off_the_support_is_applied(self, w1_ctx, w2_ctx, monkeypatch):
+        for ctx, at, applies in ((w1_ctx, 3j, 1), (w2_ctx, 0.0, 0)):
+            calls = []
+            apply = ctx.apply
+            monkeypatch.setattr(ctx, "apply", lambda fn: calls.append(fn) or apply(fn))
+            ctx.riesz_projection(at)
+            assert len(calls) == applies
+
+    def test_lift_matches_taylor_shift(self, contexts100, recipe_ctx, jordan3_ctx, deep_pair_ctx):
+        rng = np.random.default_rng(81)
+        for ctx in contexts100 + [recipe_ctx, jordan3_ctx, deep_pair_ctx]:
+            for shape in ((1, 1), (3, 3), (2, 5), (5, 2)):
+                C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                got = ctx.lift(BiPoly.from_dense(C)).coords
+                ref = taylor_lift(ctx, C)
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            stack = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+            ref = taylor_lift(ctx, stack)
+            assert np.abs(ctx._lift_coords(stack) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_one_compiled_lift_per_shape(self, w2, monkeypatch):
+        ctx = CalculusContext.build(w2.pair)
+        assert ctx._lifts == {}
+        calls = []
+        for module, name in ((calculus, "taylor_table"), (bipoly, "taylor_shift")):
+            kernel = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, _k=kernel, **kw: calls.append(a) or _k(*a, **kw)
+            )
+        s = BiPoly({(2, 1): 1.0, (0, 0): 2.0})
+        first = ctx.lift(s).coords
+        made = len(calls)
+        assert made > 0
+        again = ctx.lift(3.0 * s).coords
+        assert len(calls) == made
+        assert np.allclose(again, 3.0 * first, rtol=1e-15, atol=0.0)
+        ctx.lift(BiPoly.constant(1.0))
+        assert list(ctx._lifts) == [(3, 2), (1, 1)]
+        for M in ctx._lifts.values():
+            assert not M.flags.writeable and M.shape[1] == ctx.layout.size
+
+
+class TestTableReader:
+    """Table rows go straight into coordinates, with the errors of the
+    parse that built a Jet per row."""
+
+    @staticmethod
+    def jet(shape, entries):
+        return {"m": shape.m, "n": shape.n, "kind": shape.kind,
+                "entries": [[k, l, v.real, v.imag] for (k, l), v in entries]}
+
+    def test_later_row_replaces_the_whole_segment(self, deep_pair_ctx):
+        ctx = deep_pair_ctx
+        cs, L = ctx.cs, ctx.layout
+        crit, pair = cs.crit[0], cs.zi[1]
+        zw = [[z.real, z.imag] for z in pair.zw]
+        rows = {
+            "kind": "table",
+            "crit": [
+                {"z": [0.0, 0.0], "jet": self.jet(crit.shape, [((0, 0), 1.0), ((1, 0), 2j)])},
+                {"z": [0.0, 0.0], "jet": self.jet(crit.shape, [((0, 1), 3.0)])},
+            ],
+            "zi": [
+                {"zw": zw, "jet": self.jet(pair.shape, [((1, 1), 4.0), ((0, 0), 5.0)])},
+                {"zw": zw, "jet": self.jet(pair.shape, [((1, 0), 6.0), ((1, 0), 7.0)])},
+            ],
+        }
+        fn = function_from_dict(ctx, rows)
+        expected = np.zeros(L.size, dtype=complex)
+        expected[L.offsets[0] + crit.shape.position(0, 1)] = 3.0
+        expected[L.offsets[2] + pair.shape.position(1, 0)] = 7.0
+        assert np.array_equal(fn.coords, expected)
+        # delta reads its jet the same way
+        delta = function_from_dict(
+            ctx, {"kind": "delta", "at": zw, "jet": rows["zi"][0]["jet"]}
+        )
+        assert np.array_equal(
+            delta.coords[L.segment(2)],
+            Jet.from_entries(pair.shape, {(1, 1): 4.0, (0, 0): 5.0}).coeffs,
+        )
+
+    @pytest.mark.parametrize("kind", ["table", "delta"])
+    def test_entry_outside_the_shape_raises_shape_mismatch(self, w2_ctx, kind):
+        shape = w2_ctx.cs.crit[0].shape
+        jet = self.jet(shape, [((0, 0), 1.0), ((1, 1), 2.0)])
+        data = (
+            {"kind": "table", "crit": [{"z": [0.0, 0.0], "jet": jet}]}
+            if kind == "table" else {"kind": "delta", "at": [0.0, 0.0], "jet": jet}
+        )
+        with pytest.raises(ShapeMismatchError):
+            function_from_dict(w2_ctx, data)
+
+    def test_malformed_rows_raise_domain_mismatch(self, zi_ctx):
+        pair = zi_ctx.cs.zi[0]
+        jet = self.jet(pair.shape, [((0, 0), 1.0)])
+        one_point = {"kind": "table", "zi": [{"zw": [[0.0, 1.0]], "jet": jet}]}
+        no_entries = {"kind": "table", "zi": [
+            {"zw": [[z.real, z.imag] for z in pair.zw], "jet": {"m": 1, "n": 1, "kind": "b"}}
+        ]}
+        for data in (one_point, no_entries):
+            with pytest.raises(DomainMismatchError):
+                function_from_dict(zi_ctx, data)

@@ -202,3 +202,34 @@ def test_spectrum_reports_cluster_warnings(tmp_path, capsys):
     assert "are only 2.50e-07 apart" in payload["cluster_warnings"][0]
     assert run("spectrum", "--input", W1, "--format", "json") == 0
     assert json.loads(capsys.readouterr().out)["cluster_warnings"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--input", W1],
+        ["verify", "--input", W2],
+        ["spectrum", "--input", W2],
+        ["inspect", "--input", W1],
+        ["apply", "--input", W1, "--function",
+         '{"kind": "bipoly", "coeffs": [[1, 0, 1.0, 0.0], [0, 1, 0.0, 1.0]]}'],
+        ["embed", "--input", W1],
+    ],
+)
+def test_json_output_parses_as_the_stdlib_encoding(monkeypatch, tmp_path, argv):
+    # the payload each command writes, encoded as before by json.dumps with
+    # indent 1, must parse to the same object as the orjson output
+    payloads = []
+    encode = cli.orjson.dumps
+
+    def recorded(payload, **kwargs):
+        payloads.append(payload)
+        return encode(payload, **kwargs)
+
+    monkeypatch.setattr(cli.orjson, "dumps", recorded)
+    out = tmp_path / "out.json"
+    assert run(*argv, "--format", "json", "--output", str(out)) == 0
+    text = out.read_text()
+    assert text.startswith('{\n  "') and text.endswith("}\n")
+    (payload,) = payloads
+    assert json.loads(text) == json.loads(json.dumps(payload, indent=1, sort_keys=True))

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 from collections import Counter
 
 import numpy as np
@@ -20,9 +19,8 @@ from kreincalc import (
 from kreincalc.embed import CoordinateSpace, verify_bundle
 from kreincalc.tol import DEFAULT_TOL, fro
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_recipe
 
-BENCH = FIXTURES.parents[1] / "bench"
 
 
 class TestGramFactor:
@@ -55,14 +53,6 @@ class TestGramFactor:
             G = M @ M.conj().T
             F, *_ = gram_factor(np.linalg.eigh(G), DEFAULT_TOL)
             assert np.allclose(F.conj().T @ F, G, atol=1e-10 * np.linalg.norm(G))
-
-
-def load_recipe():
-    """The benchmark's instance recipe, loaded by path from ``bench/``."""
-    spec = importlib.util.spec_from_file_location("recipe", BENCH / "recipe.py")
-    recipe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(recipe)
-    return recipe
 
 
 def test_each_definitizing_gram_is_decomposed_once(monkeypatch):
