@@ -6,7 +6,6 @@ from .bipoly import (
     RealPoly,
     ZeroGrid,
     euclidean_reduce,
-    grid_jets,
     hermite_matrix,
     interpolate_jets,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "function_from_dict",
     "generate",
     "gram_factor",
-    "grid_jets",
     "hermite_matrix",
     "interpolate_jets",
     "parse_instance",

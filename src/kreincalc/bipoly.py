@@ -21,7 +21,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.linalg.lapack import dgeev, dgels, dgesdd
 
 from .errors import ConditioningError, DegenerateInputError, ShapeMismatchError
-from .jets import B_KIND, Jet, JetShape
+from .jets import B_KIND, JetShape
 from .tol import DEFAULT_TOL, Tolerances
 
 
@@ -188,12 +188,6 @@ class BiPoly:
             return cls({(0, 1): 1.0})
         raise ValueError("variable must be 'z' or 'w'")
 
-    @classmethod
-    def from_univariate(cls, poly: RealPoly, var: str = "z") -> "BiPoly":
-        if var == "z":
-            return cls({(k, 0): c for k, c in enumerate(poly.coeffs)})
-        return cls({(0, k): c for k, c in enumerate(poly.coeffs)})
-
     def items(self):
         return self._c.items()
 
@@ -207,9 +201,6 @@ class BiPoly:
     @property
     def degree_w(self) -> int:
         return max((l for _, l in self._c), default=0)
-
-    def coeff(self, k, l) -> complex:
-        return self._c.get((k, l), 0j)
 
     def __add__(self, other):
         c = dict(self._c)
@@ -253,14 +244,6 @@ class BiPoly:
             taylor_shift(C, [z0], [w0], C.shape[0] - 1, C.shape[1] - 1)[0]
         )
 
-    def jet_at(self, point, shape: JetShape) -> Jet:
-        """Scaled partial derivatives at ``point``, arranged in ``shape``.
-
-        Entry (k, l) is d^{k+l} s / (dz^k dw^l) / (k! l!) at the point, read
-        off the Taylor-shifted coefficients; no numerical differentiation.
-        """
-        return jets_at(self, [point], [shape])[0]
-
     def dense(self) -> np.ndarray:
         """Coefficient matrix: entry [K, L] multiplies z^K w^L."""
         out = np.zeros((self.degree_z + 1, self.degree_w + 1), dtype=complex)
@@ -274,12 +257,6 @@ class BiPoly:
         C = np.asarray(coeffs, dtype=complex)
         K, L = np.nonzero(C)
         return cls(dict(zip(zip(K.tolist(), L.tolist()), C[K, L].tolist())))
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(v) for v in self._c.values()), default=0.0)
-
-    def is_real(self, tol=0.0) -> bool:
-        return all(abs(v.imag) <= tol for v in self._c.values())
 
     def to_list(self):
         return sorted(
@@ -365,26 +342,6 @@ def jet_gather(shapes):
     return index, max(ks, default=0), max(ls, default=0)
 
 
-def jets_at(s: BiPoly, points, shapes) -> list:
-    """Jets of ``s`` at each ``(z, w)`` point with the matching shape.
-
-    One batched :func:`taylor_shift` to the largest order any shape needs,
-    then one gather of every shape's entries.
-    """
-    if not shapes:
-        return []
-    index, order_z, order_w = jet_gather(shapes)
-    table = taylor_shift(
-        s.dense(), [p[0] for p in points], [p[1] for p in points], order_z, order_w
-    )
-    flat = table[index]
-    out, start = [], 0
-    for sh in shapes:
-        out.append(Jet(sh, flat[start:start + sh.size]))
-        start += sh.size
-    return out
-
-
 def euclidean_reduce(s: BiPoly, a: RealPoly, b: RealPoly):
     """Write ``s = a(z) u + b(w) v + r`` with deg_z r < deg a, deg_w r < deg b.
 
@@ -465,12 +422,6 @@ class ZeroGrid:
 
 def _grid_shapes(grid: ZeroGrid):
     return [JetShape(ma, mb, B_KIND) for (_, ma), (_, mb) in grid.pairs()]
-
-
-def grid_jets(s: BiPoly, grid: ZeroGrid):
-    """Holomorphic jets of ``s`` at every grid pair, keyed by the pair."""
-    keys = [(za, zb) for (za, _), (zb, _) in grid.pairs()]
-    return dict(zip(keys, jets_at(s, keys, _grid_shapes(grid))))
 
 
 def hermite_matrix(grid: ZeroGrid):

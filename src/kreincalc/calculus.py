@@ -368,18 +368,6 @@ class CalculusFunction:
         """The values at the noncritical spectral points."""
         return self.coords[: self.cs.layout.nvalues]
 
-    @property
-    def crit_jets(self) -> tuple:
-        return self._jets(range(len(self.cs.crit)))
-
-    @property
-    def zi_jets(self) -> tuple:
-        return self._jets(range(len(self.cs.crit), len(self.cs.layout.shapes)))
-
-    def _jets(self, indices) -> tuple:
-        L = self.cs.layout
-        return tuple(Jet(L.shapes[j], self.coords[L.segment(j)]) for j in indices)
-
     def _check_domain(self, other):
         if self.cs is not other.cs:
             raise DomainMismatchError("functions live over different critical sets")

@@ -35,13 +35,17 @@ _JSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZ
 def _emit(payload, args, text_renderer=None):
     """Write ``payload`` as JSON with sorted keys and a two-space indent, or
     as ``text_renderer()`` under --format text. A non-finite float is
-    written as ``null``."""
+    written as ``null``; an --output that cannot be written raises
+    :class:`KreinCalcError`."""
     if args.format == "json" or text_renderer is None:
         text = orjson.dumps(payload, option=_JSON_OPTIONS).decode()
     else:
         text = text_renderer()
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        try:
+            Path(args.output).write_text(text + "\n")
+        except OSError as exc:
+            raise KreinCalcError(f"cannot write {args.output}: {exc}") from exc
     else:
         print(text)
 

@@ -11,7 +11,7 @@ class KreinCalcError(Exception):
 
 
 class ShapeMismatchError(KreinCalcError):
-    """Jet operands do not share the same index set."""
+    """A jet's shape does not match its point, or its entries do not fit its shape."""
 
 
 class NotInvertibleError(KreinCalcError):

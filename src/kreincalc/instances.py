@@ -151,9 +151,6 @@ class Instance:
             "q": self.pair.q.to_list(),
         }
 
-    def save(self, path):
-        Path(path).write_text(json.dumps(self.to_json(), sort_keys=True, indent=1))
-
 
 def _decode_instance(source, tol_scale):
     """The Krein space, label, polynomials (None when absent) and given

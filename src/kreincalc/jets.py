@@ -7,14 +7,17 @@ Two coefficient containers over an ``m x n`` degree box:
   degenerate shapes are rejected.
 * kind ``"b"`` - the box alone.
 
-Both are commutative unital *-algebras under componentwise linear structure,
-entrywise conjugation, and the truncated convolution
+Both are commutative unital *-algebras, run on coefficient arrays of a
+shape: linear structure and conjugation are entrywise, the product is
+:func:`convolve`, the truncated convolution
 
     (a * b)[k, l] = sum_{c<=k, d<=l} a[c, d] * b[k-c, l-d]
 
 where the sum keeps only index pairs present in the shape (for the admissible
-shapes this drops nothing). Entries are stored in graded-lexicographic order
-with the overflow slots last, which makes the inversion recurrence triangular.
+shapes this drops nothing), and the inverse is :func:`invert`. Entries are
+stored in graded-lexicographic order with the overflow slots last, which makes
+the inversion recurrence triangular and the box part of a kind-a jet a prefix
+of its array. :class:`Jet` is the record of one shape and its array.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ class JetShape:
             raise ShapeMismatchError(f"index ({k}, {l}) not in {self}") from None
 
     def box(self) -> "JetShape":
-        """The box shape the projection maps onto (identity on kind b)."""
+        """The box shape, whose entries lead a jet of this shape: the box
+        part of a kind-a jet is the prefix of its array (identity on kind b)."""
         if self.kind == B_KIND or (self.m == 0 and self.n == 0):
             return self
         return JetShape(self.m, self.n, B_KIND)
@@ -135,7 +139,8 @@ def invert(shape: JetShape, a, abs_tol: float = 1e-12) -> np.ndarray:
 
 
 class Jet:
-    """Immutable coefficient array over a :class:`JetShape`."""
+    """Immutable record of a :class:`JetShape` and a coefficient array of
+    that shape."""
 
     __slots__ = ("shape", "coeffs")
 
@@ -151,104 +156,3 @@ class Jet:
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
-
-    @classmethod
-    def zeros(cls, shape: JetShape) -> "Jet":
-        return cls(shape, np.zeros(shape.size, dtype=complex))
-
-    @classmethod
-    def unit(cls, shape: JetShape) -> "Jet":
-        c = np.zeros(shape.size, dtype=complex)
-        c[shape.position(0, 0)] = 1.0
-        return cls(shape, c)
-
-    @classmethod
-    def from_entries(cls, shape: JetShape, entries) -> "Jet":
-        """Build from a ``{(k, l): value}`` mapping; absent entries are zero."""
-        c = np.zeros(shape.size, dtype=complex)
-        for (k, l), v in dict(entries).items():
-            c[shape.position(k, l)] = v
-        return cls(shape, c)
-
-    def entry(self, k, l) -> complex:
-        return complex(self.coeffs[self.shape.position(k, l)])
-
-    @property
-    def value(self) -> complex:
-        """The ``(0, 0)`` entry, which decides invertibility."""
-        return complex(self.coeffs[self.shape.position(0, 0)])
-
-    def _check_same_shape(self, other):
-        if self.shape != other.shape:
-            raise ShapeMismatchError(f"{self.shape} vs {other.shape}")
-
-    def __add__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        self._check_same_shape(other)
-        return Jet(self.shape, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        self._check_same_shape(other)
-        return Jet(self.shape, self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return Jet(self.shape, -self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            self._check_same_shape(other)
-            return Jet(self.shape, convolve(self.shape, self.coeffs, other.coeffs))
-        return Jet(self.shape, self.coeffs * complex(other))
-
-    def __rmul__(self, other):
-        return Jet(self.shape, self.coeffs * complex(other))
-
-    def conj(self) -> "Jet":
-        return Jet(self.shape, self.coeffs.conj())
-
-    def box_part(self) -> "Jet":
-        """Projection dropping the overflow slots (identity on kind b).
-
-        The box entries are stored first in the same graded order, so this is
-        a prefix slice.
-        """
-        target = self.shape.box()
-        if target == self.shape:
-            return self
-        return Jet(target, self.coeffs[: target.size])
-
-    def inverse(self, abs_tol: float = 1e-12) -> "Jet":
-        """Multiplicative inverse, solving the convolution system in graded order."""
-        return Jet(self.shape, invert(self.shape, self.coeffs, abs_tol))
-
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm() <= tol
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.shape.m,
-            "n": self.shape.n,
-            "kind": self.shape.kind,
-            "entries": [
-                [k, l, float(c.real), float(c.imag)]
-                for (k, l), c in zip(self.shape.indices, self.coeffs)
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Jet":
-        shape = JetShape(int(d["m"]), int(d["n"]), str(d["kind"]))
-        entries = {(int(k), int(l)): complex(re, im) for k, l, re, im in d["entries"]}
-        return cls.from_entries(shape, entries)
-
-    def __repr__(self):
-        pairs = ", ".join(
-            f"({k},{l}): {c:.4g}" for (k, l), c in zip(self.shape.indices, self.coeffs)
-        )
-        return f"Jet[{self.shape.kind}{self.shape.m},{self.shape.n}]({pairs})"

@@ -4,13 +4,14 @@ An interpolating polynomial in monomials, its remainder divided off the
 definitizing pair, ``s(A, B)`` over monomial powers and the checked
 ``EmbeddingBundle.expand`` of a dense augmented integral: the path the
 compiled maps of ``CalculusContext._compiled`` and the compiled lift
-replaced, kept to check them.
+replaced, kept to check them; and the jets of a polynomial at given
+points or on a zero grid, read off one batched Taylor shift.
 """
 
 import numpy as np
 
-from kreincalc import BiPoly, CalculusFunction
-from kreincalc.bipoly import HermiteSystem, taylor_shift
+from kreincalc import BiPoly, CalculusFunction, Jet
+from kreincalc.bipoly import HermiteSystem, _grid_shapes, jet_gather, taylor_shift
 from kreincalc.spectral import _weights
 
 
@@ -86,3 +87,23 @@ def zero_off_support(ctx, fn):
 def reference_apply(ctx, fn) -> np.ndarray:
     """``ctx.apply(fn)`` through the reference path."""
     return apply_decomposition(ctx, *decompose(ctx, zero_off_support(ctx, fn)))
+
+
+def jets_at(s: BiPoly, points, shapes) -> list:
+    """The jet of ``s`` at each ``(z, w)`` point, of the matching shape:
+    entry (k, l) is the z^k w^l coefficient of s shifted to the point,
+    from one :func:`taylor_shift` to the largest order any shape needs."""
+    if not shapes:
+        return []
+    index, order_z, order_w = jet_gather(shapes)
+    zs, ws = [p[0] for p in points], [p[1] for p in points]
+    flat = taylor_shift(s.dense(), zs, ws, order_z, order_w)[index]
+    ends = np.cumsum([sh.size for sh in shapes])
+    return [Jet(sh, part) for sh, part in zip(shapes, np.split(flat, ends[:-1]))]
+
+
+def grid_jets(s: BiPoly, grid) -> dict:
+    """The kind-b jets of ``s`` at every pair of a zero grid, keyed by the
+    pair ``(za, zb)``, as :func:`kreincalc.interpolate_jets` reads them."""
+    keys = [(za, zb) for (za, _), (zb, _) in grid.pairs()]
+    return dict(zip(keys, jets_at(s, keys, _grid_shapes(grid))))

@@ -123,6 +123,17 @@ def test_non_finite_entry_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv", [["verify", "--input", W1], ["generate", "--seed", "1", "--n", "3"]]
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    # for verify, exit 1 would mean a failing property
+    out = tmp_path / "missing" / "out.json"
+    assert run(*argv, "--output", str(out)) == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--input", "{missing}"],
