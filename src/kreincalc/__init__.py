@@ -1,14 +1,7 @@
 """Functional calculus for definitizable normal operators on
 finite-dimensional indefinite inner product spaces."""
 
-from .bipoly import (
-    BiPoly,
-    RealPoly,
-    ZeroGrid,
-    euclidean_reduce,
-    hermite_matrix,
-    interpolate_jets,
-)
+from .bipoly import BiPoly, RealPoly, ZeroGrid
 from .calculus import (
     CalculusContext,
     CalculusFunction,
@@ -37,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .instances import Instance, generate, parse_instance
-from .jets import Jet, JetShape
+from .jets import JetShape
 from .krein import (
     DefinitizablePair,
     KreinSpace,
@@ -66,7 +59,6 @@ __all__ = [
     "DomainMismatchError",
     "EmbeddingBundle",
     "Instance",
-    "Jet",
     "JetShape",
     "KreinCalcError",
     "KreinSpace",
@@ -87,12 +79,9 @@ __all__ = [
     "ZeroGrid",
     "build_bundle",
     "diagonalize",
-    "euclidean_reduce",
     "function_from_dict",
     "generate",
     "gram_factor",
-    "hermite_matrix",
-    "interpolate_jets",
     "parse_instance",
     "region_from_dict",
     "run_suite",

@@ -1,12 +1,12 @@
 """Real univariate and complex bivariate polynomials.
 
-Provides the zero structure with multiplicities, exact jets of polynomials by
-Taylor shifting, division with remainder against a pair ``a(z), b(w)``, the
-jet-evaluation map on the zero grid of such a pair, and its interpolation
-inverse on the space of remainders.
+Provides the zero structure with multiplicities, the Taylor tables of powers
+at many points, and the jet-evaluation map on the zero grid of a pair
+``a(z), b(w)``, factored once for interpolation on the space of remainders.
 
-Every Taylor shift goes through one batched kernel, :func:`taylor_shift`: the
-shifted coefficients of a dense coefficient matrix at many points at once.
+Every jet of a polynomial is read off Taylor tables (:func:`taylor_table`):
+the jets of the monomials at many points are one gathered outer product of
+table rows, :func:`jet_rows`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 from scipy.linalg.lapack import dgeev, dgels, dgesdd
 
-from .errors import ConditioningError, DegenerateInputError, ShapeMismatchError
+from .errors import ConditioningError, DegenerateInputError
 from .jets import B_KIND, JetShape
 from .tol import DEFAULT_TOL, Tolerances
 
@@ -237,13 +237,6 @@ class BiPoly:
         """The involution s#(z, w) = conj(s(conj z, conj w)): conjugate coefficients."""
         return BiPoly({kl: np.conj(v) for kl, v in self._c.items()})
 
-    def shifted(self, z0, w0) -> "BiPoly":
-        """Taylor shift: the polynomial (z, w) -> s(z + z0, w + w0), exactly."""
-        C = self.dense()
-        return BiPoly.from_dense(
-            taylor_shift(C, [z0], [w0], C.shape[0] - 1, C.shape[1] - 1)[0]
-        )
-
     def dense(self) -> np.ndarray:
         """Coefficient matrix: entry [K, L] multiplies z^K w^L."""
         out = np.zeros((self.degree_z + 1, self.degree_w + 1), dtype=complex)
@@ -305,32 +298,13 @@ def taylor_table(points, degree: int, order: int) -> np.ndarray:
     return powers[:, np.maximum(exponent, 0)] * binom
 
 
-def taylor_shift(coeffs, zs, ws, order_z: int, order_w: int) -> np.ndarray:
-    """Shifted coefficients of one polynomial, or of a stack of them, at
-    many points, batched.
-
-    ``coeffs`` is a dense coefficient matrix (see :meth:`BiPoly.dense`) or a
-    stack ``(..., Dz, Dw)`` of them; entry [..., p, k, l] of the result is
-    the (z^k w^l) coefficient of s(z + zs[p], w + ws[p]) for k <= order_z,
-    l <= order_w, that is ``einsum("pkK,...KL,plL->...pkl", Tz, coeffs, Tw)``
-    over the Taylor tables.
-    """
-    C = np.asarray(coeffs, dtype=complex)
-    Dz, Dw = C.shape[-2:]
-    Tz = taylor_table(zs, Dz - 1, order_z)
-    Tw = taylor_table(ws, Dw - 1, order_w)
-    # one product for all points and polynomials, then the small contraction
-    # over L by broadcasting: batched products of tiny matrices cost more
-    left = (Tz.reshape(-1, Dz) @ C).reshape(C.shape[:-2] + (len(Tz), order_z + 1, Dw))
-    return (left[..., None, :] * Tw[:, None, :, :]).sum(axis=-1)
-
-
 def jet_gather(shapes):
-    """Where a :func:`taylor_shift` table holds the entries of each jet.
+    """Which Taylor coefficients make up each jet.
 
-    Returns ``(index, order_z, order_w)``: shift to these orders, and
-    ``table[index]`` lists the entries of point i's jet of ``shapes[i]`` in
-    the shape's order, point after point.
+    Returns ``(index, order_z, order_w)``: Taylor tables to these orders hold
+    every entry, and for ``index = (rows, ks, ls)`` entry e of the jets of
+    ``shapes``, point after point in each shape's order, is the
+    ``(ks[e], ls[e])`` coefficient at point ``rows[e]``.
     """
     rows, ks, ls = [], [], []
     for i, sh in enumerate(shapes):
@@ -342,38 +316,15 @@ def jet_gather(shapes):
     return index, max(ks, default=0), max(ls, default=0)
 
 
-def euclidean_reduce(s: BiPoly, a: RealPoly, b: RealPoly):
-    """Write ``s = a(z) u + b(w) v + r`` with deg_z r < deg a, deg_w r < deg b.
-
-    Division runs first against ``a(z)`` in z, then against ``b(w)`` in w;
-    eliminated coefficients are deleted outright so the degree bounds on the
-    remainder hold by construction. Real inputs give real outputs.
-    """
-    if a.is_zero() or b.is_zero():
-        raise DegenerateInputError("cannot reduce against a zero polynomial")
-    m, n = a.degree, b.degree
-    am, bn = a.coeffs[-1], b.coeffs[-1]
-
-    work = {kl: v for kl, v in s.items()}
-    u = {}
-    for k in range(max((kk for kk, _ in work), default=0), m - 1, -1):
-        for (kk, l) in [kl for kl in work if kl[0] == k]:
-            q = work.pop((k, l)) / am
-            u[(k - m, l)] = u.get((k - m, l), 0j) + q
-            for j in range(m):
-                kl = (k - m + j, l)
-                work[kl] = work.get(kl, 0j) - q * a.coeffs[j]
-
-    v = {}
-    for l in range(max((ll for _, ll in work), default=0), n - 1, -1):
-        for (k, ll) in [kl for kl in work if kl[1] == l]:
-            q = work.pop((k, l)) / bn
-            v[(k, l - n)] = v.get((k, l - n), 0j) + q
-            for j in range(n):
-                kl = (k, l - n + j)
-                work[kl] = work.get(kl, 0j) - q * b.coeffs[j]
-
-    return BiPoly(u), BiPoly(v), BiPoly(work)
+def jet_rows(Tz, Tw, index) -> np.ndarray:
+    """The jets of the monomials z^K w^L at the points of two Taylor tables
+    (:func:`taylor_table`): row e, entry ``(ks[e], ls[e])`` at point
+    ``rows[e]`` of a :func:`jet_gather` index, is the outer product of the
+    rows ``Tz[rows[e], ks[e]]`` and ``Tw[rows[e], ls[e]]``, so column
+    ``K * Dw + L`` is the monomial's."""
+    rows, ks, ls = index
+    out = Tz[rows, ks][:, :, None] * Tw[rows, ls][:, None, :]
+    return out.reshape(len(rows), Tz.shape[-1] * Tw.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -424,30 +375,6 @@ def _grid_shapes(grid: ZeroGrid):
     return [JetShape(ma, mb, B_KIND) for (_, ma), (_, mb) in grid.pairs()]
 
 
-def hermite_matrix(grid: ZeroGrid):
-    """Dense matrix of the jet-evaluation map on low-degree monomials.
-
-    Row order follows ``grid.pairs()`` and each shape's index order; column
-    (K, L) runs over the monomials z^K w^L with K < total_a, L < total_b.
-    Returns ``(matrix, row_keys)`` where row_keys list ``(za, zb, k, l)``.
-    The row of jet entry (k, l) at (za, zb) is the outer product of the
-    Taylor-table rows ``Tz[k]`` and ``Tw[l]`` at that pair.
-    """
-    m, n = grid.total_a, grid.total_b
-    pairs = grid.pairs()
-    if not pairs:
-        return np.zeros((0, m * n), dtype=complex), []
-    (rows, ks, ls), order_z, order_w = jet_gather(_grid_shapes(grid))
-    Tz = taylor_table([za for (za, _), _ in pairs], m - 1, order_z)
-    Tw = taylor_table([zb for _, (zb, _) in pairs], n - 1, order_w)
-    mat = Tz[rows, ks][:, :, None] * Tw[rows, ls][:, None, :]
-    row_keys = [
-        (pairs[i][0][0], pairs[i][1][0], k, l)
-        for i, k, l in zip(rows.tolist(), ks.tolist(), ls.tolist())
-    ]
-    return mat.reshape(len(rows), m * n), row_keys
-
-
 def _centered(zeros):
     vals = [z for z, _ in zeros]
     mu = complex(np.mean(vals))
@@ -460,10 +387,10 @@ class HermiteSystem:
 
     The matrix is built in a basis centered and scaled on the grid (much
     better conditioned than raw monomials), gated on ``tol.cond`` and LU
-    factored; every :meth:`solve` is then one triangular solve and one exact
-    change of basis back to monomials. Raises :class:`ConditioningError` when
-    even the centered system is too ill-conditioned to trust (nearly
-    coincident zeros).
+    factored; every :meth:`coefficients` is then one triangular solve per
+    right-hand side. Raises :class:`ConditioningError` when even the
+    centered system is too ill-conditioned to trust (nearly coincident
+    zeros).
 
     Basis polynomial ``K * total_b + L`` is ``((z - mu_a)/rho_a)**K
     ((w - mu_b)/rho_b)**L``; :meth:`coefficients` solves in that basis and
@@ -480,11 +407,13 @@ class HermiteSystem:
             return
         mu_a, rho_a = _centered(grid.a_zeros)
         mu_b, rho_b = _centered(grid.b_zeros)
-        cgrid = ZeroGrid(
-            tuple(((z - mu_a) / rho_a, mult) for z, mult in grid.a_zeros),
-            tuple(((z - mu_b) / rho_b, mult) for z, mult in grid.b_zeros),
-        )
-        mat, row_keys = hermite_matrix(cgrid)
+        # the grid matrix: the jets of the monomials at the centered grid
+        # pairs, rows in grid.pairs() order and each shape's index order
+        pairs = grid.pairs()
+        index, order_z, order_w = jet_gather(self.shapes)
+        Tz = taylor_table([(za - mu_a) / rho_a for (za, _), _ in pairs], m - 1, order_z)
+        Tw = taylor_table([(zb - mu_b) / rho_b for _, (zb, _) in pairs], n - 1, order_w)
+        mat = jet_rows(Tz, Tw, index)
         cond = np.linalg.cond(mat)
         if not np.isfinite(cond) or cond > tol.cond:
             raise ConditioningError(
@@ -494,18 +423,17 @@ class HermiteSystem:
         self._getrs = scipy.linalg.get_lapack_funcs("getrs", self._lu)
         self.size = m * n
         self._centre = ((mu_a, rho_a, m), (mu_b, rho_b, n))
-        self._row_scale = np.array([rho_a**k * rho_b**l for _, _, k, l in row_keys])
-        # centered coefficients c give s(z, w) = c((z - mu_a)/rho_a, (w - mu_b)/rho_b):
-        # scale column K by rho**-K, then Taylor-shift by -mu
-        self._back_a = taylor_table([-mu_a], m - 1, m - 1)[0] * rho_a ** -np.arange(m)
-        self._back_b = taylor_table([-mu_b], n - 1, n - 1)[0] * rho_b ** -np.arange(n)
-        for arr in (self._row_scale, self._back_a, self._back_b):
-            arr.setflags(write=False)
+        # a jet entry (k, l) in the centered variables is rho_a**k rho_b**l
+        # times the entry in (z, w)
+        ks, ls = index[1].tolist(), index[2].tolist()
+        self._row_scale = np.array([rho_a**k * rho_b**l for k, l in zip(ks, ls)])
+        self._row_scale.setflags(write=False)
 
     def coefficients(self, rhs) -> np.ndarray:
-        """The interpolant of :meth:`solve` in the centered basis: a vector
-        of :attr:`size` coefficients, or one column of them for each column
-        of a 2-D ``rhs``."""
+        """The coefficients in the centered basis of the interpolant whose
+        grid jets are ``rhs``, the kind-b jet entries of every grid pair in
+        ``grid.pairs()`` order: a vector of :attr:`size` coefficients, or
+        one column of them for each column of a 2-D ``rhs``."""
         rhs = np.asarray(rhs)
         if self._lu is None:
             return np.zeros(rhs.shape, dtype=complex)
@@ -520,17 +448,6 @@ class HermiteSystem:
             raise np.linalg.LinAlgError("interpolation solve failed in getrs")
         return np.array([sol for sol, _ in cols]).T.reshape(rhs.shape)
 
-    def solve(self, rhs) -> BiPoly:
-        """The polynomial whose grid jets have the coefficients ``rhs``.
-
-        ``rhs`` concatenates the kind-b jet coefficients of every grid pair
-        in ``grid.pairs()`` order (the row order of :func:`hermite_matrix`).
-        """
-        if self._lu is None:
-            return BiPoly()
-        centered = self.coefficients(rhs).reshape(self._back_a.shape[0], self._back_b.shape[0])
-        return BiPoly.from_dense(self._back_a @ centered @ self._back_b.T)
-
     def jet_matrix(self, zs, ws, gather) -> np.ndarray:
         """The map from :meth:`coefficients` to jet entries at the points
         ``(zs[p], ws[p])``: row e is the ``(ks[e], ls[e])`` Taylor coefficient
@@ -540,16 +457,15 @@ class HermiteSystem:
         The Taylor coefficient k of ``((z - mu)/rho)**K`` at z is
         ``C(K, k) ((z - mu)/rho)**(K - k) / rho**k``.
         """
-        (rows, ks, ls), order_z, order_w = gather
+        index, order_z, order_w = gather
         if self._lu is None:
-            return np.zeros((len(rows), 0), dtype=complex)
+            return np.zeros((len(index[0]), 0), dtype=complex)
         Tz, Tw = (
             taylor_table((np.asarray(pts, dtype=complex) - mu) / rho, deg - 1, order)
             * rho ** -np.arange(order + 1)[:, None]
             for pts, (mu, rho, deg), order in zip((zs, ws), self._centre, (order_z, order_w))
         )
-        rows_out = Tz[rows, ks][:, :, None] * Tw[rows, ls][:, None, :]
-        return rows_out.reshape(len(rows), self.size)
+        return jet_rows(Tz, Tw, index)
 
     def basis_at(self, A, B) -> np.ndarray:
         """Every basis polynomial at a commuting matrix pair: a ``(size, d, d)``
@@ -577,20 +493,3 @@ def matrix_powers(M, count: int) -> np.ndarray:
     while len(pows) < count:
         pows.append(pows[-1] @ M)
     return np.array(pows[:max(count, 1)], dtype=complex)
-
-
-def interpolate_jets(targets, grid: ZeroGrid, tol: Tolerances = DEFAULT_TOL) -> BiPoly:
-    """The unique low-degree polynomial whose grid jets match ``targets``.
-
-    ``targets`` maps grid pairs ``(za, zb)`` to kind-b jets of the matching
-    shape. Solved through a :class:`HermiteSystem` of the grid, which raises
-    :class:`ConditioningError` when the system is too ill-conditioned.
-    """
-    system = HermiteSystem(grid, tol)
-    parts = []
-    for ((za, _), (zb, _)), shape in zip(grid.pairs(), system.shapes):
-        jet = targets[(za, zb)]
-        if jet.shape != shape:
-            raise ShapeMismatchError(f"jet at {(za, zb)} must have shape {shape}")
-        parts.append(jet.coeffs)
-    return system.solve(np.concatenate(parts) if parts else np.zeros(0, complex))

@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .bipoly import (
-    BiPoly, HermiteSystem, RealPoly, ZeroGrid, jet_gather, matrix_powers, taylor_table
+    BiPoly, HermiteSystem, RealPoly, ZeroGrid, jet_gather, jet_rows, matrix_powers,
+    taylor_table,
 )
 from .cluster import distinct_points, match_points
 from .embed import EmbeddingBundle, Expansion, build_bundle
@@ -30,7 +31,7 @@ from .errors import (
     NotInvertibleError,
     ShapeMismatchError,
 )
-from .jets import A_KIND, B_KIND, Jet, JetShape, convolve, invert
+from .jets import A_KIND, B_KIND, JetShape, convolve, invert
 from .krein import DefinitizablePair
 from .spectral import SpectralData, diagonalize, snap_eigenvalues
 from .tol import fro
@@ -57,13 +58,6 @@ class Disk:
     def boundary_distance(self, z) -> float:
         return abs(abs(complex(z) - self.center) - self.radius)
 
-    def to_dict(self):
-        return {
-            "type": "disk",
-            "center": [self.center.real, self.center.imag],
-            "radius": self.radius,
-        }
-
 
 @dataclass(frozen=True)
 class Rect:
@@ -85,9 +79,6 @@ class Rect:
         if dx <= 0 and dy <= 0:
             return min(-dx, -dy)
         return math.hypot(max(dx, 0.0), max(dy, 0.0))
-
-    def to_dict(self):
-        return {"type": "rect", "x": list(self.x), "y": list(self.y)}
 
 
 @dataclass(frozen=True)
@@ -592,24 +583,13 @@ class CalculusContext:
         M = self._lifts.get(shape)
         if M is None:
             L = self.layout
-            (rows, ks, ls), order_z, order_w = L.gather
-            Tz = taylor_table(L.point_z, shape[0] - 1, order_z)[rows, ks]
-            Tw = taylor_table(L.point_w, shape[1] - 1, order_w)[rows, ls]
-            M = np.ascontiguousarray((Tz[:, :, None] * Tw[:, None, :]).reshape(rows.size, -1).T)
+            index, order_z, order_w = L.gather
+            Tz = taylor_table(L.point_z, shape[0] - 1, order_z)
+            Tw = taylor_table(L.point_w, shape[1] - 1, order_w)
+            M = np.ascontiguousarray(jet_rows(Tz, Tw, index).T)
             M.setflags(write=False)
             self._lifts[shape] = M
         return M
-
-    def delta(self, at, jet: Jet) -> CalculusFunction:
-        """The function equal to ``jet`` at one critical/pair point, zero elsewhere."""
-        L = self.layout
-        coords = np.zeros(L.size, dtype=complex)
-        coords[L.segment(self.cs.locate([at], [jet.shape])[0])] = jet.coeffs
-        return CalculusFunction(self.cs, coords)
-
-    def unit_jet(self, at) -> CalculusFunction:
-        """The unit jet at one critical point or zero pair, zero elsewhere."""
-        return self._unit_jet(self.cs.locate([at])[0])
 
     def _unit_jet(self, j: int) -> CalculusFunction:
         coords = np.zeros(self.layout.size, dtype=complex)

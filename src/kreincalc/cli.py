@@ -12,7 +12,6 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
 import orjson
 
 from .calculus import CalculusContext, function_from_dict, region_from_dict
@@ -201,7 +200,6 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    np.set_printoptions(precision=10, suppress=False)
     try:
         rc = COMMANDS[args.command](args)
     except KreinCalcError as exc:

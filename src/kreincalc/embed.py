@@ -129,7 +129,7 @@ class EmbeddingBundle:
     j = 1, 2 it also holds the contraction R_j: V_j -> V and R_j R_j^*,
     computed once at construction. The transfer maps are :meth:`compress`
     and :meth:`expand` between the Krein space and any V_j, and
-    :meth:`part_from_full` and :meth:`embed_part` between V and V_j.
+    :meth:`part_from_full` from V to V_j.
     """
 
     pair: DefinitizablePair
@@ -198,14 +198,6 @@ class EmbeddingBundle:
         Y = Vj.R_pinv @ DR
         self._certify(Vj.R @ Y - DR, norms, True, f"restriction to V{j}")
         return Y
-
-    def embed_part(self, Dj, j: int) -> np.ndarray:
-        """R_j D_j R_j^* on V."""
-        Dj = np.asarray(Dj, dtype=complex)
-        R = self.coords[j].R
-        S = R.conj().T @ R
-        self._check_commutant(Dj, fro_each(Dj), True, S, fro(S), f"R{j}* R{j}", self.space.tol.spec)
-        return R @ Dj @ R.conj().T
 
     # -- internals ---------------------------------------------------------
 

@@ -34,7 +34,7 @@ import scipy.linalg
 
 from .bipoly import RealPoly
 from .errors import ValidationError
-from .krein import DefinitizablePair, KreinSpace, search_definitizing, split_normal
+from .krein import DefinitizablePair, KreinSpace, split_normal
 from .tol import DEFAULT_TOL, fro, norm2
 
 PROFILES = ("diagonal", "jordan", "pontryagin")
@@ -221,11 +221,7 @@ def parse_instance(source, tol_scale: float = 1.0) -> Instance:
                     "from the matching part of A + iB"
                 )
     searched = tuple(name for name, poly in zip("pq", (p, q)) if poly is None)
-    n_norm = fro(N)
-    p = search_definitizing(space, A, n_norm=n_norm) if p is None else p
-    q = search_definitizing(space, B, n_norm=n_norm) if q is None else q
-    pair = DefinitizablePair(space, A, B, p, q, label)
-    pair.validate()
+    pair = DefinitizablePair.from_parts(space, N, A, B, p, q, label)
     return Instance(label, space, pair, searched)
 
 

@@ -17,7 +17,7 @@ where the sum keeps only index pairs present in the shape (for the admissible
 shapes this drops nothing), and the inverse is :func:`invert`. Entries are
 stored in graded-lexicographic order with the overflow slots last, which makes
 the inversion recurrence triangular and the box part of a kind-a jet a prefix
-of its array. :class:`Jet` is the record of one shape and its array.
+of its array.
 """
 
 from __future__ import annotations
@@ -136,23 +136,3 @@ def invert(shape: JetShape, a, abs_tol: float = 1e-12) -> np.ndarray:
         acc = np.dot(a[pa[keep]], x[pb[keep]])
         x[t] = -acc / a00
     return x
-
-
-class Jet:
-    """Immutable record of a :class:`JetShape` and a coefficient array of
-    that shape."""
-
-    __slots__ = ("shape", "coeffs")
-
-    def __init__(self, shape: JetShape, coeffs):
-        arr = np.asarray(coeffs, dtype=complex).reshape(-1).copy()
-        if arr.size != shape.size:
-            raise ShapeMismatchError(
-                f"{shape} holds {shape.size} entries, got {arr.size}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Jet is immutable")

@@ -220,21 +220,22 @@ class DefinitizablePair:
         return self.A + 1j * self.B
 
     @classmethod
-    def from_normal(
-        cls,
-        space: KreinSpace,
-        N,
-        p: RealPoly = None,
-        q: RealPoly = None,
-        max_degree: int = 6,
-        label: str = "",
-    ) -> "DefinitizablePair":
-        A, B = split_normal(space, N)
+    def from_normal(cls, space: KreinSpace, N, p: RealPoly = None, q: RealPoly = None,
+                    label: str = "") -> "DefinitizablePair":
+        """The pair of N's J-selfadjoint parts (:func:`split_normal`), by
+        :meth:`from_parts`."""
+        return cls.from_parts(space, N, *split_normal(space, N), p, q, label)
+
+    @classmethod
+    def from_parts(cls, space: KreinSpace, N, A, B, p: RealPoly = None, q: RealPoly = None,
+                   label: str = "") -> "DefinitizablePair":
+        """The validated pair of the split parts ``A``, ``B`` of ``N``; each
+        polynomial that is None is searched for with ``n_norm = ||N||_F``."""
         n_norm = fro(N)
         if p is None:
-            p = search_definitizing(space, A, max_degree, n_norm)
+            p = search_definitizing(space, A, n_norm=n_norm)
         if q is None:
-            q = search_definitizing(space, B, max_degree, n_norm)
+            q = search_definitizing(space, B, n_norm=n_norm)
         pair = cls(space, A, B, p, q, label)
         pair.validate()
         return pair

@@ -39,16 +39,6 @@ class SpectralData:
     def eigenvalues(self):
         return self.centers
 
-    @property
-    def points(self):
-        """``(eigenvalue, projection)`` pairs, built densely on each access."""
-        return tuple(zip(self.centers, self.projections()))
-
-    def projection(self, i) -> np.ndarray:
-        """The orthogonal projection onto eigenvalue ``centers[i]``."""
-        V = self.Q[:, self.labels == i]
-        return V @ V.conj().T
-
     def projections(self) -> np.ndarray:
         """Every cluster's projection as one ``(k, dim, dim)`` stack, entry i
         that of ``centers[i]``: ``Q`` with the other clusters' columns

@@ -10,6 +10,7 @@ from kreincalc import (
     DefinitizablePair,
     KreinSpace,
     RealPoly,
+    function_from_dict,
     generate,
     parse_instance,
 )
@@ -33,6 +34,19 @@ def assert_same_set(got, expected, atol):
     """Every point of each list lies within ``atol`` of the other list."""
     dist = np.abs(np.asarray(got)[:, None] - np.asarray(expected)[None, :])
     assert dist.min(axis=1).max() <= atol and dist.min(axis=0).max() <= atol
+
+
+def delta(ctx, at, shape, coeffs):
+    """The function equal to the jet ``(shape, coeffs)`` at one critical
+    point ``at`` or zero pair ``at = (z, w)``, zero elsewhere: a ``delta``
+    function file, read by ``function_from_dict``."""
+    def xy(v):
+        return [complex(v).real, complex(v).imag]
+
+    point = [xy(v) for v in at] if isinstance(at, tuple) else xy(at)
+    entries = [[k, l, c.real, c.imag] for (k, l), c in zip(shape.indices, map(complex, coeffs))]
+    jet = {"m": shape.m, "n": shape.n, "kind": shape.kind, "entries": entries}
+    return function_from_dict(ctx, {"kind": "delta", "at": point, "jet": jet})
 
 
 def lattice_pair(seed, n, quadratics=()):

@@ -14,15 +14,12 @@ from kreincalc import (
     BoundaryError,
     CalculusContext,
     Disk,
-    Jet,
     JetShape,
     NotInvertibleError,
     NotNormalError,
     NotPsdError,
     RealPoly,
     ZeroGrid,
-    euclidean_reduce,
-    interpolate_jets,
     parse_instance,
     spectral_integral,
 )
@@ -33,8 +30,8 @@ from kreincalc.suite import (
     spectral_properties,
 )
 
-from calculus_reference import grid_jets
-from conftest import FIXTURES
+from calculus_reference import euclidean_reduce, grid_jets, interpolate_jets
+from conftest import FIXTURES, delta
 
 
 def report(num, ok, detail):
@@ -80,8 +77,7 @@ def test_criterion_2_worked_instance_w2():
     failures = []
     if ctx.bundle.dim_v != 0:
         failures.append("V is not zero-dimensional")
-    jet = Jet(ctx.cs.crit[0].shape, [1.0, 1.0, 0.5, 0.0])
-    out = ctx.apply(ctx.delta(0.0, jet))
+    out = ctx.apply(delta(ctx, 0.0, ctx.cs.crit[0].shape, [1.0, 1.0, 0.5, 0.0]))
     if not np.array_equal(out, np.eye(2) + inst.N):
         failures.append("exponential jet does not give I + N exactly")
     P = ctx.riesz_projection(0.0)

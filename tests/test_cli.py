@@ -43,6 +43,16 @@ def test_one_parser_serves_successive_calls(tmp_path, capsys):
     assert not any(hasattr(args, a) for a in ("seed", "n", "profile", "function", "region"))
 
 
+def test_main_leaves_numpy_print_options_alone(capsys):
+    # in-process callers keep their own print options: main sets none
+    with np.printoptions(precision=3, suppress=True):
+        before = np.get_printoptions()
+        for command in ("inspect", "verify", "spectrum"):
+            assert run(command, "--input", W2) == 0
+        assert np.get_printoptions() == before
+    capsys.readouterr()
+
+
 def test_generate_is_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run("generate", "--seed", "9", "--n", "4", "--profile", "diagonal", "--output", str(a))

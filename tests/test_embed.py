@@ -155,7 +155,8 @@ class TestTransfers:
         for j in (1, 2):
             Dj = np.diag(1.0 + np.arange(b.coords[j].dim)).astype(complex)
             lhs = b.expand(Dj, j)
-            rhs = b.expand(b.embed_part(Dj, j))
+            R = b.coords[j].R
+            rhs = b.expand(R @ Dj @ R.conj().T)
             assert np.allclose(lhs, rhs, atol=1e-12)
 
 

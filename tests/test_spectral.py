@@ -14,6 +14,11 @@ from calculus_reference import augmented_integral
 from conftest import assert_same_set
 
 
+def points(data):
+    """``(eigenvalue, projection)`` of every cluster."""
+    return list(zip(data.centers, data.projections()))
+
+
 def random_normal_matrix(rng, n, values=None):
     M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, _ = np.linalg.qr(M)
@@ -24,14 +29,14 @@ def random_normal_matrix(rng, n, values=None):
 class TestDiagonalize:
     def test_zero_matrix(self):
         data = diagonalize(np.zeros((3, 3)))
-        assert len(data.points) == 1
-        lam, P = data.points[0]
+        assert len(points(data)) == 1
+        lam, P = points(data)[0]
         assert lam == 0 and np.allclose(P, np.eye(3))
 
     def test_scalar_matrix(self):
         data = diagonalize((2 - 1j) * np.eye(4))
-        assert len(data.points) == 1
-        assert data.points[0][0] == pytest.approx(2 - 1j)
+        assert len(points(data)) == 1
+        assert points(data)[0][0] == pytest.approx(2 - 1j)
 
     def test_w1_transfer(self, w1_ctx):
         data = w1_ctx.spectral
@@ -39,7 +44,7 @@ class TestDiagonalize:
             pytest.approx(-1 + 3j),
             pytest.approx(1 + 2j),
         ]
-        for lam, P in data.points:
+        for lam, P in points(data):
             expected = np.diag([1.0, 0.0]) if lam == 1 + 2j else np.diag([0.0, 1.0])
             assert np.allclose(P, expected, atol=1e-12)
 
@@ -55,7 +60,7 @@ class TestDiagonalize:
             data = diagonalize(M)
             assert data.resolution_residual() <= 1e-9
             worst = max(
-                np.linalg.norm(M @ P - lam * P) for lam, P in data.points
+                np.linalg.norm(M @ P - lam * P) for lam, P in points(data)
             )
             assert worst <= 1e-9 * max(1.0, np.linalg.norm(M))
 
@@ -63,14 +68,14 @@ class TestDiagonalize:
         rng = np.random.default_rng(41)
         M, _ = random_normal_matrix(rng, 5, values=np.array([1.0, 1.0, 1.0, -2.0, -2.0]))
         data = diagonalize(M)
-        assert len(data.points) == 2
-        ranks = sorted(int(round(np.trace(P).real)) for _, P in data.points)
+        assert len(points(data)) == 2
+        ranks = sorted(int(round(np.trace(P).real)) for _, P in points(data))
         assert ranks == [2, 3]
 
     def test_close_clusters_warn(self):
         M = np.diag([0.0, 2.5e-7 * (1 + 2.5e-7)]).astype(complex)
         data = diagonalize(M, DEFAULT_TOL)
-        assert len(data.points) == 2
+        assert len(points(data)) == 2
         assert data.warnings
 
 
@@ -295,13 +300,13 @@ class TestFactoredMeasure:
         assert sorted(np.bincount(self.data.labels)) == [1, 2, 3]
 
     def test_spectral_integral_matches_dense_sum(self):
-        dense = sum(h * P for h, (_, P) in zip(self.h, self.data.points))
+        dense = sum(h * P for h, P in zip(self.h, self.data.projections()))
         assert np.allclose(spectral_integral(self.data, self.h), dense, atol=1e-12)
 
     def test_augmented_integral_matches_weighted_dense_sum(self):
         g1, g2 = 0.3 - 2j, 1.5 + 0.25j
         dense = np.zeros((6, 6), dtype=complex)
-        for i, (_, P) in enumerate(self.data.points):
+        for i, P in enumerate(self.data.projections()):
             if i == 0:
                 dense += g1 * (self.rr1 @ P) + g2 * (self.rr2 @ P)
             else:
@@ -323,7 +328,8 @@ class TestFactoredMeasure:
         P = self.data.projections()
         assert P.shape == (3, 6, 6)
         for i in range(3):
-            assert np.allclose(P[i], self.data.projection(i), rtol=0, atol=1e-14)
+            V = self.data.Q[:, self.data.labels == i]
+            assert np.allclose(P[i], V @ V.conj().T, rtol=0, atol=1e-14)
         empty = diagonalize(np.zeros((0, 0)))
         assert empty.projections().shape == (0, 0, 0)
         assert empty.resolution_residual() == 0.0
