@@ -190,6 +190,12 @@ class CriticalSet:
         return tuple(c.value for c in self.crit)
 
     @cached_property
+    def noncritical_index(self) -> dict:
+        """``{point: index}`` of the noncritical points; a repeated point
+        keeps its last index, as :func:`match_points` breaks ties."""
+        return {z: i for i, z in enumerate(map(complex, self.noncritical))}
+
+    @cached_property
     def layout(self) -> "Layout":
         return Layout(self)
 
@@ -790,11 +796,17 @@ def _table_rows(data: dict):
 def _table_function(ctx: CalculusContext, values, jets) -> CalculusFunction:
     """The function with the ``(z, value)`` and ``(at, shape, entries)``
     rows of a table, zero elsewhere. Each entry goes straight to its
-    coordinate; a later row for the same jet replaces its whole segment."""
+    coordinate; a later row for the same jet replaces its whole segment.
+    A value at exactly a noncritical point is looked up, and only the others
+    are matched to the closest point within the cluster radius."""
     cs, L = ctx.cs, ctx.layout
     coords = np.zeros(L.size, dtype=complex)
-    zs = np.array([z for z, _ in values], dtype=complex)
-    for (z, value), i in zip(values, match_points(zs, cs.noncritical, cs.radius)):
+    where = [cs.noncritical_index.get(z) for z, _ in values]
+    misses = [k for k, i in enumerate(where) if i is None]
+    zs = [values[k][0] for k in misses]
+    for k, i in zip(misses, match_points(zs, cs.noncritical, cs.radius)):
+        where[k] = i
+    for (z, value), i in zip(values, where):
         if i is None:
             raise DomainMismatchError(f"{z} is not a noncritical spectral point")
         coords[i] = value

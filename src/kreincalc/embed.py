@@ -54,9 +54,11 @@ def gram_factor(eig, tol: Tolerances, scale_floor: float = 0.0, noise: float = 0
 @dataclass(frozen=True)
 class CoordinateSpace:
     """One Hilbert coordinate space: the factor F (r x n) of a weighted Gram
-    G = F^H F, the injection T = J^{-1} F^H into the Krein space (J its
-    Gram), whose Krein adjoint is T^* = F, and TT = T^* T on the
-    coordinates. ``dropped`` is the Frobenius norm of G - F^H F, what the
+    G = F^H F, the injection T = J^{-1} F^H into the Krein space ``space``
+    (J its Gram), whose Krein adjoint is T^* = F, and TT = T^* T on the
+    coordinates. T and F J are formed by :meth:`KreinSpace.lsolve` and
+    :meth:`KreinSpace.rmul`: row and column indexing with sign flips when J
+    is a signed permutation. ``dropped`` is the Frobenius norm of G - F^H F, what the
     rank cut of :func:`gram_factor` left out. For V1 and V2, R is the
     contraction R_j into V and RR = R_j R_j^* on V; both are None for V
     itself.
@@ -69,17 +71,17 @@ class CoordinateSpace:
     F: np.ndarray
     T: np.ndarray
     TT: np.ndarray
-    J: np.ndarray
+    space: KreinSpace
     dropped: float = 0.0
     R: np.ndarray = None
     RR: np.ndarray = None
 
     @classmethod
     def of(cls, F, space: KreinSpace, dropped: float = 0.0, R=None) -> "CoordinateSpace":
-        T = space.Jinv @ F.conj().T
+        T = space.lsolve(F.conj().T)
         TT = _read_only(F @ T)
         RR = None if R is None else _read_only(R @ R.conj().T)
-        return cls(F, T, TT, space.J, dropped, R, RR)
+        return cls(F, T, TT, space, dropped, R, RR)
 
     @property
     def dim(self) -> int:
@@ -94,7 +96,7 @@ class CoordinateSpace:
     def left(self) -> np.ndarray:
         """(F F^H)^{-1} F J, a left inverse of T, so compress(C) = left C T;
         F F^H is the diagonal of the squared row norms (see gram_factor)."""
-        return _read_only((self.F @ self.J) / _row_norms2(self.F)[:, None])
+        return _read_only(self.space.rmul(self.F) / _row_norms2(self.F)[:, None])
 
     @cached_property
     def R_pinv(self) -> np.ndarray:

@@ -211,7 +211,7 @@ def parse_instance(source, tol_scale: float = 1.0) -> Instance:
         space, label, p, q, given = _decode_instance(source, tol_scale)
 
     N = given["N"] if "N" in given else given["A"] + 1j * given["B"]
-    A, B = split_normal(space, N)
+    A, B, defect = split_normal(space, N)
     for name, part in zip("AB", (A, B)):
         if name in given:
             resid = fro(given[name] - part)
@@ -221,7 +221,7 @@ def parse_instance(source, tol_scale: float = 1.0) -> Instance:
                     "from the matching part of A + iB"
                 )
     searched = tuple(name for name, poly in zip("pq", (p, q)) if poly is None)
-    pair = DefinitizablePair.from_parts(space, N, A, B, p, q, label)
+    pair = DefinitizablePair.from_parts(space, N, A, B, defect, p, q, label)
     return Instance(label, space, pair, searched)
 
 

@@ -21,9 +21,17 @@ class KreinSpace:
     ``J`` must be Hermitian and invertible; ``tol`` governs every numerical
     decision made on this space. ``norm`` is the spectral norm of ``J`` and
     ``inv_norm`` that of ``J^{-1}``.
+
+    A J whose every row holds one nonzero entry, and that entry exactly +1
+    or -1, is a signed permutation: ``J[i, perm[i]] = signs[i]``. Hermitian,
+    it is an involution, J = J^H = J^{-1}, and unitary, so ``Jinv`` is J,
+    both norms are 1 and no matrix is decomposed. :meth:`lmul`, :meth:`rmul`
+    and :meth:`lsolve` then permute rows or columns and flip signs, which
+    gives the dense products bit for bit. For any other J, ``perm`` and
+    ``signs`` are None and those are dense products with J and its inverse.
     """
 
-    __slots__ = ("n", "J", "Jinv", "norm", "inv_norm", "tol")
+    __slots__ = ("n", "J", "Jinv", "norm", "inv_norm", "tol", "perm", "signs")
 
     def __init__(self, J, tol: Tolerances = DEFAULT_TOL):
         J = np.asarray(J, dtype=complex)
@@ -35,16 +43,20 @@ class KreinSpace:
                 f"Gram matrix is not Hermitian (residual {herm_resid:.2e})"
             )
         J = (J + J.conj().T) / 2.0
-        sv = np.linalg.svd(J, compute_uv=False)
-        smin = sv[-1]
+        self.perm, self.signs = _signed_permutation(J)
+        if self.perm is None:
+            sv = np.linalg.svd(J, compute_uv=False)
+            smax, smin = sv[0], sv[-1]
+        else:
+            smax = smin = 1.0
         if smin <= tol.abs:
             raise ValidationError(
                 f"Gram matrix is numerically singular (sigma_min {smin:.2e})"
             )
         self.n = J.shape[0]
         self.J = J
-        self.Jinv = np.linalg.inv(J)
-        self.norm = float(sv[0])
+        self.Jinv = np.linalg.inv(J) if self.perm is None else J
+        self.norm = float(smax)
         self.inv_norm = float(1.0 / smin)
         self.tol = tol
 
@@ -52,10 +64,42 @@ class KreinSpace:
         """[x, y] = y^H J x."""
         return complex(np.vdot(y, self.J @ x))
 
+    def lmul(self, M) -> np.ndarray:
+        """J M for a matrix M."""
+        if self.perm is None:
+            return self.J @ M
+        return self.signs[:, None] * M[self.perm]
+
+    def rmul(self, M) -> np.ndarray:
+        """M J for a matrix M. A signed-permutation J is symmetric in its
+        pattern, ``signs[perm[k]] = signs[k]``, so column k of M J is
+        column ``perm[k]`` of M times ``signs[k]``."""
+        if self.perm is None:
+            return M @ self.J
+        return M[:, self.perm] * self.signs
+
+    def lsolve(self, M) -> np.ndarray:
+        """J^{-1} M for a matrix M."""
+        if self.perm is None:
+            return self.Jinv @ M
+        return self.lmul(M)
+
     def adjoint(self, C) -> np.ndarray:
         """Krein adjoint C* = J^{-1} C^H J, so [Cx, y] = [x, C*y]."""
         C = np.asarray(C, dtype=complex)
-        return self.Jinv @ (C.conj().T @ self.J)
+        return self.lsolve(self.rmul(C.conj().T))
+
+    def selfadjoint_norm(self, M) -> float:
+        """||M||_2 of a J-selfadjoint M. When J is a signed permutation and
+        J M is Hermitian bit for bit, as it is for the parts
+        :func:`split_normal` makes, it is the largest |eigenvalue| of J M:
+        J is unitary, so ||M||_2 = ||J M||_2. Otherwise :func:`norm2`."""
+        if self.perm is not None:
+            H = self.lmul(M)
+            if np.array_equal(H, H.conj().T):
+                ev = np.linalg.eigvalsh(H)
+                return float(max(-ev[0], ev[-1]))
+        return norm2(M)
 
     def is_selfadjoint(self, C) -> bool:
         C = np.asarray(C, dtype=complex)
@@ -69,9 +113,9 @@ class KreinSpace:
         Ns = self.adjoint(N)
         return fro(N @ Ns - Ns @ N), Ns
 
-    def check_normal(self, N) -> np.ndarray:
+    def check_normal(self, N) -> tuple:
         """Raise unless N commutes with its Krein adjoint at tolerance;
-        return that adjoint."""
+        return that adjoint and the defect ||NN* - N*N||_F."""
         N = np.asarray(N, dtype=complex)
         defect, Ns = self._normality(N)
         bound = self.tol.rel * max(fro(N) ** 2, self.tol.abs)
@@ -79,7 +123,7 @@ class KreinSpace:
             raise NotNormalError(
                 f"operator is not normal: ||NN* - N*N|| = {defect:.2e} > {bound:.2e}"
             )
-        return Ns
+        return Ns, defect
 
     def signature(self):
         """(positive, negative) eigenvalue counts of J."""
@@ -87,16 +131,32 @@ class KreinSpace:
         return int(np.sum(ev > 0)), int(np.sum(ev < 0))
 
 
+def _signed_permutation(J) -> tuple:
+    """``(perm, signs)`` with ``J[i, perm[i]] = signs[i]`` when every row of
+    J has exactly one nonzero entry and that entry is exactly +1 or -1;
+    ``(None, None)`` for any other J, and for an empty one."""
+    nonzero = J != 0
+    if not J.size or not (np.count_nonzero(nonzero, axis=1) == 1).all():
+        return None, None
+    perm = nonzero.argmax(axis=1)
+    entries = J[np.arange(J.shape[0]), perm]
+    if not ((np.abs(entries.real) == 1.0) & (entries.imag == 0.0)).all():
+        return None, None
+    return perm, entries.real
+
+
 def split_normal(space: KreinSpace, N):
-    """Real and imaginary parts A = (N + N*)/2, B = (N - N*)/(2i).
+    """Real and imaginary parts A = (N + N*)/2, B = (N - N*)/(2i), and the
+    normality defect ||NN* - N*N||_F of N that :meth:`KreinSpace.check_normal`
+    measured.
 
     Requires N normal; the parts are selfadjoint and commute.
     """
     N = np.asarray(N, dtype=complex)
-    Ns = space.check_normal(N)
+    Ns, defect = space.check_normal(N)
     A = (N + Ns) / 2.0
     B = (N - Ns) / 2.0j
-    return A, B
+    return A, B, defect
 
 
 @dataclass(frozen=True)
@@ -131,7 +191,7 @@ def definitizing_gram(space: KreinSpace, value) -> tuple:
     J p(A) is Hermitian in exact arithmetic for selfadjoint A; rounding breaks
     the symmetry, so the product is symmetrized before it is decomposed.
     """
-    G = space.J @ value
+    G = space.lmul(value)
     G = (G + G.conj().T) / 2.0
     return (G, *np.linalg.eigh(G))
 
@@ -157,7 +217,7 @@ def verify_definitizing(
     """
     A = np.asarray(A, dtype=complex)
     if scale is None:
-        scale = poly_eval_scale(space, norm2(A), p)
+        scale = poly_eval_scale(space, space.selfadjoint_norm(A), p)
     if evals is None:
         evals = definitizing_gram(space, p.of_matrix(A))[1]
     threshold = space.tol.spec * max(scale, space.tol.abs)
@@ -185,7 +245,7 @@ def search_definitizing(
     if not any(abs(c) <= radius for c in centers):
         centers.append(0.0)
     centers.sort(key=lambda c: (abs(c), c))
-    a_norm = norm2(A)
+    a_norm = space.selfadjoint_norm(A)
     for degree in range(max_degree + 1):
         for combo in itertools.combinations_with_replacement(centers, degree):
             base = RealPoly([1.0])
@@ -206,7 +266,10 @@ def search_definitizing(
 @dataclass(frozen=True)
 class DefinitizablePair:
     """Commuting selfadjoint parts of a normal operator with their
-    definitizing polynomials."""
+    definitizing polynomials. ``defect`` is the normality defect that
+    :func:`split_normal` measured on the N that A and B were split from, or
+    None for parts given directly; :meth:`validate` certifies [A, B] = 0
+    from it."""
 
     space: KreinSpace
     A: np.ndarray
@@ -214,6 +277,7 @@ class DefinitizablePair:
     p: RealPoly
     q: RealPoly
     label: str = field(default="", compare=False)
+    defect: float = field(default=None, compare=False)
 
     @property
     def N(self) -> np.ndarray:
@@ -227,25 +291,28 @@ class DefinitizablePair:
         return cls.from_parts(space, N, *split_normal(space, N), p, q, label)
 
     @classmethod
-    def from_parts(cls, space: KreinSpace, N, A, B, p: RealPoly = None, q: RealPoly = None,
-                   label: str = "") -> "DefinitizablePair":
-        """The validated pair of the split parts ``A``, ``B`` of ``N``; each
-        polynomial that is None is searched for with ``n_norm = ||N||_F``."""
+    def from_parts(cls, space: KreinSpace, N, A, B, defect: float, p: RealPoly = None,
+                   q: RealPoly = None, label: str = "") -> "DefinitizablePair":
+        """The validated pair of the split parts ``A``, ``B`` of ``N``, whose
+        normality defect the split measured as ``defect``; each polynomial
+        that is None is searched for with ``n_norm = ||N||_F``."""
         n_norm = fro(N)
         if p is None:
             p = search_definitizing(space, A, n_norm=n_norm)
         if q is None:
             q = search_definitizing(space, B, n_norm=n_norm)
-        pair = cls(space, A, B, p, q, label)
+        pair = cls(space, A, B, p, q, label, defect)
         pair.validate()
         return pair
 
     @cached_property
     def eval_scales(self) -> tuple:
-        """:func:`poly_eval_scale` of ``(A, p)`` and of ``(B, q)``."""
+        """:func:`poly_eval_scale` of ``(A, p)`` and of ``(B, q)``, the norms
+        by :meth:`KreinSpace.selfadjoint_norm`."""
+        sp = self.space
         return (
-            poly_eval_scale(self.space, norm2(self.A), self.p),
-            poly_eval_scale(self.space, norm2(self.B), self.q),
+            poly_eval_scale(sp, sp.selfadjoint_norm(self.A), self.p),
+            poly_eval_scale(sp, sp.selfadjoint_norm(self.B), self.q),
         )
 
     @cached_property
@@ -269,15 +336,23 @@ class DefinitizablePair:
         self.__dict__.pop("definitizing_grams", None)
 
     def validate(self):
-        """Raise unless all structural invariants hold at tolerance."""
+        """Raise unless all structural invariants hold at tolerance.
+
+        The commutator of the parts is certified from the carried defect
+        (:meth:`_commutator_certificate`) and measured only when the pair
+        carries none or the certificate is not within the bound.
+        """
         sp, A, B = self.space, self.A, self.B
-        scale = max(fro(A), fro(B), 1.0)
+        a, b = fro(A), fro(B)
         if not sp.is_selfadjoint(A):
             raise ValidationError("real part is not Krein-selfadjoint")
         if not sp.is_selfadjoint(B):
             raise ValidationError("imaginary part is not Krein-selfadjoint")
-        comm = fro(A @ B - B @ A)
-        if comm > sp.tol.rel * scale**2:
+        bound = sp.tol.rel * max(a, b, 1.0) ** 2
+        comm = None if self.defect is None else self._commutator_certificate(a, b)
+        if comm is None or comm > bound:
+            comm = fro(A @ B - B @ A)
+        if comm > bound:
             raise NotNormalError(
                 f"parts do not commute: ||AB - BA|| = {comm:.2e}"
             )
@@ -291,3 +366,22 @@ class DefinitizablePair:
                     f"polynomial {name} is not definitizing: smallest eigenvalue "
                     f"{rep.min_eigenvalue:.2e} < -{rep.threshold:.2e}"
                 )
+
+    def _commutator_certificate(self, a: float, b: float) -> float:
+        """An upper bound on ||[A, B]||_F from the carried normality defect,
+        for parts of norms ``a = ||A||_F`` and ``b = ||B||_F``.
+
+        With N* the adjoint the split computed, the parts it rounds,
+        A' = (N + N*)/2 and B' = (N - N*)/(2i), satisfy [A', B'] = (N* N -
+        N N*)/(2i) exactly, so ||[A', B']||_F = D/2 with D = ||N N* -
+        N* N||_F. The defect d is D from products rounded entrywise by at
+        most gamma_n |N| |N*|, summed by ``fro`` to relative error n^2 eps,
+        so D <= d (1 + n^2 eps) + 2 gamma_n ||N||_F ||N*||_F, and both norms
+        are at most a + b up to rounding. Each stored part is within eps of
+        A' or B' in norm (one rounded sum; halving and dividing by 2i are
+        exact), which moves the commutator by at most about 4 eps a b <= eps
+        (a + b)^2. With gamma_n ~ n eps / 2 the rounding terms sum to less
+        than (n + 2) eps (a + b)^2.
+        """
+        n, eps = self.space.n, np.finfo(float).eps
+        return self.defect * (1.0 + n * n * eps) / 2.0 + (n + 2) * eps * (a + b) ** 2

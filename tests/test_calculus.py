@@ -520,6 +520,35 @@ class TestFunctionFiles:
                 w1_ctx, {"kind": "table", "values": [{"z": [1.0, 2.1], "value": [1.0, 0.0]}]}
             )
 
+    def test_table_looks_up_exact_points_and_matches_the_rest(self, monkeypatch):
+        # exact points are looked up, so only the perturbed row reaches
+        # match_points; the coordinates are those of matching every row
+        recipe = load_recipe()
+        ctx = CalculusContext.build(parse_instance(recipe.instance(2, 24, 2)[0]).pair)
+        points = [complex(z) for z in ctx.cs.noncritical]
+        rng = np.random.default_rng(61)
+        shift = 0.5 * ctx.cs.radius * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        rows = [(z, complex(*rng.standard_normal(2))) for z in points]
+        rows[3] = (points[3] + shift, rows[3][1])
+        rows.append((points[0], 7.0 + 0j))  # a later row for one point wins
+        table = {
+            "kind": "table",
+            "values": [{"z": [z.real, z.imag], "value": [v.real, v.imag]} for z, v in rows],
+        }
+        matched = []
+        monkeypatch.setattr(
+            calculus, "match_points", lambda zs, *a: matched.append(len(zs)) or match_points(zs, *a)
+        )
+        fn = function_from_dict(ctx, table)
+        assert sum(matched) == 1
+        expected = np.zeros(len(points), dtype=complex)
+        for (_, v), i in zip(rows, match_points([z for z, _ in rows], points, ctx.cs.radius)):
+            expected[i] = v
+        assert np.array_equal(fn.values, expected)
+        table["values"][5]["z"] = [points[5].real + 2 * ctx.cs.radius, points[5].imag]
+        with pytest.raises(DomainMismatchError, match="is not a noncritical spectral point"):
+            function_from_dict(ctx, table)
+
     def test_match_points_agrees_with_match_point(self):
         rng = np.random.default_rng(60)
         targets = [0.0, 2.0, 2.0, 1j, 3.0 + 0j]  # 1.0 is equally close to 0 and 2

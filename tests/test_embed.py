@@ -57,20 +57,31 @@ class TestGramFactor:
 
 def test_each_definitizing_gram_is_decomposed_once(monkeypatch):
     # validate reads the smallest eigenvalues off the eigh that build_bundle
-    # factors: parse + build decompose J p(A), J q(B) and their sum once each
+    # factors: parse + build decompose J p(A), J q(B) and their sum once each.
+    # J is a signed permutation on both sources, so J is neither decomposed
+    # nor inverted, and the norms of A and B are two eigvalsh of J A and J B.
+    # Calls are counted under numpy.linalg's own names too, so an SVD that
+    # np.linalg.norm(M, 2) or np.linalg.cond takes inside numpy is seen; the
+    # one SVD is cond's, of the zero grid's interpolation matrix
+    import numpy.linalg._linalg as linalg
+
     recipe = load_recipe()
     calls = Counter()
-    for name in ("eigh", "eigvalsh"):
-        def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+    names = ("eigh", "eigvalsh", "svd", "inv", "cond")
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(linalg, name), **kwargs):
             calls[_name] += 1
             return _f(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(linalg, name, counted)
     for source in (FIXTURES / "w1.json", recipe.instance(3, 24, 2)[0]):
         calls.clear()
         inst = parse_instance(source)
         ctx = CalculusContext.build(inst.pair)
-        assert (calls["eigh"], calls["eigvalsh"]) == (3, 0), source
+        assert inst.space.perm is not None, source
+        counts = tuple(calls[name] for name in names)
+        assert counts == (3, 2, 1, 0, 1), (source, counts)
         assert "definitizing_grams" not in vars(ctx.pair)
 
 

@@ -18,9 +18,12 @@ from kreincalc import (
     split_normal,
     verify_definitizing,
 )
+from kreincalc.embed import _row_norms2
 from kreincalc.instances import matrix_to_json
-from kreincalc.krein import poly_eval_scale, split_noise
-from kreincalc.tol import fro
+from kreincalc.krein import definitizing_gram, poly_eval_scale, split_noise
+from kreincalc.tol import Tolerances, fro, norm2
+
+from conftest import PROFILES, load_recipe
 
 J2 = np.diag([1.0, -1.0]).astype(complex)
 FLIP = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -108,24 +111,133 @@ class TestAdjoint:
             )
 
 
+def signed_permutation_instances():
+    """Generated instances of every profile and recipe instances: every J
+    is a signed permutation (diagonal +-1, and a flip block in ``jordan``)."""
+    recipe = load_recipe()
+    out = [generate(seed, 2 + seed % 11, PROFILES[seed % 3]) for seed in range(30)]
+    out += [parse_instance(recipe.instance(seed, 24, seed % 3)[0]) for seed in range(3)]
+    return out
+
+
+class TestSignedPermutation:
+    def test_fast_path_equals_the_dense_formulas(self):
+        # permuting rows and columns and flipping signs is the dense product
+        # with J bit for bit: the adjoint, the definitizing Gram and the
+        # coordinate spaces' T = J^{-1} F^H and F J
+        rng = np.random.default_rng(40)
+        for inst in signed_permutation_instances():
+            space, J = inst.space, inst.space.J
+            Jinv = np.linalg.inv(J)
+            assert space.perm is not None and space.Jinv is J, inst.label
+            assert (space.norm, space.inv_norm) == (1.0, 1.0)
+            for C in (inst.N, random_operator(rng, space.n)):
+                assert np.array_equal(space.adjoint(C), Jinv @ (C.conj().T @ J)), inst.label
+            for value in inst.pair.poly_values:
+                G = J @ value
+                assert np.array_equal(definitizing_gram(space, value)[0], (G + G.conj().T) / 2)
+            for V in build_bundle(inst.pair).coords:
+                assert np.array_equal(V.T, Jinv @ V.F.conj().T), inst.label
+                assert np.array_equal(V.left, (V.F @ J) / _row_norms2(V.F)[:, None])
+
+    def test_near_misses_take_the_dense_path(self):
+        rng = np.random.default_rng(41)
+        off_by_an_ulp = np.diag([1.0 + 2.0**-52, -1.0, 1.0])
+        unimodular_flip = np.zeros((3, 3), dtype=complex)
+        unimodular_flip[0, 1], unimodular_flip[1, 0], unimodular_flip[2, 2] = 1j, -1j, 1.0
+        S = np.eye(3) + 0.3 * random_operator(rng, 3)
+        congruence = S.conj().T @ np.diag([1.0, -1.0, 1.0]) @ S
+        for J in (off_by_an_ulp, unimodular_flip, congruence):
+            space = KreinSpace(J)
+            assert space.perm is None and space.signs is None
+            for C in (random_operator(rng, 3), random_operator(rng, 3)):
+                exact = np.linalg.solve(space.J, C.conj().T @ space.J)
+                assert fro(space.adjoint(C) - exact) <= space.tol.rel * fro(C)
+
+    def test_singular_check_is_kept(self):
+        # every singular value of a signed permutation is 1: an absolute
+        # floor at 1 rejects it as it rejects any other such J
+        with pytest.raises(ValidationError, match="sigma_min 1.00e"):
+            KreinSpace(J2, Tolerances(abs=1.0))
+
+    def test_split_parts_are_selfadjoint_bit_for_bit(self):
+        # J A and J B of the split are exactly Hermitian, so their skew part
+        # is 0, and their eigvalsh gives ||A||_2 and ||B||_2 to rounding
+        for inst in signed_permutation_instances():
+            space = inst.space
+            for M in (inst.pair.A, inst.pair.B):
+                H = space.J @ M
+                assert np.array_equal(H - H.conj().T, np.zeros_like(H)), inst.label
+                assert space.selfadjoint_norm(M) == pytest.approx(norm2(M), rel=1e-13)
+
+    def test_norm_of_a_part_that_is_not_hermitian_under_j(self):
+        # J M not Hermitian bit for bit: the norm is the SVD's
+        space = KreinSpace(J2)
+        M = np.array([[1.0, 2.0], [-2.0 + 1e-17j, 1.0]])
+        assert space.selfadjoint_norm(M) == norm2(M)
+
+
+class TestCommutatorCertificate:
+    def test_directly_built_pair_measures_the_commutator(self):
+        # J-selfadjoint parts that do not commute and carry no defect
+        A = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
+        B = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+        space = KreinSpace(J2)
+        assert space.is_selfadjoint(A) and space.is_selfadjoint(B)
+        pair = DefinitizablePair(space, A, B, RealPoly([1.0]), RealPoly([1.0]))
+        with pytest.raises(NotNormalError, match="parts do not commute"):
+            pair.validate()
+
+    def test_certificate_outside_the_bound_falls_back_to_the_measured_commutator(self):
+        # an absolute floor of 2.5 lets check_normal pass a small N with a
+        # defect up to 2.5 rel, while validate bounds the commutator by rel:
+        # the certificate d/2 does not fit, so the commutator is measured,
+        # and it decides as it did before the certificate
+        tol = Tolerances(abs=2.5)
+        space = KreinSpace(3.0 * J2, tol)
+        N0 = np.diag([0.05 + 0.02j, -0.04 - 0.03j])
+        E = np.array([[0.0, 1.0], [0.0, 0.0]])
+        unit = space.normality_defect(N0 + 1e-6 * E) / 1e-6
+        N = N0 + (2.2 * tol.rel / unit) * E
+        A, B, defect = split_normal(space, N)
+        a, b = fro(A), fro(B)
+        bound = tol.rel * max(a, b, 1.0) ** 2
+        pair = DefinitizablePair(space, A, B, RealPoly([1.0]), RealPoly([1.0]), defect=defect)
+        assert pair._commutator_certificate(a, b) > bound
+        measured = fro(A @ B - B @ A)
+        assert measured > bound
+        with pytest.raises(NotNormalError, match=f"{measured:.2e}"):
+            pair.validate()
+
+    def test_certificate_bounds_the_commutator_and_fits(self):
+        # on valid instances the certificate is within the bound, so no
+        # commutator is measured, and it is above the measured one
+        for inst in signed_permutation_instances():
+            pair = inst.pair
+            a, b = fro(pair.A), fro(pair.B)
+            cert = pair._commutator_certificate(a, b)
+            assert fro(pair.A @ pair.B - pair.B @ pair.A) <= cert, inst.label
+            assert cert <= pair.space.tol.rel * max(a, b, 1.0) ** 2, inst.label
+
+
 class TestSplitNormal:
     def test_selfadjoint_has_no_imaginary_part(self):
         space = KreinSpace(FLIP)
         N = np.array([[0, 1], [0, 0]], dtype=complex)
-        A, B = split_normal(space, N)
+        A, B, _ = split_normal(space, N)
         assert np.allclose(A, N) and np.allclose(B, 0)
 
     def test_diagonal_case(self):
         space = KreinSpace(J2)
         N = np.diag([1 + 2j, -1 + 3j])
-        A, B = split_normal(space, N)
+        A, B, _ = split_normal(space, N)
         assert np.allclose(A, np.diag([1, -1]))
         assert np.allclose(B, np.diag([2, 3]))
 
     def test_skew_case(self):
         space = KreinSpace(J2)
         B0 = np.diag([2.0, 5.0]).astype(complex)
-        A, B = split_normal(space, 1j * B0)
+        A, B, _ = split_normal(space, 1j * B0)
         assert np.allclose(A, 0) and np.allclose(B, B0)
 
     def test_not_normal(self):
@@ -139,7 +251,7 @@ class TestSplitNormal:
         for _ in range(50):
             d = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             N = np.diag(d)
-            A, B = split_normal(space, N)
+            A, B, _ = split_normal(space, N)
             assert space.is_selfadjoint(A) and space.is_selfadjoint(B)
             assert np.allclose(A @ B, B @ A, atol=1e-10)
             assert np.allclose(A + 1j * B, N)
