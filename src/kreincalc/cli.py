@@ -105,7 +105,7 @@ def _inspect(args):
         "p": inst.pair.p.to_list(),
         "q": inst.pair.q.to_list(),
         "searched": list(inst.searched),
-        "normality_defect": inst.space.normality_defect(inst.N),
+        "normality_defect": inst.pair.defect,
     }
     _emit(payload, args, lambda: "\n".join(f"{k}: {v}" for k, v in payload.items()))
 

@@ -105,19 +105,12 @@ class KreinSpace:
         C = np.asarray(C, dtype=complex)
         return fro(C - self.adjoint(C)) <= self.tol.rel * (1.0 + fro(C))
 
-    def normality_defect(self, N) -> float:
-        return self._normality(N)[0]
-
-    def _normality(self, N):
-        N = np.asarray(N, dtype=complex)
-        Ns = self.adjoint(N)
-        return fro(N @ Ns - Ns @ N), Ns
-
     def check_normal(self, N) -> tuple:
         """Raise unless N commutes with its Krein adjoint at tolerance;
         return that adjoint and the defect ||NN* - N*N||_F."""
         N = np.asarray(N, dtype=complex)
-        defect, Ns = self._normality(N)
+        Ns = self.adjoint(N)
+        defect = fro(N @ Ns - Ns @ N)
         bound = self.tol.rel * max(fro(N) ** 2, self.tol.abs)
         if defect > bound:
             raise NotNormalError(
@@ -227,13 +220,15 @@ def verify_definitizing(
     return PositivityReport(min_eig >= -threshold, min_eig, threshold)
 
 
-def search_definitizing(
-    space: KreinSpace, A, max_degree: int = 6, n_norm: float = None
-) -> RealPoly:
+# the largest total degree search_definitizing tries
+_MAX_DEGREE = 6
+
+
+def search_definitizing(space: KreinSpace, A, n_norm: float = None) -> RealPoly:
     """Lowest-degree definitizing polynomial from a bounded candidate family.
 
     Candidates are +-prod (z - c_i)^{e_i} over the real parts of A's clustered
-    eigenvalues, total degree 0..max_degree, tried in degree order, each
+    eigenvalues, total degree 0.._MAX_DEGREE, tried in degree order, each
     tested by :func:`verify_definitizing` with ``n_norm`` as
     :meth:`DefinitizablePair.validate` tests it. The family is deliberately
     small; exhaustion asks the caller to supply a polynomial.
@@ -246,7 +241,7 @@ def search_definitizing(
         centers.append(0.0)
     centers.sort(key=lambda c: (abs(c), c))
     a_norm = space.selfadjoint_norm(A)
-    for degree in range(max_degree + 1):
+    for degree in range(_MAX_DEGREE + 1):
         for combo in itertools.combinations_with_replacement(centers, degree):
             base = RealPoly([1.0])
             for c in combo:
@@ -258,7 +253,7 @@ def search_definitizing(
                 ).accepted:
                     return cand
     raise SearchFailedError(
-        f"no definitizing polynomial of degree <= {max_degree} found; "
+        f"no definitizing polynomial of degree <= {_MAX_DEGREE} found; "
         "supply one explicitly in the instance"
     )
 

@@ -17,16 +17,16 @@ from scipy.linalg.lapack import zgees, zheevd
 
 from .cluster import cluster_points, match_points
 from .errors import DomainMismatchError, NotNormalError
-from .tol import DEFAULT_TOL, Tolerances, fro, fro_each
+from .tol import DEFAULT_TOL, Tolerances, fro
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Eigenvalues of a normal matrix with their orthogonal projections.
+    """Eigenvalues of a normal matrix with their factored projections.
 
     ``Q`` is a unitary basis of eigenvectors and column j lies in the
     eigenspace of ``centers[labels[j]]``; the projection onto cluster i is
-    ``Q_i Q_i^H`` over the columns labelled i.
+    ``Q_i Q_i^H`` over the columns labelled i, and is never formed.
     """
 
     dim: int
@@ -38,22 +38,6 @@ class SpectralData:
     @property
     def eigenvalues(self):
         return self.centers
-
-    def projections(self) -> np.ndarray:
-        """Every cluster's projection as one ``(k, dim, dim)`` stack, entry i
-        that of ``centers[i]``: ``Q`` with the other clusters' columns
-        zeroed, times ``Q^H``."""
-        own = self.labels == np.arange(len(self.centers))[:, None]
-        return (self.Q * own[:, None, :]) @ self.Q.conj().T
-
-    def resolution_residual(self):
-        """How far the projections are from a resolution of the identity."""
-        P = self.projections()
-        resid = fro(P.sum(axis=0) - np.eye(self.dim))
-        i, j = np.triu_indices(len(P), 1)
-        for excess in (P @ P - P, P - P.conj().transpose(0, 2, 1), P[i] @ P[j]):
-            resid = max(resid, float(fro_each(excess).max(initial=0.0)))
-        return resid
 
 
 _EPS = np.finfo(float).eps

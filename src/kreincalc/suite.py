@@ -197,29 +197,49 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
     def prop(name, anchor, resid, thr):
         out.append(PropertyResult(name, anchor, float(resid), float(thr)))
 
+    # The measure stays factored: E_i = Q_i Q_i^H over the columns Q_i of Q
+    # labelled i (``own[i]``), and no check forms an E_i. With G = Q^H Q - I
+    # and g = ||G||_F, ||Q||_2^2 = ||I + G||_2 <= 1 + g bounds every change
+    # of basis; in particular ||E_i||_2 <= 1 + g.
     r = bundle.dim_v
-    P = data.projections()
+    Q, labels = data.Q, data.labels
     lams = np.array(data.eigenvalues, dtype=complex)
+    k = len(lams)
+    own = labels == np.arange(k)[:, None]
+    g = fro(Q.conj().T @ Q - np.eye(r))
+    # sum E - I = Q Q^H - I, which has the eigenvalues of G, so norm g;
+    # E_i E_j - delta_ij E_i = Q_i G_ij Q_j^H and E_i = E_i^H, so g (1 + g)
+    # bounds every entry
     prop(
         "measure-resolution",
         "sum E = I, E orthogonal idempotents",
-        data.resolution_residual(),
+        g * (1.0 + g),
         tol.rel * max(1.0, np.sqrt(r)),
     )
     thN = ctx.theta_n
+    # (Th(N) - z_i) E_i = X_i Q_i^H with X = Th(N) Q - Q diag(z[labels]), so
+    # its norm is at most ||X_i||_F ||Q_i||_2 <= ||X_i||_F sqrt(1 + g);
     # snapping onto critical points may move an eigenvalue by one radius
+    X = thN @ Q - Q * lams[labels]
     prop(
         "measure-eigen",
         "Th(N) E{z} = z E{z}",
-        fro_each(thN @ P - lams[:, None, None] * P).max(initial=0.0),
+        np.sqrt((1.0 + g) * (own @ (X * X.conj()).real.sum(axis=0)).max(initial=0.0)),
         max(tol.spec * max(1.0, fro(thN)), 3 * cs.radius * max(1.0, np.sqrt(r))),
     )
+    # With M = Q^H S Q and D_i = diag(own[i]), Q [D_i, M] Q^H = [E_i, S] +
+    # E_i S F - F S E_i with F = Q Q^H - I, ||F||_F = g. So ||[E_i, S]||_F
+    # <= (1 + g) (||[D_i, M]||_F + 2 g ||S||_F), and ||[D_i, M]||_F^2 sums
+    # |M|^2 over cluster i's rows and columns off its diagonal block
     ttv = bundle.coords[0].TT
-    S = np.stack([bundle.coords[1].RR, bundle.coords[2].RR, ttv])[None]
+    S = np.stack([bundle.coords[1].RR, bundle.coords[2].RR, ttv])
+    M = Q.conj().T @ S @ Q
+    off = np.where(labels[:, None] == labels, 0.0, (M * M.conj()).real)
+    block = (off.sum(axis=2) + off.sum(axis=1)) @ own.T
     prop(
         "measure-commutant",
         "E{z} commutes with R1R1*, R2R2*, T*T",
-        fro_each(P[:, None] @ S - S @ P[:, None]).max(initial=0.0),
+        ((1.0 + g) * (np.sqrt(block.max(axis=1, initial=0.0)) + 2.0 * g * fro_each(S))).max(),
         tol.spec * max(1.0, fro(ttv)),
     )
 
@@ -240,53 +260,38 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
     )
 
     free = ~ctx.layout.critical
-    noncrit_e = P[free].sum(axis=0)
-    ratio1 = np.tensordot(pv[free] / sv[free], P[free], 1)
-    ratio2 = np.tensordot(qv[free] / sv[free], P[free], 1)
+    ratio = np.zeros((2, k), dtype=complex)
+    ratio[:, free] = np.stack([pv[free], qv[free]]) / sv[free]
+    noncrit_e = spectral_integral(data, free)
     s = max(1.0, n1 + n2)
-    prop(
-        "measure-weighted-1",
-        "R1R1* E(noncrit) = int p/(p+q) dE",
-        fro(bundle.coords[1].RR @ noncrit_e - ratio1),
-        tol.spec * s,
-    )
-    prop(
-        "measure-weighted-2",
-        "R2R2* E(noncrit) = int q/(p+q) dE",
-        fro(bundle.coords[2].RR @ noncrit_e - ratio2),
-        tol.spec * s,
-    )
+    for j in (1, 2):
+        prop(
+            f"measure-weighted-{j}",
+            f"R{j}R{j}* E(noncrit) = int {'pq'[j - 1]}/(p+q) dE",
+            fro(bundle.coords[j].RR @ noncrit_e - spectral_integral(data, ratio[j - 1])),
+            tol.spec * s,
+        )
 
-    k = len(lams)
     draws = rng.standard_normal((max(k, 1), 2))
     h = draws[:k, 0] + 1j * draws[:k, 1]
     int_h = spectral_integral(data, h)
     for j, (_, dataj) in enumerate(ctx.theta_parts, start=1):
         dataj, hits = snap_eigenvalues(dataj, data.eigenvalues, cs.radius)
-        # E_j of the cluster of V_j pinned to each cluster of V (the last, if
-        # several), zero where none is
-        owner = {i: c for c, i in enumerate(hits)}
-        owned = [i for i in range(k) if i in owner]
-        Pj = np.zeros((k, dataj.dim, dataj.dim), dtype=complex)
-        Pj[owned] = dataj.projections()[[owner[i] for i in owned]]
-        # the restrictions of every E{z}, and of int h dE when it is compared
-        transfer = k and None not in hits
-        parts = bundle.part_from_full(np.concatenate([P, int_h[None]]) if transfer else P, j)
         prop(
             f"measure-transfer-{j}",
             f"restriction of E{{z}} to V{j} is E{j}{{z}}",
-            fro_each(parts[:k] - Pj).max(initial=0.0),
+            _transfer_residual(Q, own, bundle.coords[j], dataj, hits),
             tol.spec,
         )
-        if k and not transfer:
+        if k and None in hits:
             prop(f"integral-transfer-{j}", "restriction of int h dE", 1.0, tol.spec)
-        elif transfer:
+        elif k:
             int_hj = spectral_integral(dataj, h[np.array(hits, dtype=int)])
             hs = max(1.0, float(np.abs(h).max()))
             prop(
                 f"integral-transfer-{j}",
                 f"restriction of (int h dE) to V{j} = int h dE{j}",
-                fro(parts[k] - int_hj),
+                fro(bundle.part_from_full(int_h, j) - int_hj),
                 tol.spec * hs,
             )
             prop(
@@ -296,6 +301,30 @@ def spectral_properties(ctx: CalculusContext, rng) -> list:
                 tol.spec * hs * max(1.0, bundle.scale),
             )
     return out
+
+
+def _transfer_residual(Q, own, Vj, dataj, hits) -> float:
+    """An upper bound on the worst ``||R_j^+ E_i R_j - E_j{c}||_F`` over the
+    clusters i of V (``own``, the column sets of ``Q``), with c the cluster
+    of V_j (``dataj``) pinned to i by ``hits`` (the last, if several), and
+    ``E_j{c}`` zero where none is.
+
+    In V_j's eigenbasis Q_j, R_j^+ E_i R_j reads Q_j^H R_j^+ E_i R_j Q_j =
+    Z_i W_i, with Z = Q_j^H R_j^+ Q and W = Q^H R_j Q_j over cluster i's
+    columns, and E_j{c} reads (I + G_j) D (I + G_j) with D the indicator of
+    c's columns and G_j = Q_j^H Q_j - I, ``g_j = ||G_j||_F``. The two differ
+    by at most ||Z_i W_i - D||_F + g_j (2 + g_j), and going back costs
+    ||Q_j^-1||_2^2 = 1 / sigma_min(I + G_j) <= 1 / (1 - g_j). For g_j >= 1
+    nothing is bounded and the residual is infinite.
+    """
+    Qj = dataj.Q
+    gj = fro(Qj.conj().T @ Qj - np.eye(dataj.dim))
+    owner = {i: c for c, i in enumerate(hits)}
+    own_j = dataj.labels == np.array([owner.get(i, -1) for i in range(len(own))])[:, None]
+    Z = Qj.conj().T @ Vj.R_pinv @ Q
+    W = Q.conj().T @ Vj.R @ Qj
+    worst = max((fro(Z[:, c] @ W[c] - np.diag(d)) for c, d in zip(own, own_j)), default=0.0)
+    return (worst + gj * (2.0 + gj)) / (1.0 - gj) if gj < 1.0 else np.inf
 
 
 def _random_bipoly(rng, dz=2, dw=2):

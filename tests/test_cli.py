@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from kreincalc import cli
+from kreincalc import cli, parse_instance
 from kreincalc.cli import main
 from kreincalc.instances import matrix_from_json
+from kreincalc.tol import fro
 
 from conftest import FIXTURES
 
@@ -66,6 +67,18 @@ def test_inspect(capsys):
     assert payload["dimension"] == 2
     assert payload["signature"] == [1, 1]
     assert payload["p"] == [0.0, 1.0]
+
+
+def test_inspect_reports_the_defect_the_parse_measured(capsys):
+    # the defect of the input N, not of A + iB rebuilt from the split parts:
+    # on this instance the two differ in the last digits
+    path = FIXTURES / "jordan3_scrambled.json"
+    assert run("inspect", "--input", str(path), "--format", "json") == 0
+    defect = json.loads(capsys.readouterr().out)["normality_defect"]
+    inst = parse_instance(path)
+    assert defect == inst.pair.defect
+    Ns = inst.space.adjoint(inst.N)
+    assert defect != fro(inst.N @ Ns - Ns @ inst.N)
 
 
 def test_spectrum(capsys):

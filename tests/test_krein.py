@@ -18,6 +18,7 @@ from kreincalc import (
     split_normal,
     verify_definitizing,
 )
+from kreincalc import krein
 from kreincalc.embed import _row_norms2
 from kreincalc.instances import matrix_to_json
 from kreincalc.krein import definitizing_gram, poly_eval_scale, split_noise
@@ -197,7 +198,9 @@ class TestCommutatorCertificate:
         space = KreinSpace(3.0 * J2, tol)
         N0 = np.diag([0.05 + 0.02j, -0.04 - 0.03j])
         E = np.array([[0.0, 1.0], [0.0, 0.0]])
-        unit = space.normality_defect(N0 + 1e-6 * E) / 1e-6
+        # the defect per unit of E (linear to first order), probed where
+        # check_normal passes
+        unit = space.check_normal(N0 + 1e-9 * E)[1] / 1e-9
         N = N0 + (2.2 * tol.rel / unit) * E
         A, B, defect = split_normal(space, N)
         a, b = fro(A), fro(B)
@@ -295,12 +298,13 @@ class TestSearch:
         p = search_definitizing(space, A)
         assert p.degree == 0
 
-    def test_exhaustion(self):
+    def test_exhaustion(self, monkeypatch):
         # the rotation operator needs p = z^2 + 1, outside the real-center family
+        monkeypatch.setattr(krein, "_MAX_DEGREE", 5)
         space = KreinSpace(FLIP)
         A = np.array([[0, -1], [1, 0]], dtype=complex)
-        with pytest.raises(SearchFailedError):
-            search_definitizing(space, A, max_degree=5)
+        with pytest.raises(SearchFailedError, match="degree <= 5"):
+            search_definitizing(space, A)
 
 
 class TestDefinitizablePair:

@@ -1,5 +1,6 @@
-"""The seed sweeps: the property suite over 1000 generated instances, and
-the compiled apply against the reference path over 300.
+"""The seed sweeps: the property suite over 1000 generated instances and
+over benchmark-recipe instances of dimension 24 and 48, and the compiled
+apply against the reference path over 300.
 
 Marked ``slow`` (tens of seconds together) and deselected by default; run
 them with
@@ -10,10 +11,13 @@ them with
 import numpy as np
 import pytest
 
-from kreincalc import CalculusContext, CalculusFunction, KreinCalcError, generate, run_suite
+from kreincalc import (
+    CalculusContext, CalculusFunction, KreinCalcError, generate, parse_instance, run_suite
+)
 from kreincalc.tol import fro
 
 from calculus_reference import reference_apply
+from conftest import load_recipe
 
 PROFILES = ("diagonal", "jordan", "pontryagin")
 
@@ -30,6 +34,18 @@ def test_suite_passes_on_1000_generated_instances():
             continue
         if not report.passed:
             failing.append((i, [p.name for p in report.properties if not p.passed]))
+    assert failing == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [24, 48])
+def test_suite_passes_on_recipe_instances_above_12(n):
+    recipe = load_recipe()
+    failing = []
+    for s in range(5):
+        report = run_suite(parse_instance(recipe.instance(s, n, 2)[0]))
+        if not report.passed:
+            failing.append((s, [p.name for p in report.properties if not p.passed]))
     assert failing == []
 
 
